@@ -229,13 +229,8 @@ def cmd_sw(args) -> int:
 def cmd_sigma(args) -> int:
     net = _load_net(args.network)
     system = splits.displayed_splits(net)
-    order = min(
-        netgraph.consistent_orders(net), key=lambda o: o.labels
-    )
-    circ = splits.CircularSplitSystem.of_order(
-        net.n, [(s, None) for s in system.splits], order
-    )
-    return _emit_system(args, circ)
+    order = netgraph.canonical_order(net)
+    return _emit_system(args, splits.CircularSplitSystem.of_order(net.n, system, order))
 
 
 def _emit_network(args, net) -> int:
@@ -423,7 +418,7 @@ def _scan_faithful(trials: int, rng: random.Random):
     for t in range(trials):
         net = random_one_nested(rng.randint(4, 6), rng)
         base = splits.displayed_splits(net)
-        order = min(netgraph.consistent_orders(net), key=lambda o: o.labels)
+        order = netgraph.canonical_order(net)
         weights = {
             s: Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
             for s in base.splits

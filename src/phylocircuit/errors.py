@@ -1,5 +1,7 @@
 """Exception hierarchy for phylocircuit."""
 
+from contextlib import contextmanager
+
 
 class PhyloCircuitError(Exception):
     """Base class for all library errors."""
@@ -34,6 +36,15 @@ class NegativeWeightError(ValidationError):
 
 class BadLeafLabelError(ValidationError):
     """Leaf labels are not exactly 1..n with n >= 2."""
+
+
+@contextmanager
+def line_errors(lineno: int, raw: str):
+    """Report a malformed field of one input line as a ValidationError."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"line {lineno}: cannot parse {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------

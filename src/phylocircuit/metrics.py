@@ -20,11 +20,12 @@ from .errors import (
     SizeMismatchError,
     TooLargeForExactError,
     ZeroWeightEdgeError,
+    line_errors,
 )
 from .netgraph import (
     CircularOrder,
     PhyloNetwork,
-    block_decomposition,
+    block_path,
     edge_key,
 )
 from .rational import FLOAT_TOL, Value, format_value, parse_value
@@ -266,38 +267,9 @@ def pairwise_circuit(net: PhyloNetwork, i: int, j: int) -> PhyloNetwork:
     """
     if i == j:
         raise SizeMismatchError("distinct leaves required")
-    leaves = net.leaves
-    src, dst = leaves[i], leaves[j]
-    decomp = block_decomposition(net)
-    blocks = decomp.blocks
-    # BFS across blocks that share a node
-    node_blocks: dict[str, list[int]] = {}
-    for bi, b in enumerate(blocks):
-        for v in b.nodes:
-            node_blocks.setdefault(v, []).append(bi)
-    start = next(bi for bi, b in enumerate(blocks) if src in b.nodes)
-    goal = next(bi for bi, b in enumerate(blocks) if dst in b.nodes)
-    prev: dict[int, int | None] = {start: None}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal:
-            break
-        for v in blocks[cur].nodes:
-            for nb in node_blocks[v]:
-                if nb not in prev:
-                    prev[nb] = cur
-                    queue.append(nb)
-    path = []
-    cur: int | None = goal
-    while cur is not None:
-        path.append(cur)
-        cur = prev[cur]
-    keep = set()
-    for bi in path:
-        keep |= blocks[bi].edges
+    keep = set().union(*(b.edges for b in block_path(net, i, j)))
     edges = [(u, v, w) for u, v, w in net.edge_items if edge_key(u, v) in keep]
-    return PhyloNetwork.build({i: src, j: dst}, edges, strict=False)
+    return PhyloNetwork.build({i: net.leaves[i], j: net.leaves[j]}, edges, strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -444,35 +416,45 @@ def _chain_order(d: DistanceVector) -> CircularOrder:
 def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
     """Pair format (``n <count>`` header then ``i j value`` lines) or a
     PHYLIP-like square matrix (first line n, then n rows of n values)."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    # lazy, so a large pair file is not also held as per-line tuples
+    numbered = (
+        (lineno, raw, raw.split("#", 1)[0].split())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    lines = (line for line in numbered if line[2])
+    first = next(lines, None)
+    if first is None:
         raise SizeMismatchError("empty distance file")
-    head = lines[0].split()
+    head_no, head_raw, head = first
     if head[0] == "n" and len(head) == 2:
-        n = int(head[1])
+        with line_errors(head_no, head_raw):
+            n = int(head[1])
         values: dict[tuple[int, int], Value] = {}
-        for ln in lines[1:]:
-            i_s, j_s, v_s = ln.split()
-            i, j = int(i_s), int(j_s)
-            values[(min(i, j), max(i, j))] = parse_value(v_s, exact)
+        for lineno, raw, fields in lines:
+            with line_errors(lineno, raw):
+                i_s, j_s, v_s = fields
+                i, j = int(i_s), int(j_s)
+                values[(min(i, j), max(i, j))] = parse_value(v_s, exact)
         try:
             ordered = tuple(values[(i, j)] for i, j in pair_iter(n))
         except KeyError as exc:
             raise SizeMismatchError(f"missing pair {exc}") from exc
         return DistanceVector(n, ordered)
     if len(head) == 1:
-        n = int(head[0])
-        rows = [ln.split() for ln in lines[1 : n + 1]]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        with line_errors(head_no, head_raw):
+            n = int(head[0])
+        rows = list(itertools.islice(lines, max(n, 0)))
+        if len(rows) != n or any(len(fields) != n for _, _, fields in rows):
             raise SizeMismatchError("square matrix shape mismatch")
+
+        def entry(r: int, c: int) -> Value:
+            lineno, raw, fields = rows[r - 1]
+            with line_errors(lineno, raw):
+                return parse_value(fields[c - 1], exact)
+
         vals = []
         for i, j in pair_iter(n):
-            a = parse_value(rows[i - 1][j - 1], exact)
-            b = parse_value(rows[j - 1][i - 1], exact)
+            a, b = entry(i, j), entry(j, i)
             if not (a == b or abs(float(a) - float(b)) <= FLOAT_TOL):
                 raise SizeMismatchError(f"asymmetric entries for ({i},{j})")
             vals.append(a)

@@ -6,15 +6,18 @@ least 3.  Edge weights are resistances: exact rationals when every input
 weight was exact, floats otherwise.
 
 Structural tools: biconnected blocks and their classification (bridge /
-cycle / theta), bridge sets, the circular leaf orders realizable by
-outer-planar drawings, and the resistance-preserving wye-delta exchange.
+cycle / theta), the block path between two leaves, bridge sets, the
+circular leaf orders realizable by outer-planar drawings and the least of
+them, and the resistance-preserving wye-delta exchange.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,6 +33,7 @@ from .errors import (
     NotATriangleError,
     NotOneNestedError,
     ValidationError,
+    line_errors,
 )
 from .rational import Value, format_value, parse_value
 
@@ -122,6 +126,8 @@ class PhyloNetwork:
             seen.add(key)
             if isinstance(w, int):
                 w = Fraction(w)
+            if isinstance(w, float) and not math.isfinite(w):
+                raise ValidationError(f"edge {u}-{v} has non-finite weight {w}")
             if w < 0:
                 raise NegativeWeightError(f"edge {u}-{v} has weight {w}")
             norm.append((min(u, v), max(u, v), w))
@@ -272,6 +278,8 @@ class Block:
 class BlockDecomposition:
     blocks: tuple[Block, ...]
     cut_vertices: frozenset
+    # node -> indices of the blocks holding it, in block order
+    blocks_at: Mapping[str, list[int]] = field(compare=False, repr=False)
 
     def of_kind(self, kind: str) -> list[Block]:
         return [b for b in self.blocks if b.kind == kind]
@@ -365,14 +373,47 @@ def _classify_block(net: PhyloNetwork, edges: frozenset) -> Block:
 
 
 def block_decomposition(net: PhyloNetwork) -> BlockDecomposition:
-    comps, cuts = _biconnected(net)
-    blocks = tuple(
-        sorted(
-            (_classify_block(net, c) for c in comps),
-            key=lambda b: sorted(tuple(sorted(e)) for e in b.edges),
+    """Blocks and cut vertices, computed once per network and cached."""
+    cached = net.__dict__.get("_blocks")
+    if cached is None:
+        comps, cuts = _biconnected(net)
+        blocks = tuple(
+            sorted(
+                (_classify_block(net, c) for c in comps),
+                key=lambda b: sorted(tuple(sorted(e)) for e in b.edges),
+            )
         )
-    )
-    return BlockDecomposition(blocks=blocks, cut_vertices=cuts)
+        blocks_at: dict[str, list[int]] = {}
+        for bi, b in enumerate(blocks):
+            for v in b.nodes:
+                blocks_at.setdefault(v, []).append(bi)
+        cached = BlockDecomposition(blocks, cuts, blocks_at)
+        net.__dict__["_blocks"] = cached
+    return cached
+
+
+def block_path(net: PhyloNetwork, i: int, j: int) -> list[Block]:
+    """Blocks along the block-cut-tree path from leaf i's pendant to leaf j's.
+
+    Their edges are the union of all simple paths between the two leaves.
+    """
+    decomp = block_decomposition(net)
+    blocks, blocks_at = decomp.blocks, decomp.blocks_at
+    start, goal = blocks_at[net.leaves[i]][0], blocks_at[net.leaves[j]][0]
+    # search from j's end, so the links followed back from i run i to j
+    toward_j: dict[int, int | None] = {goal: None}
+    queue = deque([goal])
+    while start not in toward_j:
+        cur = queue.popleft()
+        for v in blocks[cur].nodes:
+            for nb in blocks_at[v]:
+                if nb not in toward_j:
+                    toward_j[nb] = cur
+                    queue.append(nb)
+    path = [start]
+    while toward_j[path[-1]] is not None:
+        path.append(toward_j[path[-1]])
+    return [blocks[bi] for bi in path]
 
 
 def _has_triangle(net: PhyloNetwork) -> bool:
@@ -459,9 +500,10 @@ def cycle_node_sequence(block: Block, start: str | None = None) -> list[str]:
 def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
     """All circular leaf orders realizable by outer-planar drawings.
 
-    Generated by choosing an arrangement of the remaining items at every
-    junction and a direction around every cycle, reading leaves around the
-    exterior, then deduplicating canonically.  Requires level <= 1.
+    An exponential enumeration, kept as an oracle (:func:`canonical_order`
+    builds the least order directly): every arrangement of the items at
+    each junction and direction around each cycle, read around the
+    exterior and deduplicated canonically.  Requires level <= 1.
     """
     cls = classify(net)
     if cls.level is None or cls.level > 1:
@@ -516,6 +558,51 @@ def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
     (v0,) = net.neighbors(anchor)
     tails = visit_vertex(v0, ("edge", anchor))
     return frozenset(CircularOrder((1,) + t) for t in tails)
+
+
+def canonical_order(net: PhyloNetwork) -> CircularOrder:
+    """The least consistent order, read off the network in one traversal.
+
+    Equals the least of :func:`consistent_orders` without enumerating them.
+    Subtrees carry disjoint labels, so the least reading below a junction
+    joins its items' least readings sorted by first label, and a cycle
+    gives the smaller of its two walks.  Requires level <= 1.
+    """
+    cls = classify(net)
+    if cls.level is None or cls.level > 1:
+        raise NotOneNestedError(f"level {cls.level_name} network")
+    blocks, leaf_of_node = cls.blocks, net.leaf_of_node
+    anchor = net.leaves[1]
+    (v0,) = net.neighbors(anchor)
+    # Outward from leaf 1, every node lists the blocks hanging below it as
+    # runs of nodes (ring order for a cycle); dict order is visit order.
+    walks: dict[str, list[list[str]]] = {}
+    seen, stack = {anchor, v0}, [v0]
+    while stack:
+        v = stack.pop()
+        walks[v] = []
+        for b in (blocks.blocks[bi] for bi in blocks.blocks_at[v]):
+            if b.kind == CYCLE:
+                walk = cycle_node_sequence(b, start=v)[1:]
+            else:
+                walk = list(b.nodes - {v})
+            if walk[0] not in seen:
+                walks[v].append(walk)
+                seen.update(walk)
+                stack.extend(walk)
+
+    reading: dict[str, tuple[int, ...]] = {}
+
+    def read(walk: list[str]) -> tuple[int, ...]:
+        return tuple(x for u in walk for x in reading[u])
+
+    for v in reversed(walks):  # every node after the nodes below it
+        if v in leaf_of_node:
+            reading[v] = (leaf_of_node[v],)
+        else:
+            parts = sorted(min(read(w), read(w[::-1])) for w in walks[v])
+            reading[v] = tuple(x for part in parts for x in part)
+    return CircularOrder((1,) + reading[v0])
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +738,13 @@ def parse_network_text(text: str) -> PhyloNetwork:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "leaf" and len(parts) == 3:
-            leaves[int(parts[1])] = parts[2]
-        elif parts[0] == "edge" and len(parts) == 4:
-            edges.append((parts[1], parts[2], parse_value(parts[3])))
-        else:
-            raise ValidationError(f"line {lineno}: cannot parse {raw!r}")
+        with line_errors(lineno, raw):
+            if parts[0] == "leaf" and len(parts) == 3:
+                leaves[int(parts[1])] = parts[2]
+            elif parts[0] == "edge" and len(parts) == 4:
+                edges.append((parts[1], parts[2], parse_value(parts[3])))
+            else:
+                raise ValueError("unknown line")
     return validate(leaves, edges)
 
 

@@ -30,7 +30,7 @@ from .netgraph import (
     BRIDGE,
     CYCLE,
     PhyloNetwork,
-    block_decomposition,
+    block_path,
     bridges,
     classify,
     consistent_orders,
@@ -65,63 +65,6 @@ class XVector:
         return sum(self.entries)
 
 
-def _block_path(net: PhyloNetwork, i: int, j: int):
-    """Blocks along the block-cut path from leaf i's pendant to leaf j's."""
-    decomp = block_decomposition(net)
-    blocks = decomp.blocks
-    node_blocks: dict[str, list[int]] = {}
-    for bi, b in enumerate(blocks):
-        for v in b.nodes:
-            node_blocks.setdefault(v, []).append(bi)
-    src, dst = net.leaves[i], net.leaves[j]
-    start = next(bi for bi, b in enumerate(blocks) if src in b.nodes)
-    goal = next(bi for bi, b in enumerate(blocks) if dst in b.nodes)
-    prev: dict[int, int | None] = {start: None}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal:
-            break
-        for v in blocks[cur].nodes:
-            for nb in node_blocks[v]:
-                if nb not in prev:
-                    prev[nb] = cur
-                    queue.append(nb)
-    path = []
-    cur: int | None = goal
-    while cur is not None:
-        path.append(cur)
-        cur = prev[cur]
-    path.reverse()
-    return [blocks[bi] for bi in path]
-
-
-def _can_be_adjacent(net: PhyloNetwork, i: int, j: int) -> bool:
-    """True iff some exterior reading puts leaves i and j side by side.
-
-    Junctions never obstruct; a cycle on the way obstructs exactly when it
-    is entered and left at non-adjacent corners.
-    """
-    path = _block_path(net, i, j)
-    src, dst = net.leaves[i], net.leaves[j]
-    for t, block in enumerate(path):
-        if block.kind != CYCLE:
-            continue
-        entry = (
-            src
-            if t == 0
-            else next(iter(block.nodes & path[t - 1].nodes))
-        )
-        exit_ = (
-            dst
-            if t == len(path) - 1
-            else next(iter(block.nodes & path[t + 1].nodes))
-        )
-        if entry == exit_ or edge_key(entry, exit_) not in block.edges:
-            return False
-    return True
-
-
 def vertex_vector(net: PhyloNetwork) -> XVector:
     """Polytope vertex vector of a binary 1-nested network (closed form)."""
     cls = classify(net)
@@ -133,23 +76,28 @@ def vertex_vector(net: PhyloNetwork) -> XVector:
     k = len(nontrivial)
     entries = []
     for i, j in pair_iter(net.n):
-        if not _can_be_adjacent(net, i, j):
+        path = block_path(net, i, j)
+        cuts = [next(iter(a.nodes & b.nodes)) for a, b in zip(path, path[1:])]
+        stops = [net.leaves[i]] + cuts + [net.leaves[j]]
+        # i and j can sit side by side unless a cycle on the way is entered
+        # and left at non-adjacent corners; junctions never obstruct
+        if any(
+            b.kind == CYCLE and edge_key(u, v) not in b.edges
+            for b, u, v in zip(path, stops, stops[1:])
+        ):
             entries.append(0)
-            continue
-        on_path = set()
-        for block in _block_path(net, i, j):
-            if block.kind == BRIDGE:
-                on_path |= block.edges
-        b_ij = len(on_path & nontrivial)
-        entries.append(2 ** (k - b_ij))
+        else:
+            b_ij = sum(1 for b in path if b.kind == BRIDGE and b.edges <= nontrivial)
+            entries.append(2 ** (k - b_ij))
     return XVector(net.n, tuple(entries))
 
 
 def vertex_vector_by_orders(net: PhyloNetwork) -> XVector:
     """Sum of adjacency incidence vectors over all consistent orders.
 
-    Defined for any 1-nested network, binary or not; serves as the
-    independent oracle for :func:`vertex_vector`.
+    Defined for any 1-nested network, binary or not; it enumerates every
+    consistent order and serves as the independent oracle for
+    :func:`vertex_vector`.
     """
     n = net.n
     entries = [0] * (n * (n - 1) // 2)

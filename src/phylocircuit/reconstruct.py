@@ -31,8 +31,8 @@ from .netgraph import (
     CYCLE,
     CircularOrder,
     PhyloNetwork,
+    canonical_order,
     classify,
-    consistent_orders,
     cycle_node_sequence,
     edge_key,
 )
@@ -108,16 +108,12 @@ def circular_decomposition(
 # weighted reconstructions from a network
 
 
-def _first_consistent_order(net: PhyloNetwork) -> CircularOrder:
-    return min(consistent_orders(net), key=lambda o: o.labels)
-
-
 def resistance_split_system(
     net: PhyloNetwork, order: CircularOrder | None = None
 ) -> CircularSplitSystem:
     """Decompose the resistance vector along a consistent order."""
     if order is None:
-        order = _first_consistent_order(net)
+        order = canonical_order(net)
     d = resistance_vector(net)
     return circular_decomposition(d, order).system
 
@@ -151,8 +147,7 @@ def resistance_split_system_direct(net: PhyloNetwork) -> CircularSplitSystem:
                 acc += a * x / z
         if acc > 0:
             totals[split] = acc
-    order = _first_consistent_order(net)
-    return CircularSplitSystem.of_order(net.n, totals, order)
+    return CircularSplitSystem.of_order(net.n, totals, canonical_order(net))
 
 
 def min_path_split_system(
@@ -164,11 +159,9 @@ def min_path_split_system(
         return circular_decomposition(d, order).system
     cls = classify(net)
     if cls.level is not None and cls.level <= 1:
-        for order in sorted(consistent_orders(net), key=lambda o: o.labels):
-            if is_kalmanson(d, order).passed:
-                return circular_decomposition(d, order).system
-        quad, amount = is_kalmanson(d, _first_consistent_order(net)).violations[0]
-        raise NotKalmansonError(quad, amount)
+        # alternating leaf paths around an outer-planar drawing cross, so
+        # the vector passes on every consistent order, the canonical one too
+        return circular_decomposition(d, canonical_order(net)).system
     mode = "exact" if net.n <= 9 else "heuristic"
     result = find_kalmanson_order(d, mode)
     if not result.found:

@@ -247,24 +247,9 @@ def displayed_splits(net: PhyloNetwork) -> WeightedSplitSystem:
     """All splits displayed by a 1-nested network (unweighted).
 
     One split per bridge, one per unordered pair of edges within a cycle
-    block, duplicates merged.
+    block, duplicates merged: the keys of :func:`display_catalog`.
     """
-    cls = classify(net)
-    if cls.level is None or cls.level > 1:
-        raise NotOneNestedError(f"level {cls.level_name} network")
-    found: set[Split] = set()
-    for block in cls.blocks.blocks:
-        if block.kind == BRIDGE:
-            (e,) = block.edges
-            s = split_from_cut(net, [e])
-            if s is not None:
-                found.add(s)
-        elif block.kind == CYCLE:
-            for e, f in itertools.combinations(sorted(block.edges, key=sorted), 2):
-                s = split_from_cut(net, [e, f])
-                if s is not None:
-                    found.add(s)
-    return WeightedSplitSystem.unweighted(net.n, found)
+    return WeightedSplitSystem.unweighted(net.n, display_catalog(net))
 
 
 def display_catalog(net: PhyloNetwork) -> dict[Split, list[tuple]]:

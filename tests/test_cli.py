@@ -1,12 +1,19 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from phylocircuit import netgraph
 from phylocircuit.cli import main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import network_to_text
-from fixtures import k33_with_leaves, quartet_tree, square_with_pendants
+from fixtures import (
+    k33_with_leaves,
+    quartet_tree,
+    square_with_pendants,
+    two_cycles_with_bridge,
+)
 
 F = Fraction
 
@@ -48,6 +55,14 @@ def test_validate_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "MultiEdgeError" in err
+
+
+def test_validate_unparsable_line_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_text("leaf one x1\nleaf 2 x2\nedge x1 x2 1\n")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "ValidationError: line 1" in err
 
 
 def test_dist_then_kalmanson_search_pipeline(square_file, tmp_path, capsys):
@@ -210,3 +225,29 @@ def test_jc_missing_argument_is_usage_error(capsys):
     code, _, err = run(capsys, "jc", "--m", "100")
     assert code == 2
     assert "needs --c" in err
+
+
+def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, capsys):
+    def forbidden(net):
+        raise AssertionError("consistent_orders called")
+
+    original = netgraph.consistent_orders
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phylocircuit"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+    net_file = tmp_path / "two-cycles.net"
+    net_file.write_text(network_to_text(two_cycles_with_bridge()))
+    code, rw_out, _ = run(capsys, "rw", str(net_file))
+    assert code == 0
+    splits_file = tmp_path / "two-cycles.splits"
+    splits_file.write_text(rw_out)
+    for argv in (
+        ["sigma", str(net_file)],
+        ["invert", str(splits_file), "--exact"],
+        ["sw", str(net_file)],
+        ["scan", "--conjecture", "faithful", "--trials", "3", "--seed", "5"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv

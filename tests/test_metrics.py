@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from phylocircuit.errors import (
     SizeMismatchError,
     TooLargeForExactError,
+    ValidationError,
     ZeroWeightEdgeError,
 )
 from phylocircuit.metrics import (
@@ -318,6 +319,12 @@ def test_distance_square_matrix_format():
     text = "3\n0 1 2\n1 0 3\n2 3 0\n"
     d = parse_distance_vector(text, exact=True)
     assert d.values == (F(1), F(2), F(3))
+
+
+def test_distance_line_with_two_fields_names_line():
+    text = "n 3\n1 2 1\n# comment\n1 3\n2 3 1\n"
+    with pytest.raises(ValidationError, match="line 4"):
+        parse_distance_vector(text)
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))

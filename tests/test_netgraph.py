@@ -13,12 +13,17 @@ from phylocircuit.errors import (
     NegativeWeightError,
     NotATriangleError,
     NotOneNestedError,
+    ValidationError,
 )
 from phylocircuit.netgraph import (
     BRIDGE,
+    CYCLE,
     THETA,
     CircularOrder,
+    block_decomposition,
+    block_path,
     bridges,
+    canonical_order,
     classify,
     consistent_orders,
     is_binary,
@@ -227,6 +232,44 @@ def test_consistent_orders_match_split_contiguity_oracle():
         assert consistent_orders(net) == expected
 
 
+def _least_consistent_order(net):
+    return min(consistent_orders(net), key=lambda o: o.labels)
+
+
+def test_canonical_order_is_least_consistent_order():
+    rng = random.Random(2026)
+    for k in range(120):
+        net = random_one_nested(2 + k % 13, rng, binary=k % 2 == 0)
+        assert canonical_order(net) == _least_consistent_order(net)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [star(5), two_leaf_edge(), quartet_tree(), square_with_pendants(),
+     two_cycles_with_bridge()],
+    ids=["star", "two-leaf", "quartet", "square", "two-cycles"],
+)
+def test_canonical_order_on_fixtures(net):
+    assert canonical_order(net) == _least_consistent_order(net)
+
+
+def test_canonical_order_requires_one_nested():
+    with pytest.raises(NotOneNestedError):
+        canonical_order(k33_with_leaves())
+
+
+def test_block_decomposition_is_cached():
+    net = two_cycles_with_bridge()
+    assert block_decomposition(net) is block_decomposition(net)
+
+
+def test_block_path_runs_from_first_leaf_to_second():
+    net = two_cycles_with_bridge()
+    path = block_path(net, 1, 6)  # hexagon leaf to quad leaf
+    assert [b.kind for b in path] == [BRIDGE, CYCLE, BRIDGE, CYCLE, BRIDGE]
+    assert net.leaves[1] in path[0].nodes and net.leaves[6] in path[-1].nodes
+
+
 # ---------------------------------------------------------------------------
 # wye-delta
 
@@ -332,6 +375,38 @@ def test_parse_decimal_weight_is_float():
     )
     assert isinstance(net.weight("x1", "x2"), float)
     assert not net.is_exact
+
+
+def test_parse_bad_leaf_label_names_line():
+    with pytest.raises(ValidationError, match="line 2"):
+        parse_network("leaf 2 x2\nleaf one x1\nedge x1 x2 1\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "leaf 1 x1\nleaf 2 x2\nedge x1 x2 nan\n",
+        '{"leaves": {"1": "x1", "2": "x2"}, "edges": [["x1", "x2", NaN]]}',
+    ],
+    ids=["text", "json"],
+)
+def test_parse_rejects_nan_weight(text):
+    with pytest.raises(ValidationError, match="non-finite"):
+        parse_network(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "leaf 1 x1\nleaf 2 x2\nleaf 3 x3\n"
+        "edge x1 h inf\nedge x2 h 1\nedge x3 h 1\n",
+        '{"leaves": {"1": "x1", "2": "x2"}, "edges": [["x1", "x2", "inf"]]}',
+    ],
+    ids=["text", "json"],
+)
+def test_parse_rejects_infinite_weight(text):
+    with pytest.raises(ValidationError, match="non-finite"):
+        parse_network(text)
 
 
 def test_ring_with_five_pendants_orders():

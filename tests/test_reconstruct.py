@@ -10,7 +10,13 @@ from phylocircuit.metrics import (
     min_path_vector,
     resistance_vector,
 )
-from phylocircuit.netgraph import CircularOrder, consistent_orders, validate, wye_delta
+from phylocircuit.netgraph import (
+    CircularOrder,
+    canonical_order,
+    consistent_orders,
+    validate,
+    wye_delta,
+)
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.reconstruct import (
     circular_decomposition,
@@ -197,6 +203,18 @@ def test_min_path_system_reproduces_metric_outer_path():
         assert split_metric(sys) == min_path_vector(net)
         rebuilt = weighted_network_from_splits(sys)
         assert min_path_vector(rebuilt) == split_metric(sys)
+
+
+def test_min_path_system_is_decomposition_on_canonical_order():
+    # alternating leaf paths around an outer-planar drawing cross, so the
+    # min-path vector passes on every consistent order, the least included
+    rng = random.Random(83)
+    for k in range(40):
+        net = random_one_nested(rng.randint(3, 9), rng, binary=k % 2 == 0)
+        d = min_path_vector(net)
+        assert all(is_kalmanson(d, o).passed for o in consistent_orders(net))
+        want = circular_decomposition(d, canonical_order(net)).system
+        assert min_path_split_system(net) == want
 
 
 def test_min_path_of_rebuild_is_fixed_point():

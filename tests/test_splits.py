@@ -392,14 +392,14 @@ def test_separating_splits_come_from_pairwise_circuit_displays():
     # the block path or by a circuit-parallel pair of cycle edges (one edge
     # on each branch of a traversed cycle)
     from phylocircuit.netgraph import CYCLE, BRIDGE, cycle_node_sequence, edge_key
-    from phylocircuit.polytope import _block_path
+    from phylocircuit.netgraph import block_path
     from phylocircuit.splits import display_catalog
 
     for net in (square_with_pendants(), quartet_tree(), ring_with_pendants(5)):
         catalog = display_catalog(net)
         for i in range(1, net.n + 1):
             for j in range(i + 1, net.n + 1):
-                path = _block_path(net, i, j)
+                path = block_path(net, i, j)
                 bridge_edges = set()
                 parallel_pairs = set()
                 for t, block in enumerate(path):
