@@ -11,6 +11,7 @@ n = 4, 5, 6, including the published per-skeleton breakdown.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,7 +109,13 @@ def _unlabeled_graph(net: PhyloNetwork) -> nx.Graph:
 def _unlabeled_classes(nets: list[PhyloNetwork]) -> list[list[int]]:
     """Group indexes by unlabeled graph isomorphism."""
     graphs = [_unlabeled_graph(x) for x in nets]
-    hashes = [nx.weisfeiler_lehman_graph_hash(g) for g in graphs]
+    # the hashes only bucket candidates for nx.is_isomorphic, so the notice
+    # that networkx 3.5 changed them for unattributed graphs is moot here
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message="The hashes produced", category=UserWarning
+        )
+        hashes = [nx.weisfeiler_lehman_graph_hash(g) for g in graphs]
     buckets: dict[str, list[int]] = {}
     for i, h in enumerate(hashes):
         buckets.setdefault(h, []).append(i)

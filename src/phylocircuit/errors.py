@@ -112,6 +112,16 @@ class NotKalmansonError(PhyloCircuitError):
         )
 
 
+class NegativeSplitWeightError(PhyloCircuitError):
+    """A Kalmanson vector gives a trivial split a negative weight, so no
+    nonnegative circular split system reproduces it."""
+
+    def __init__(self, split, weight):
+        self.split = split
+        self.weight = weight
+        super().__init__(f"trivial split {split} has negative weight {weight}")
+
+
 # ---------------------------------------------------------------------------
 # split systems
 

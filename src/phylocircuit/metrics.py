@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -291,6 +292,30 @@ class KalmansonReport:
         return max((v for _, v in self.violations), default=Fraction(0))
 
 
+def _position_table(
+    d: DistanceVector, order: CircularOrder
+) -> tuple[list[list[Value | int]], int]:
+    """Distances between the labels at each pair of positions of ``order``.
+
+    ``rows[p][q]`` is d(labels[p], labels[q]), 0 on the diagonal.  For exact
+    ``d`` the entries are Python ints, each distance times ``scale``, the
+    lcm of the denominators, so sums and comparisons need no Fraction
+    arithmetic; otherwise they are the values unchanged and ``scale`` is 1.
+    """
+    n = d.n
+    values = d.values
+    scale = 1
+    if d.is_exact:
+        scale = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    full = [[0] * (n + 1) for _ in range(n + 1)]
+    for (i, j), v in zip(pair_iter(n), values):
+        full[i][j] = full[j][i] = v
+    labels = order.labels
+    rows = [[full[i][j] for j in labels] for i in labels]
+    return rows, scale
+
+
 def is_kalmanson(
     d: DistanceVector, order: CircularOrder, tol: float | None = None
 ) -> KalmansonReport:
@@ -304,19 +329,36 @@ def is_kalmanson(
     if order.n != d.n:
         raise SizeMismatchError(f"order has {order.n} labels, vector has {d.n}")
     exact = d.is_exact
-    eps = Fraction(0) if exact else (FLOAT_TOL if tol is None else tol)
+    eps = 0 if exact else (FLOAT_TOL if tol is None else tol)
+    neg_eps = -eps
+    rows, scale = _position_table(d, order)
     labels = order.labels
+    n = d.n
     violations = []
     equalities = 0
-    for a, b, c, e in itertools.combinations(range(d.n), 4):
-        i, j, k, l = labels[a], labels[b], labels[c], labels[e]
-        side = max(d.value(i, j) + d.value(k, l), d.value(j, k) + d.value(i, l))
-        bound = d.value(i, k) + d.value(j, l)
-        excess = side - bound
-        if excess > eps:
-            violations.append(((i, j, k, l), excess))
-        elif abs(excess) <= eps:
-            equalities += 1
+    # quadruples of positions a < b < c < e, in lexicographic order
+    for a in range(n - 3):
+        row_a = rows[a]
+        for b in range(a + 1, n - 2):
+            row_b = rows[b]
+            d_ab = row_a[b]
+            for c in range(b + 1, n - 1):
+                row_c = rows[c]
+                d_ac = row_a[c]
+                d_bc = row_b[c]
+                for e in range(c + 1, n):
+                    left = d_ab + row_c[e]
+                    right = d_bc + row_a[e]
+                    excess = (right if right > left else left) - (
+                        d_ac + row_b[e]
+                    )
+                    if excess > eps:
+                        quad = (labels[a], labels[b], labels[c], labels[e])
+                        violations.append((quad, excess))
+                    elif excess >= neg_eps:  # |excess| <= eps
+                        equalities += 1
+    if exact:
+        violations = [(quad, Fraction(x, scale)) for quad, x in violations]
     return KalmansonReport(
         order=order, violations=tuple(violations), equalities=equalities
     )
@@ -413,6 +455,13 @@ def _chain_order(d: DistanceVector) -> CircularOrder:
 # serialization
 
 
+def _parse_distance(text: str, exact: bool) -> Value:
+    value = parse_value(text, exact)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite distance {text}")
+    return value
+
+
 def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
     """Pair format (``n <count>`` header then ``i j value`` lines) or a
     PHYLIP-like square matrix (first line n, then n rows of n values)."""
@@ -434,7 +483,7 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
             with line_errors(lineno, raw):
                 i_s, j_s, v_s = fields
                 i, j = int(i_s), int(j_s)
-                values[(min(i, j), max(i, j))] = parse_value(v_s, exact)
+                values[(min(i, j), max(i, j))] = _parse_distance(v_s, exact)
         try:
             ordered = tuple(values[(i, j)] for i, j in pair_iter(n))
         except KeyError as exc:
@@ -450,7 +499,7 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
         def entry(r: int, c: int) -> Value:
             lineno, raw, fields = rows[r - 1]
             with line_errors(lineno, raw):
-                return parse_value(fields[c - 1], exact)
+                return _parse_distance(fields[c - 1], exact)
 
         vals = []
         for i, j in pair_iter(n):

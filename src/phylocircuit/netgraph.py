@@ -750,12 +750,28 @@ def parse_network_text(text: str) -> PhyloNetwork:
 
 def parse_network_json(text: str) -> PhyloNetwork:
     """JSON object form: ``{"leaves": {"1": "a"}, "edges": [["a","b","1/2"]]}``."""
-    obj = json.loads(text)
-    leaves = {int(k): str(v) for k, v in obj["leaves"].items()}
-    edges = []
-    for u, v, w in obj["edges"]:
-        value = parse_value(str(w)) if not isinstance(w, float) else float(w)
-        edges.append((str(u), str(v), value))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"line {exc.lineno}: malformed JSON, {exc.msg}"
+        ) from exc
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("leaves"), dict)
+        and isinstance(obj.get("edges"), list)
+    ):
+        raise ValidationError(
+            "network JSON needs a 'leaves' object and an 'edges' list"
+        )
+    try:
+        leaves = {int(k): str(v) for k, v in obj["leaves"].items()}
+        edges = []
+        for u, v, w in obj["edges"]:
+            value = parse_value(str(w)) if not isinstance(w, float) else float(w)
+            edges.append((str(u), str(v), value))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"malformed network JSON: {exc}") from exc
     return validate(leaves, edges)
 
 

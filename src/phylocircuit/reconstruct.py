@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    NegativeSplitWeightError,
     NotInvertibleError,
     NotKalmansonError,
 )
 from .metrics import (
     DistanceVector,
+    _position_table,
     find_kalmanson_order,
     is_kalmanson,
     min_path_vector,
@@ -36,7 +38,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import Value, sqrt_value
+from .rational import FLOAT_TOL, Value, sqrt_value
 from .splits import (
     CircularSplitSystem,
     Split,
@@ -66,36 +68,38 @@ def circular_decomposition(
     """Unique weighted circular split system reproducing ``d``.
 
     The split isolating the consecutive arc x_i..x_j gets weight
-    (d(x_{i-1},x_j) + d(x_i,x_{j+1}) - d(x_{i-1},x_{j+1}) - d(x_i,x_j)) / 2.
-    Zero-weight splits are dropped.  Raises NotKalmanson (with the first
-    violating quadruple) when the inequality fails for this order.
+    (d(x_{i-1},x_j) + d(x_i,x_{j+1}) - d(x_{i-1},x_{j+1}) - d(x_i,x_j)) / 2,
+    its isolation index.  Zero-weight splits are dropped.  Raises
+    NotKalmanson (with the first violating quadruple) when the inequality
+    fails for this order, and NegativeSplitWeight when a trivial split
+    weighs less than zero (less than minus the tolerance for float input).
     """
     report = is_kalmanson(d, order, tol)
     if not report.passed:
         quad, amount = report.violations[0]
         raise NotKalmansonError(quad, amount)
+    rows, scale = _position_table(d, order)
     labels = order.labels
     n = d.n
     exact = d.is_exact
-    half = Fraction(1, 2) if exact else 0.5
-    weights: dict[Split, Value] = {}
-    for start in range(n):
-        for length in range(1, n):
-            arc = [labels[(start + t) % n] for t in range(length)]
-            before = labels[(start - 1) % n]
-            after = labels[(start + length) % n]
-            first, last = arc[0], arc[-1]
-            w = half * (
-                d.value(before, last)
-                + d.value(first, after)
-                - d.value(before, after)
-                - d.value(first, last)
+    eps = 0 if exact else (FLOAT_TOL if tol is None else tol)
+    floor = 0 if exact else drop_below
+    kept: dict[Split, Value] = {}
+    # each split once, from the side p..q that misses the last position
+    for p in range(n - 1):
+        row_before, row_first = rows[p - 1], rows[p]
+        for q in range(p, n - 1):
+            index = (
+                row_before[q]
+                + row_first[q + 1]
+                - row_before[q + 1]
+                - row_first[q]
             )
-            split = Split(arc, n)
-            if split not in weights:
-                weights[split] = w
-    floor = Fraction(0) if exact else drop_below
-    kept = {s: w for s, w in weights.items() if w > floor}
+            w = Fraction(index, 2 * scale) if exact else 0.5 * index
+            if w < -eps and (q == p or q - p == n - 2):
+                raise NegativeSplitWeightError(Split(labels[p : q + 1], n), w)
+            if w > floor:
+                kept[Split(labels[p : q + 1], n)] = w
     system = CircularSplitSystem.of_order(n, kept, order)
     deviations = [
         abs(a - b) for a, b in zip(split_metric(system).values, d.values)

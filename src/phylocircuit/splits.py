@@ -23,6 +23,7 @@ from .errors import (
     NotOneNestedError,
     NotRealizableError,
     SizeMismatchError,
+    line_errors,
 )
 from .metrics import DistanceVector, min_path_vector, pair_iter
 from .netgraph import (
@@ -611,20 +612,28 @@ def split_system_to_text(system: WeightedSplitSystem, precision: int = 6) -> str
 
 
 def parse_split_system(text: str, exact: bool = False) -> WeightedSplitSystem:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    head = lines[0].split()
+    numbered = (
+        (lineno, raw, raw.split("#", 1)[0].strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    lines = [line for line in numbered if line[2]]
+    if not lines:
+        raise SizeMismatchError("empty split file")
+    head_no, head_raw, head_txt = lines[0]
+    head = head_txt.split()
     if len(head) < 2 or head[0] != "n":
         raise SizeMismatchError("expected header 'n <count> order <...>'")
-    n = int(head[1])
     order = None
-    if len(head) >= 4 and head[2] == "order" and head[3] != "-":
-        order = CircularOrder(tuple(int(x) for x in head[3].split(",")))
+    with line_errors(head_no, head_raw):
+        n = int(head[1])
+        if len(head) >= 4 and head[2] == "order" and head[3] != "-":
+            order = CircularOrder(tuple(int(x) for x in head[3].split(",")))
     entries = []
-    for ln in lines[1:]:
-        w_txt, a_txt, _b_txt = (part.strip() for part in ln.split("|"))
-        weight = None if w_txt == "-" else parse_value(w_txt, exact)
-        side = {int(x) for x in a_txt.split(",")}
+    for lineno, raw, ln in lines[1:]:
+        with line_errors(lineno, raw):
+            w_txt, a_txt, _b_txt = (part.strip() for part in ln.split("|"))
+            weight = None if w_txt == "-" else parse_value(w_txt, exact)
+            side = {int(x) for x in a_txt.split(",")}
         entries.append((Split(side, n), weight))
     if order is not None:
         return CircularSplitSystem.of_order(n, entries, order)

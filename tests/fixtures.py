@@ -1,8 +1,19 @@
 """Networks used across the test modules."""
 
+import random
 from fractions import Fraction
 
-from phylocircuit.netgraph import PhyloNetwork, validate
+from phylocircuit.metrics import DistanceVector, min_path_vector, resistance_vector
+from phylocircuit.netgraph import (
+    CYCLE,
+    CircularOrder,
+    PhyloNetwork,
+    canonical_order,
+    classify,
+    cycle_node_sequence,
+    validate,
+)
+from phylocircuit.randomnet import random_one_nested
 
 F = Fraction
 
@@ -110,3 +121,67 @@ def two_cycles_with_bridge() -> PhyloNetwork:
 
 def two_leaf_edge(w=F(5)) -> PhyloNetwork:
     return validate({1: "x1", 2: "x2"}, [("x1", "x2", w)])
+
+
+def with_chord(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork | None:
+    """Level-2 network: ``net`` plus one chord across one of its cycles of
+    four or more nodes (None when it has none)."""
+    rings = [
+        cycle_node_sequence(block)
+        for block in classify(net).blocks.of_kind(CYCLE)
+    ]
+    rings = [ring for ring in rings if len(ring) >= 4]
+    if not rings:
+        return None
+    ring = rng.choice(rings)
+    a = rng.randrange(len(ring))
+    b = (a + rng.randrange(2, len(ring) - 1)) % len(ring)
+    edges = list(net.edge_items) + [(ring[a], ring[b], F(rng.randint(1, 10)))]
+    return PhyloNetwork.build(net.leaves, edges, strict=True)
+
+
+def shuffled_order(n: int, rng: random.Random) -> CircularOrder:
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return CircularOrder(labels)
+
+
+def scan_corpus(seed: int, count: int, n_range=(4, 16)):
+    """(vector, order) pairs for checking the Kalmanson scan.
+
+    Resistance and min-path vectors of seeded level-1 networks and of
+    their chorded level-2 versions, exact and as floats scaled by 1e-3, 1
+    and 1e4, each on the level-1 network's canonical order and on two
+    shuffled orders; then random rational vectors that need not be metrics.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = random_one_nested(rng.randint(*n_range), rng, binary=rng.random() < 0.5)
+        orders = [canonical_order(base)]
+        orders += [shuffled_order(base.n, rng) for _ in range(2)]
+        nets = [base]
+        chorded = with_chord(base, rng)
+        if chorded is not None:
+            nets.append(chorded)
+        for net in nets:
+            for exact in (resistance_vector(net), min_path_vector(net)):
+                vectors = [exact] + [
+                    DistanceVector(
+                        exact.n, tuple(float(v) * scale for v in exact.values)
+                    )
+                    for scale in (1e-3, 1.0, 1e4)
+                ]
+                for d in vectors:
+                    for order in orders:
+                        yield d, order
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        d = DistanceVector(
+            n,
+            tuple(
+                F(rng.randint(0, 20), rng.randint(1, 6))
+                for _ in range(n * (n - 1) // 2)
+            ),
+        )
+        yield d, CircularOrder(tuple(range(1, n + 1)))
+        yield d, shuffled_order(n, rng)

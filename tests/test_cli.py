@@ -65,6 +65,49 @@ def test_validate_unparsable_line_exit_code(tmp_path, capsys):
     assert "ValidationError: line 1" in err
 
 
+@pytest.mark.parametrize("command", ["exterior", "invert"])
+def test_split_file_with_two_fields_exits_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.splits"
+    bad.write_text("n 3 order 1,2,3\n1 | 1,2\n")
+    code, _, err = run(capsys, command, str(bad))
+    assert code == 1
+    assert err == f"error: ValidationError: line 2: cannot parse '1 | 1,2'\n"
+
+
+def test_validate_directory_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undecodable_distance_file_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.dist"
+    bad.write_bytes(b"n 4\n1 2 \xff\n")
+    code, out, err = run(capsys, "kalmanson", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_decompose_negative_trivial_weight_exits_one(tmp_path, capsys):
+    path = tmp_path / "nonmetric.dist"
+    path.write_text("n 4\n1 2 1\n1 3 10\n1 4 1\n2 3 1\n2 4 1\n3 4 1\n")
+    code, out, err = run(capsys, "decompose", str(path), "--order", "1,2,3,4")
+    assert code == 1
+    assert out == ""
+    assert "NegativeSplitWeightError" in err and "-4" in err
+
+
+def test_kalmanson_search_rejects_nan_distance(tmp_path, capsys):
+    path = tmp_path / "nan.dist"
+    path.write_text("n 4\n1 2 nan\n1 3 1\n1 4 1\n2 3 1\n2 4 1\n3 4 1\n")
+    code, out, err = run(capsys, "kalmanson", str(path), "--search", "heuristic")
+    assert code == 1
+    assert out == ""
+    assert "ValidationError: line 2" in err
+
+
 def test_dist_then_kalmanson_search_pipeline(square_file, tmp_path, capsys):
     out_file = str(tmp_path / "sq.dist")
     code, out, _ = run(capsys, "dist", square_file, "--metric", "resistance", "-o", out_file)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from phylocircuit.errors import (
 )
 from phylocircuit.metrics import (
     DistanceVector,
+    KalmansonReport,
+    OrderSearchResult,
     distance_vector_to_text,
     find_kalmanson_order,
     is_kalmanson,
@@ -25,12 +28,15 @@ from phylocircuit.metrics import (
 )
 from phylocircuit.netgraph import CircularOrder, classify, wye_delta
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.rational import FLOAT_TOL
 
 from fixtures import (
     k33_with_leaves,
     k5_with_leaves,
     quartet_tree,
     ring_with_pendants,
+    scan_corpus,
+    shuffled_order,
     square_with_pendants,
     star,
     triangle_with_leaves,
@@ -289,6 +295,93 @@ def test_series_of_cycles_case_equality():
 
 
 # ---------------------------------------------------------------------------
+# the integer scan against the Fraction loop over d.value it replaced
+
+
+def _kalmanson_oracle(d, order, tol=None):
+    exact = d.is_exact
+    eps = Fraction(0) if exact else (FLOAT_TOL if tol is None else tol)
+    labels = order.labels
+    violations = []
+    equalities = 0
+    for a, b, c, e in itertools.combinations(range(d.n), 4):
+        i, j, k, l = labels[a], labels[b], labels[c], labels[e]
+        side = max(d.value(i, j) + d.value(k, l), d.value(j, k) + d.value(i, l))
+        bound = d.value(i, k) + d.value(j, l)
+        excess = side - bound
+        if excess > eps:
+            violations.append(((i, j, k, l), excess))
+        elif abs(excess) <= eps:
+            equalities += 1
+    return KalmansonReport(
+        order=order, violations=tuple(violations), equalities=equalities
+    )
+
+
+def _search_oracle(d, tol=None):
+    """Exhaustive search over the canonical orders with the oracle scan."""
+    best_order, best_violation, checked = None, None, 0
+    for perm in itertools.permutations(range(2, d.n + 1)):
+        if perm[0] > perm[-1]:
+            continue
+        order = CircularOrder((1,) + perm)
+        checked += 1
+        report = _kalmanson_oracle(d, order, tol)
+        if report.passed:
+            return OrderSearchResult(order, order, F(0), checked)
+        if best_violation is None or report.max_violation < best_violation:
+            best_order, best_violation = order, report.max_violation
+    return OrderSearchResult(None, best_order, best_violation, checked)
+
+
+def _relabelled(d, rng):
+    perm = list(range(1, d.n + 1))
+    rng.shuffle(perm)
+    values = {}
+    for (i, j), v in zip(itertools.combinations(range(1, d.n + 1), 2), d.values):
+        values[frozenset((perm[i - 1], perm[j - 1]))] = v
+    return DistanceVector(
+        d.n,
+        tuple(
+            values[frozenset(p)]
+            for p in itertools.combinations(range(1, d.n + 1), 2)
+        ),
+    )
+
+
+def test_scan_matches_fraction_oracle():
+    seen = {"passed": 0, "violated": 0}
+    for d, order in scan_corpus(seed=41, count=8):
+        for tol in (None,) if d.is_exact else (None, 1e-6):
+            report = is_kalmanson(d, order, tol)
+            assert report == _kalmanson_oracle(d, order, tol)
+            seen["passed" if report.passed else "violated"] += 1
+    assert min(seen.values()) > 100
+
+
+def test_exact_search_matches_oracle():
+    rng = random.Random(43)
+    for k, n in enumerate((4, 5, 6, 7, 8, 5, 6, 7, 8)):
+        net = random_one_nested(n, rng)
+        d = _relabelled((resistance_vector, min_path_vector)[k % 2](net), rng)
+        for vector in (d, d.as_floats()):
+            assert find_kalmanson_order(vector, "exact") == _search_oracle(vector)
+    for _ in range(6):
+        n = rng.randint(4, 6)
+        d = DistanceVector(
+            n, tuple(F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n * (n - 1) // 2))
+        )
+        assert find_kalmanson_order(d, "exact") == _search_oracle(d)
+
+
+def test_scan_violation_amounts_keep_exact_type():
+    d = resistance_vector(k33_with_leaves())
+    report = is_kalmanson(d, shuffled_order(6, random.Random(1)))
+    assert report.violations
+    assert all(type(amount) is Fraction for _, amount in report.violations)
+
+
+# ---------------------------------------------------------------------------
 # heavy edge limit
 
 
@@ -324,6 +417,17 @@ def test_distance_square_matrix_format():
 def test_distance_line_with_two_fields_names_line():
     text = "n 3\n1 2 1\n# comment\n1 3\n2 3 1\n"
     with pytest.raises(ValidationError, match="line 4"):
+        parse_distance_vector(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n 3\n1 2 1\n1 3 nan\n2 3 1\n", "n 3\n1 2 1\n1 3 -inf\n2 3 1\n",
+     "3\n0 1 2\n1 0 inf\n2 inf 0\n"],
+    ids=["pair-nan", "pair-inf", "square-inf"],
+)
+def test_distance_rejects_non_finite_value(text):
+    with pytest.raises(ValidationError, match="line 3"):
         parse_distance_vector(text)
 
 

@@ -409,6 +409,20 @@ def test_parse_rejects_infinite_weight(text):
         parse_network(text)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('{"edges": [["x1", "x2", 1]]}', "'leaves' object"),
+        ('{"leaves": {"1": "x1", "2": "x2"},\n "edges": [["x1", "x2" 1]]}', "line 2"),
+        ('{"leaves": {"1": "x1", "2": "x2"}, "edges": [["x1", "x2"]]}', "malformed"),
+    ],
+    ids=["no-leaves", "bad-syntax", "short-edge"],
+)
+def test_parse_malformed_json_network(text, match):
+    with pytest.raises(ValidationError, match=match):
+        parse_network(text)
+
+
 def test_ring_with_five_pendants_orders():
     net = ring_with_pendants(5)
     assert consistent_orders(net) == {CircularOrder((1, 2, 3, 4, 5))}

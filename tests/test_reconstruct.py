@@ -1,9 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from phylocircuit.errors import NotInvertibleError, NotKalmansonError
+from phylocircuit.errors import (
+    NegativeSplitWeightError,
+    NotInvertibleError,
+    NotKalmansonError,
+)
 from phylocircuit.metrics import (
     DistanceVector,
     is_kalmanson,
@@ -18,7 +23,9 @@ from phylocircuit.netgraph import (
     wye_delta,
 )
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.rational import FLOAT_TOL
 from phylocircuit.reconstruct import (
+    DecompositionResult,
     circular_decomposition,
     invert_to_network,
     min_path_split_system,
@@ -26,6 +33,7 @@ from phylocircuit.reconstruct import (
     resistance_split_system_direct,
 )
 from phylocircuit.splits import (
+    CircularSplitSystem,
     Split,
     displayed_splits,
     network_from_splits,
@@ -37,6 +45,8 @@ from phylocircuit.splits import (
 from fixtures import (
     quartet_tree,
     ring_with_pendants,
+    scan_corpus,
+    shuffled_order,
     square_with_pendants,
     triangle_with_leaves,
 )
@@ -91,6 +101,129 @@ def test_decomposition_rejects_non_kalmanson():
     with pytest.raises(NotKalmansonError) as info:
         circular_decomposition(d, CircularOrder((1, 2, 3, 4, 5, 6)))
     assert info.value.amount == F(2, 9)
+
+
+def _decomposition_oracle(d, order, tol=None, drop_below=1e-9):
+    """The arc loop over d.value: every split with the weight of the first
+    arc met, and the result, which drops negative weights silently."""
+    report = is_kalmanson(d, order, tol)
+    if not report.passed:
+        quad, amount = report.violations[0]
+        raise NotKalmansonError(quad, amount)
+    labels = order.labels
+    n = d.n
+    exact = d.is_exact
+    half = Fraction(1, 2) if exact else 0.5
+    weights = {}
+    for start in range(n):
+        for length in range(1, n):
+            arc = [labels[(start + t) % n] for t in range(length)]
+            before = labels[(start - 1) % n]
+            after = labels[(start + length) % n]
+            first, last = arc[0], arc[-1]
+            w = half * (
+                d.value(before, last)
+                + d.value(first, after)
+                - d.value(before, after)
+                - d.value(first, last)
+            )
+            split = Split(arc, n)
+            if split not in weights:
+                weights[split] = w
+    floor = Fraction(0) if exact else drop_below
+    kept = {s: w for s, w in weights.items() if w > floor}
+    system = CircularSplitSystem.of_order(n, kept, order)
+    deviations = [
+        abs(a - b) for a, b in zip(split_metric(system).values, d.values)
+    ]
+    residual = max(deviations, default=Fraction(0))
+    return weights, DecompositionResult(system=system, residual=residual)
+
+
+def _signed_circular_vectors(rng, count):
+    """Sums of random circular splits on a shuffled order whose trivial
+    splits may weigh less than zero: Kalmanson there, metric or not."""
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        order = shuffled_order(n, rng)
+        labels = order.labels
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        d = dict.fromkeys(pairs, F(0))
+        for p in range(n - 1):
+            for q in range(p, n - 1):
+                arc = set(labels[p : q + 1])
+                low = -6 if q == p or q - p == n - 2 else 0
+                w = F(rng.randint(low, 6), rng.randint(1, 3))
+                for i, j in pairs:
+                    if (i in arc) != (j in arc):
+                        d[(i, j)] += w
+        yield DistanceVector(n, tuple(d[pair] for pair in pairs)), order
+
+
+def test_decomposition_matches_arc_oracle():
+    outcomes = {"equal": 0, "not kalmanson": 0, "negative": 0}
+    cases = itertools.chain(
+        scan_corpus(seed=47, count=6),
+        _signed_circular_vectors(random.Random(53), 20),
+    )
+    for d, order in cases:
+        try:
+            weights, want = _decomposition_oracle(d, order)
+        except NotKalmansonError as exc:
+            with pytest.raises(NotKalmansonError) as info:
+                circular_decomposition(d, order)
+            assert info.value.quadruple == exc.quadruple
+            assert info.value.amount == exc.amount
+            outcomes["not kalmanson"] += 1
+            continue
+        eps = 0 if d.is_exact else FLOAT_TOL
+        negative = [
+            (s, w) for s, w in weights.items() if s.is_trivial and w < -eps
+        ]
+        if negative:
+            with pytest.raises(NegativeSplitWeightError) as info:
+                circular_decomposition(d, order)
+            assert (info.value.split, info.value.weight) == negative[0]
+            outcomes["negative"] += 1
+            continue
+        got = circular_decomposition(d, order)
+        assert got.system == want.system
+        assert [repr(w) for _, w in got.system.entries] == [
+            repr(w) for _, w in want.system.entries
+        ]
+        assert repr(got.residual) == repr(want.residual)
+        outcomes["equal"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_negative_trivial_weight_raises():
+    # Kalmanson on (1,2,3,4), but d13 = 10 breaks the triangle inequality
+    d = DistanceVector(4, (F(1), F(10), F(1), F(1), F(1), F(1)))
+    order = CircularOrder((1, 2, 3, 4))
+    assert is_kalmanson(d, order).passed
+    with pytest.raises(NegativeSplitWeightError, match="negative weight -4") as info:
+        circular_decomposition(d, order)
+    assert info.value.split == trivial_split(4, 4)
+    assert info.value.weight == -4
+
+
+def test_float_noise_on_zero_trivial_weight_is_dropped():
+    # star metric with leaf 2 on a zero-weight edge and d13 nudged up, which
+    # gives leaf 2's trivial split weight -delta/2
+    ws = [1.0, 0.0, 2.0, 3.0]
+    star_values = [ws[i] + ws[j] for i, j in itertools.combinations(range(4), 2)]
+    order = CircularOrder((1, 2, 3, 4))
+
+    def nudged(delta):
+        values = list(star_values)
+        values[1] += delta
+        return DistanceVector(4, tuple(values))
+
+    result = circular_decomposition(nudged(2e-12), order)
+    assert trivial_split(2, 4) not in result.system.splits
+    with pytest.raises(NegativeSplitWeightError) as info:
+        circular_decomposition(nudged(2e-6), order)
+    assert info.value.split == trivial_split(2, 4)
 
 
 def test_published_seven_leaf_vector_contains_heavy_split():

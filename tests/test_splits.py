@@ -7,6 +7,8 @@ from phylocircuit.errors import (
     MissingTrivialSplitsError,
     NotCircularError,
     NotOneNestedError,
+    SizeMismatchError,
+    ValidationError,
 )
 from phylocircuit.metrics import min_path_vector
 from phylocircuit.netgraph import CircularOrder, classify, consistent_orders, validate
@@ -354,6 +356,26 @@ def test_split_system_weighted_round_trip():
     text = split_system_to_text(system)
     again = parse_split_system(text, exact=True)
     assert again.same_weighted_splits(system)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n 3 order 1,2,3\n1 | 1 | 2,3\n1 | 1,2\n", "line 3"),
+        ("n 3 order 1,2,3\n1 | x | 2,3\n", "line 2"),
+        ("n three\n", "line 1"),
+        ("# header comment\nn 3 order 1,2,z\n", "line 2"),
+    ],
+    ids=["two-fields", "bad-label", "bad-count", "bad-order"],
+)
+def test_split_system_malformed_line_names_line(text, line):
+    with pytest.raises(ValidationError, match=line):
+        parse_split_system(text)
+
+
+def test_split_system_empty_file():
+    with pytest.raises(SizeMismatchError, match="empty"):
+        parse_split_system("# nothing\n")
 
 
 def test_rebuild_superset_fuzz():
