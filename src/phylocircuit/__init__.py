@@ -35,7 +35,6 @@ from .reconstruct import (  # noqa: F401
     circular_decomposition,
     invert_to_network,
     min_path_split_system,
-    resistance_split_system,
     resistance_split_system_direct,
 )
 from .splits import (  # noqa: F401

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import enum2, genetics, metrics, netgraph, polytope, reconstruct, splits
-from .errors import PhyloCircuitError
+from .errors import PhyloCircuitError, ValidationError
 from .rational import format_value
 from .randomnet import random_one_nested
 
@@ -37,7 +37,10 @@ def _load_net(path: str) -> netgraph.PhyloNetwork:
 
 
 def _order_from_arg(text: str) -> netgraph.CircularOrder:
-    return netgraph.CircularOrder(tuple(int(x) for x in text.split(",")))
+    try:
+        return netgraph.CircularOrder(tuple(int(x) for x in text.split(",")))
+    except ValueError as exc:
+        raise ValidationError(f"--order {text}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_rw(args) -> int:
     net = _load_net(args.network)
-    system = reconstruct.resistance_split_system(net)
+    system = reconstruct.resistance_split_system_direct(net)
     return _emit_system(args, system)
 
 
@@ -341,11 +344,12 @@ def cmd_count(args) -> int:
         _emit(args, lines, obj)
         return 0
     breakdown = enum2.two_nested_breakdown(args.n)
+    skeletons = enum2.skeleton_census(args.n)
     lines = [
         f"skeleton {idx}: {count}" for idx, count in breakdown.rows
     ] + [
         f"total: {breakdown.total}",
-        f"skeletons: {enum2.skeleton_census(args.n)}",
+        f"skeletons: {skeletons}",
     ]
     _emit(
         args,
@@ -356,7 +360,7 @@ def cmd_count(args) -> int:
                 {"skeleton": idx, "count": count}
                 for idx, count in breakdown.rows
             ],
-            "skeletons": enum2.skeleton_census(args.n),
+            "skeletons": skeletons,
         },
     )
     return 0

@@ -328,6 +328,8 @@ def is_kalmanson(
     """
     if order.n != d.n:
         raise SizeMismatchError(f"order has {order.n} labels, vector has {d.n}")
+    if min(order.labels) < 1 or max(order.labels) > d.n:
+        raise SizeMismatchError(f"order {order} is not a permutation of 1..{d.n}")
     exact = d.is_exact
     eps = 0 if exact else (FLOAT_TOL if tol is None else tol)
     neg_eps = -eps

@@ -227,16 +227,6 @@ class PhyloNetwork:
 
     # -- derived networks ----------------------------------------------
 
-    def with_edge_weight(self, u: str, v: str, w: Value) -> "PhyloNetwork":
-        key = edge_key(u, v)
-        edges = [(a, b, w if edge_key(a, b) == key else x) for a, b, x in self.edge_items]
-        return PhyloNetwork.build(self.leaves, edges, strict=False)
-
-    def unit_weights(self) -> "PhyloNetwork":
-        """Forget weights (every edge becomes 1)."""
-        edges = [(a, b, Fraction(1)) for a, b, _ in self.edge_items]
-        return PhyloNetwork.build(self.leaves, edges, strict=False)
-
     def without_edge(self, u: str, v: str, smooth: bool = True) -> "PhyloNetwork":
         """Delete an edge; optionally merge the degree-2 junctions left behind."""
         key = edge_key(u, v)

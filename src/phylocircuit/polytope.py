@@ -37,9 +37,9 @@ from .netgraph import (
     edge_key,
     is_binary,
 )
-from .rational import Value
+from .rational import Value, values_close
 from .splits import displayed_splits
-from .reconstruct import resistance_split_system, min_path_split_system
+from .reconstruct import min_path_split_system, resistance_split_system_direct
 from .splits import weighted_network_from_splits
 
 
@@ -281,9 +281,12 @@ class FaceReport:
 
     @property
     def identity_holds(self) -> bool:
+        """Exact for rationals; for floats, whose two sides are rounded
+        along different routes, within 1e-9 of the larger side."""
         if self.identity_lhs is None:
             return True
-        return self.identity_lhs == self.identity_rhs
+        lhs, rhs = self.identity_lhs, self.identity_rhs
+        return values_close(lhs, rhs, 1e-9 * max(abs(float(lhs)), abs(float(rhs))))
 
 
 def face_minimization_report(net: PhyloNetwork, metric: str = "resistance") -> FaceReport:
@@ -302,7 +305,7 @@ def face_minimization_report(net: PhyloNetwork, metric: str = "resistance") -> F
     k = bridges(net).k
     if metric == "resistance":
         d = resistance_vector(net)
-        target = displayed_splits(net.unit_weights()).splits
+        target = displayed_splits(net).splits
     else:
         d = min_path_vector(net)
         target = min_path_split_system(net).splits
@@ -315,7 +318,7 @@ def face_minimization_report(net: PhyloNetwork, metric: str = "resistance") -> F
     lhs = rhs = None
     if metric == "resistance":
         x_general = vertex_vector_by_orders(net)
-        rebuilt = weighted_network_from_splits(resistance_split_system(net))
+        rebuilt = weighted_network_from_splits(resistance_split_system_direct(net))
         lhs = x_general.dot(d)
         rhs = x_general.dot(min_path_vector(rebuilt))
     return FaceReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Value = Union[Fraction, float]
 
@@ -30,14 +30,6 @@ def parse_value(text: str, exact: bool = False) -> Value:
     if exact:
         return Fraction(text)
     return float(text)
-
-
-def is_exact(values: Iterable[Value]) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in values)
-
-
-def as_float(value: Value) -> float:
-    return float(value)
 
 
 def values_close(a: Value, b: Value, tol: float = FLOAT_TOL) -> bool:

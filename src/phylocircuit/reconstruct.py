@@ -3,11 +3,11 @@
 A distance vector passing the circular inequality for some order
 decomposes uniquely into weighted splits with both sides contiguous in
 that order; the weight of each arc split is the standard isolation
-quantity computed from the four distances at its boundary.  For networks
-this gives two independent routes to the same system: decompose the
-measured resistance vector, or read the weights directly off the circuit
-(bridges contribute their own weight, a cycle pair with weights a and x
-contributes a*x/z for cycle total z).
+quantity computed from the four distances at its boundary.  For a
+1-nested network the decomposition of its resistance vector is read
+directly off the circuit instead (bridges contribute their own weight, a
+cycle pair with weights a and x contributes a*x/z for cycle total z); the
+tests keep the solve-and-decompose route as the oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .errors import (
 )
 from .metrics import (
     DistanceVector,
+    _check_positive,
     _position_table,
     find_kalmanson_order,
     is_kalmanson,
     min_path_vector,
-    resistance_vector,
 )
 from .netgraph import (
     CYCLE,
@@ -44,9 +44,12 @@ from .splits import (
     Split,
     display_catalog,
     network_from_splits,
-    split_from_cut,
     split_metric,
 )
+
+
+#: float arc weights at or below this are rounding noise, not splits
+DROP_BELOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ def circular_decomposition(
     d: DistanceVector,
     order: CircularOrder,
     tol: float | None = None,
-    drop_below: float = 1e-9,
 ) -> DecompositionResult:
     """Unique weighted circular split system reproducing ``d``.
 
@@ -83,7 +85,7 @@ def circular_decomposition(
     n = d.n
     exact = d.is_exact
     eps = 0 if exact else (FLOAT_TOL if tol is None else tol)
-    floor = 0 if exact else drop_below
+    floor = 0 if exact else DROP_BELOW
     kept: dict[Split, Value] = {}
     # each split once, from the side p..q that misses the last position
     for p in range(n - 1):
@@ -112,43 +114,42 @@ def circular_decomposition(
 # weighted reconstructions from a network
 
 
-def resistance_split_system(
-    net: PhyloNetwork, order: CircularOrder | None = None
-) -> CircularSplitSystem:
-    """Decompose the resistance vector along a consistent order."""
-    if order is None:
-        order = canonical_order(net)
-    d = resistance_vector(net)
-    return circular_decomposition(d, order).system
+def _pair_share(weights: dict, cycle_totals: dict, block, e, f) -> Value:
+    """a*x/z for edges e, f weighing a and x in a cycle of total z.
+
+    ``cycle_totals`` caches each cycle's z, summed in ``block.edges`` order.
+    """
+    z = cycle_totals.get(block)
+    if z is None:
+        z = sum((weights[ed] for ed in block.edges), Fraction(0))
+        cycle_totals[block] = z
+    return weights[e] * weights[f] / z
 
 
 def resistance_split_system_direct(net: PhyloNetwork) -> CircularSplitSystem:
-    """Split weights read directly off the circuit, no decomposition.
+    """Resistance split system of a 1-nested network, read off the circuit.
 
-    Each split gets the sum of its display weights: w(e) for a bridge e,
-    a*x/z for a pair of edges weighing a and x in a cycle of total z.
+    Each displayed split gets the sum of its display weights: w(e) for a
+    bridge e, a*x/z for a pair of edges weighing a and x in a cycle of
+    total z.  This is the circular decomposition of the resistance vector
+    along a consistent order, without solving for that vector.  Raises
+    NotOneNested above level 1, then ZeroWeightEdge for a zero weight.
     """
     catalog = display_catalog(net)
+    _check_positive(net)
+    weights = net.edges
+    if not net.is_exact:
+        # one decimal weight puts the whole network in float mode
+        weights = {e: float(w) for e, w in weights.items()}
     totals: dict[Split, Value] = {}
-    cycle_total: dict = {}
+    cycle_totals: dict = {}
     for split, displays in catalog.items():
         acc = Fraction(0)
         for disp in displays:
             if disp[0] == "bridge":
-                (_, e) = disp
-                u, v = sorted(e)
-                acc += net.weight(u, v)
+                acc += weights[disp[1]]
             else:
-                _, block, e, f = disp
-                if block not in cycle_total:
-                    cycle_total[block] = sum(
-                        (net.weight(*sorted(ed)) for ed in block.edges),
-                        Fraction(0),
-                    )
-                z = cycle_total[block]
-                a = net.weight(*sorted(e))
-                x = net.weight(*sorted(f))
-                acc += a * x / z
+                acc += _pair_share(weights, cycle_totals, *disp[1:])
         if acc > 0:
             totals[split] = acc
     return CircularSplitSystem.of_order(net.n, totals, canonical_order(net))
@@ -183,7 +184,12 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
     """Core of the inversion; assumes the rebuild displays system's splits."""
     skeleton = network_from_splits(system.strip_weights())
     catalog = display_catalog(skeleton)
-    display_count = {s: len(dd) for s, dd in catalog.items()}
+    pair_split = {
+        frozenset(disp[2:]): split
+        for split, displays in catalog.items()
+        for disp in displays
+        if disp[0] == "pair"
+    }
     known = dict(system.entries)
     if any(w is None or w <= 0 for w in known.values()):
         raise NotInvertibleError("weights must be positive")
@@ -202,12 +208,12 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
         products: dict[tuple[int, int], Value] = {}
         bounds: dict[tuple[int, int], Value] = {}
         for i, j in itertools.combinations(range(m), 2):
-            split = split_from_cut(skeleton, [ring_edges[i], ring_edges[j]])
+            split = pair_split.get(frozenset((ring_edges[i], ring_edges[j])))
             if split is None:
                 continue
             if split not in known:
                 raise NotInvertibleError(f"missing weight for displayed {split}")
-            if display_count.get(split, 0) == 1:
+            if len(catalog[split]) == 1:
                 products[(i, j)] = known[split]
             else:
                 bounds[(i, j)] = known[split]
@@ -218,11 +224,7 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
             edge_weight[ring_edges[t]] = weights[t]
 
     # bridges: split total minus the now-known cycle pair contributions
-    cycle_totals = {}
-    for block in cycle_blocks:
-        cycle_totals[block] = sum(
-            (edge_weight[edge_key(*sorted(e))] for e in block.edges), Fraction(0)
-        )
+    cycle_totals: dict = {}
     for split, displays in catalog.items():
         bridge_edges = [d[1] for d in displays if d[0] == "bridge"]
         if not bridge_edges:
@@ -234,12 +236,7 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
         rest = Fraction(0)
         for disp in displays:
             if disp[0] == "pair":
-                _, block, e, f = disp
-                rest += (
-                    edge_weight[edge_key(*sorted(e))]
-                    * edge_weight[edge_key(*sorted(f))]
-                    / cycle_totals[block]
-                )
+                rest += _pair_share(edge_weight, cycle_totals, *disp[1:])
         w = known[split] - rest
         if w <= 0:
             raise NotInvertibleError(f"nonpositive bridge weight for {split}")

@@ -70,9 +70,6 @@ class Split:
     def separates(self, i: int, j: int) -> bool:
         return (i in self.side_a) != (j in self.side_a)
 
-    def side_of(self, label: int) -> tuple[int, ...]:
-        return self.side_a if label in self.side_a else self.side_b
-
     def __str__(self) -> str:
         a = ",".join(map(str, self.side_a))
         b = ",".join(map(str, self.side_b))

@@ -14,6 +14,7 @@ from phylocircuit.netgraph import (
     validate,
 )
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.reconstruct import circular_decomposition
 
 F = Fraction
 
@@ -121,6 +122,13 @@ def two_cycles_with_bridge() -> PhyloNetwork:
 
 def two_leaf_edge(w=F(5)) -> PhyloNetwork:
     return validate({1: "x1", 2: "x2"}, [("x1", "x2", w)])
+
+
+def decomposed_resistance_splits(net: PhyloNetwork):
+    """Resistance split system by solving for the vector and decomposing it
+    along the canonical order: the oracle for the direct reading."""
+    d = resistance_vector(net)
+    return circular_decomposition(d, canonical_order(net)).system
 
 
 def with_chord(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork | None:

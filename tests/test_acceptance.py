@@ -44,7 +44,6 @@ from phylocircuit.randomnet import random_corpus, random_one_nested
 from phylocircuit.reconstruct import (
     circular_decomposition,
     min_path_split_system,
-    resistance_split_system,
     resistance_split_system_direct,
 )
 from phylocircuit.splits import (
@@ -55,7 +54,7 @@ from phylocircuit.splits import (
     weighted_network_from_splits,
 )
 
-from fixtures import k33_with_leaves, square_with_pendants
+from fixtures import decomposed_resistance_splits, k33_with_leaves, square_with_pendants
 
 F = Fraction
 
@@ -181,7 +180,7 @@ def test_criterion_5_split_recovery_on_corpus(corpus):
     start = time.monotonic()
     for net, d in corpus:
         sigma = displayed_splits(net)
-        via_metric = resistance_split_system(net)
+        via_metric = decomposed_resistance_splits(net)
         direct = resistance_split_system_direct(net)
         assert via_metric.splits == sigma.splits
         assert via_metric.same_weighted_splits(direct)
@@ -307,8 +306,8 @@ def test_criterion_9_heavy_edge_and_heavy_chord():
         pendant_weights=[1.0, 1.0, 1.0, 1.0],
     )
     deleted = square_with_pendants().without_edge("c1", "c2")
-    sys_heavy = resistance_split_system(heavy)
-    sys_del = resistance_split_system(deleted)
+    sys_heavy = decomposed_resistance_splits(heavy)
+    sys_del = decomposed_resistance_splits(deleted)
     for s, w in sys_del.entries:
         got = sys_heavy.weight(s)
         assert abs(float(got) - float(w)) <= 1e-5 * max(1.0, float(w))

@@ -1,14 +1,17 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from phylocircuit import netgraph
+from phylocircuit import linalg, metrics, netgraph
 from phylocircuit.cli import main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
-from phylocircuit.netgraph import network_to_text
+from phylocircuit.netgraph import PhyloNetwork, network_to_text
+from phylocircuit.randomnet import random_one_nested
 from fixtures import (
+    decomposed_resistance_splits,
     k33_with_leaves,
     quartet_tree,
     square_with_pendants,
@@ -270,16 +273,21 @@ def test_jc_missing_argument_is_usage_error(capsys):
     assert "needs --c" in err
 
 
-def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, capsys):
-    def forbidden(net):
-        raise AssertionError("consistent_orders called")
+def _forbid(monkeypatch, original):
+    """Make every phylocircuit module's binding of ``original`` raise."""
 
-    original = netgraph.consistent_orders
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{original.__name__} called")
+
     for name, module in list(sys.modules.items()):
         if name.startswith("phylocircuit"):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
+
+
+def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, capsys):
+    _forbid(monkeypatch, netgraph.consistent_orders)
     net_file = tmp_path / "two-cycles.net"
     net_file.write_text(network_to_text(two_cycles_with_bridge()))
     code, rw_out, _ = run(capsys, "rw", str(net_file))
@@ -294,3 +302,71 @@ def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, capsy
     ):
         code, _, _ = run(capsys, *argv)
         assert code == 0, argv
+
+
+def test_commands_never_solve_for_resistance(monkeypatch, tmp_path, capsys):
+    # rw reads a 1-nested network's splits off the circuit; the resistance
+    # solve and its decomposition are the tests' oracle only
+    _forbid(monkeypatch, metrics.resistance_vector)
+    _forbid(monkeypatch, linalg.solve_exact)
+    net_file = tmp_path / "two-cycles.net"
+    net_file.write_text(network_to_text(two_cycles_with_bridge()))
+    code, rw_out, _ = run(capsys, "rw", str(net_file))
+    assert code == 0
+    splits_file = tmp_path / "two-cycles.splits"
+    splits_file.write_text(rw_out)
+    for argv in (
+        ["sigma", str(net_file)],
+        ["exterior", str(splits_file), "--exact"],
+        ["invert", str(splits_file), "--exact"],
+        ["invert", str(splits_file)],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+
+
+@pytest.mark.parametrize("command", ["kalmanson", "decompose"])
+@pytest.mark.parametrize(
+    "order, error",
+    [
+        ("1,2,x", "ValidationError: --order 1,2,x: "),
+        ("2,3,4", "ValidationError: --order 2,3,4: "),
+        ("1,2,3,4,5,9", "SizeMismatchError: order "),
+        ("0,1,2,3,4,5", "SizeMismatchError: order "),
+    ],
+    ids=["not-an-integer", "without-leaf-1", "label-above-n", "label-zero"],
+)
+def test_bad_order_argument_exits_one(k33_dist_file, capsys, command, order, error):
+    code, out, err = run(capsys, command, k33_dist_file, "--order", order)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {error}")
+    assert err.count("\n") == 1
+
+
+def test_rw_float_weights_independent_of_scale(tmp_path, capsys):
+    # at weight scale 1e4 these resistance vectors fail the scan's absolute
+    # tolerance, which the direct reading never applies
+    rng = random.Random(4)
+    path = tmp_path / "scaled.net"
+    for _ in range(6):
+        net = random_one_nested(rng.randint(6, 10), rng)
+        scaled = PhyloNetwork.build(
+            net.leaves,
+            [(u, v, float(w) * 1e4) for u, v, w in net.edge_items],
+            strict=True,
+        )
+        path.write_text(network_to_text(scaled, precision=17))
+        code, out, err = run(capsys, "--json", "--precision", "17", "rw", str(path))
+        assert code == 0, err
+        got = {
+            (tuple(s["side_a"]), tuple(s["side_b"])): float(s["weight"])
+            for s in json.loads(out)["splits"]
+        }
+        want = {
+            (s.side_a, s.side_b): float(w) * 1e4
+            for s, w in decomposed_resistance_splits(net).entries
+        }
+        assert got.keys() == want.keys()
+        top = max(want.values())
+        assert all(abs(got[key] - w) <= 1e-9 * top for key, w in want.items())

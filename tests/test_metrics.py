@@ -31,6 +31,7 @@ from phylocircuit.randomnet import random_one_nested
 from phylocircuit.rational import FLOAT_TOL
 
 from fixtures import (
+    decomposed_resistance_splits,
     k33_with_leaves,
     k5_with_leaves,
     quartet_tree,
@@ -461,10 +462,9 @@ def test_reduction_beyond_level_two():
 
 
 def test_rw_output_byte_deterministic():
-    from phylocircuit.reconstruct import resistance_split_system
     from phylocircuit.splits import split_system_to_text
 
     net = two_cycles_with_bridge()
-    first = split_system_to_text(resistance_split_system(net))
-    second = split_system_to_text(resistance_split_system(net))
+    first = split_system_to_text(decomposed_resistance_splits(net))
+    second = split_system_to_text(decomposed_resistance_splits(net))
     assert first == second

@@ -5,7 +5,7 @@ import pytest
 
 from phylocircuit.errors import NotBinaryError, OutOfRangeError
 from phylocircuit.metrics import resistance_vector
-from phylocircuit.netgraph import bridges, classify, is_binary
+from phylocircuit.netgraph import PhyloNetwork, bridges, classify, is_binary
 from phylocircuit.polytope import (
     bme_vertices,
     closed_form_count,
@@ -19,7 +19,7 @@ from phylocircuit.polytope import (
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.splits import displayed_splits
 
-from fixtures import quartet_tree, square_with_pendants, star
+from fixtures import decomposed_resistance_splits, quartet_tree, square_with_pendants, star
 
 F = Fraction
 
@@ -171,6 +171,21 @@ def test_face_report_nonbinary_resistance():
         assert report.identity_holds
 
 
+def test_face_report_float_identity_independent_of_scale():
+    rng = random.Random(25)
+    for _ in range(4):
+        net = random_one_nested(rng.randint(4, 6), rng)
+        for scale in (1e-3, 1.0, 1e4):
+            scaled = PhyloNetwork.build(
+                net.leaves,
+                [(u, v, float(w) * scale) for u, v, w in net.edge_items],
+                strict=True,
+            )
+            report = face_minimization_report(scaled, "resistance")
+            assert report.argmin_matches_refinements
+            assert report.identity_holds
+
+
 def test_face_report_minpath_mode():
     rng = random.Random(26)
     for _ in range(4):
@@ -191,14 +206,13 @@ def test_rebuilt_class_of_binary_network_is_a_vertex():
     # the unweighted rebuild of the resistance split system of a binary
     # network lands back in the enumerated vertex set for the same (n, k)
     import random as _random
-    from phylocircuit.reconstruct import resistance_split_system
     from phylocircuit.splits import network_from_splits
 
     rng = _random.Random(29)
     for _ in range(6):
         net = random_one_nested(rng.randint(4, 6), rng, binary=True)
         rebuilt = network_from_splits(
-            resistance_split_system(net).strip_weights()
+            decomposed_resistance_splits(net).strip_weights()
         )
         k = bridges(rebuilt).k
         assert vertex_vector(rebuilt) in bme_vertices(net.n, k)

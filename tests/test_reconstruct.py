@@ -8,6 +8,8 @@ from phylocircuit.errors import (
     NegativeSplitWeightError,
     NotInvertibleError,
     NotKalmansonError,
+    NotOneNestedError,
+    ZeroWeightEdgeError,
 )
 from phylocircuit.metrics import (
     DistanceVector,
@@ -17,6 +19,7 @@ from phylocircuit.metrics import (
 )
 from phylocircuit.netgraph import (
     CircularOrder,
+    PhyloNetwork,
     canonical_order,
     consistent_orders,
     validate,
@@ -29,7 +32,6 @@ from phylocircuit.reconstruct import (
     circular_decomposition,
     invert_to_network,
     min_path_split_system,
-    resistance_split_system,
     resistance_split_system_direct,
 )
 from phylocircuit.splits import (
@@ -43,6 +45,7 @@ from phylocircuit.splits import (
 )
 
 from fixtures import (
+    decomposed_resistance_splits,
     quartet_tree,
     ring_with_pendants,
     scan_corpus,
@@ -252,7 +255,7 @@ def test_unit_square_decomposition_weights():
 
 def test_tree_identity_both_routes():
     net = quartet_tree(w_inner=F(3), pend=F(2))
-    via_metric = resistance_split_system(net)
+    via_metric = decomposed_resistance_splits(net)
     direct = resistance_split_system_direct(net)
     assert via_metric.same_weighted_splits(direct)
     assert via_metric.weight(Split({1, 2}, 4)) == F(3)
@@ -266,7 +269,7 @@ def test_six_cycle_95_fixture_direct_weight():
     sys = resistance_split_system_direct(net)
     target = Split({4, 5, 6}, 6)
     assert sys.weight(target) == F(95, 100)
-    via_metric = resistance_split_system(net)
+    via_metric = decomposed_resistance_splits(net)
     assert via_metric.same_weighted_splits(sys)
 
 
@@ -274,7 +277,7 @@ def test_direct_equals_decomposed_random():
     rng = random.Random(77)
     for _ in range(15):
         net = random_one_nested(rng.randint(4, 7), rng)
-        a = resistance_split_system(net)
+        a = decomposed_resistance_splits(net)
         b = resistance_split_system_direct(net)
         assert a.same_weighted_splits(b)
 
@@ -283,16 +286,61 @@ def test_split_sets_match_displayed_splits():
     rng = random.Random(78)
     for _ in range(12):
         net = random_one_nested(rng.randint(4, 7), rng)
-        assert resistance_split_system(net).splits == displayed_splits(net).splits
+        assert decomposed_resistance_splits(net).splits == displayed_splits(net).splits
 
 
 def test_rebuild_of_decomposition_recovers_class():
     rng = random.Random(79)
     for _ in range(10):
         net = random_one_nested(rng.randint(4, 7), rng)
-        sys = resistance_split_system(net)
+        sys = decomposed_resistance_splits(net)
         rebuilt = network_from_splits(sys.strip_weights())
         assert displayed_splits(rebuilt).splits == displayed_splits(net).splits
+
+
+def test_direct_equals_float_decomposition_within_rounding():
+    # same splits as the float oracle after its rounding-noise splits, and
+    # weights within 1e-9 of the largest; float weights throughout, also
+    # when only some edge weights are floats
+    rng = random.Random(84)
+    for k in range(30):
+        net = random_one_nested(rng.randint(3, 12), rng, binary=k % 2 == 0)
+        variants = [
+            [(u, v, float(w) * scale) for u, v, w in net.edge_items]
+            for scale in (1e-3, 1.0)
+        ]
+        variants.append(
+            [
+                (u, v, float(w) if t % 2 else w)
+                for t, (u, v, w) in enumerate(net.edge_items)
+            ]
+        )
+        for edges in variants:
+            scaled = PhyloNetwork.build(net.leaves, edges, strict=True)
+            direct = resistance_split_system_direct(scaled)
+            oracle = decomposed_resistance_splits(scaled)
+            assert direct.splits == displayed_splits(net).splits
+            assert all(isinstance(w, float) for _, w in direct.entries)
+            top = max(w for _, w in direct.entries)
+            for s, w in oracle.entries:
+                if s in direct.splits:
+                    assert abs(direct.weight(s) - w) <= 1e-9 * top
+                else:
+                    assert w < 1e-6 * top
+            assert direct.splits <= oracle.splits
+
+
+def test_direct_errors_follow_level_then_zero_weight():
+    zero_pendant = square_with_pendants(pendant_weights=[F(1), F(0), F(1), F(1)])
+    zero_cycle = square_with_pendants(cycle_weights=[F(0)] * 4)
+    for net in (zero_pendant, zero_cycle):
+        with pytest.raises(ZeroWeightEdgeError):
+            resistance_split_system_direct(net)
+    from phylocircuit.enum2 import add_heavy_chord
+
+    chorded = add_heavy_chord(zero_pendant, 0, ("c1", "c3"), F(1000))
+    with pytest.raises(NotOneNestedError):
+        resistance_split_system_direct(chorded)
 
 
 def test_decomposition_same_for_every_kalmanson_order():
@@ -323,7 +371,7 @@ def test_min_path_system_tree_identity():
 def test_min_path_drops_heavy_cycle_splits():
     heavy = square_with_pendants(cycle_weights=[F(50), F(1), F(1), F(1)])
     s_path = min_path_split_system(heavy)
-    s_res = resistance_split_system(heavy)
+    s_res = decomposed_resistance_splits(heavy)
     assert s_res.splits == displayed_splits(heavy).splits
     assert s_path.splits < s_res.splits
 
@@ -375,14 +423,14 @@ def test_min_path_system_on_two_nested_input():
 
 def test_invert_tree_system():
     net = quartet_tree(w_inner=F(3), pend=F(2))
-    sys = resistance_split_system(net)
+    sys = decomposed_resistance_splits(net)
     back = invert_to_network(sys)
     assert resistance_vector(back) == resistance_vector(net)
 
 
 def test_invert_unit_square_recovers_weights():
     net = square_with_pendants()
-    sys = resistance_split_system(net)
+    sys = decomposed_resistance_splits(net)
     back = invert_to_network(sys)
     weights = sorted(back.edge_items, key=lambda t: (t[0], t[1]))
     cycle_ws = [w for u, v, w in weights if not (u.startswith("x") or v.startswith("x"))]
@@ -410,7 +458,7 @@ def test_invert_random_round_trip():
     done = 0
     for _ in range(20):
         net = random_one_nested(rng.randint(4, 7), rng)
-        sys = resistance_split_system(net)
+        sys = decomposed_resistance_splits(net)
         back = invert_to_network(sys)
         d1, d2 = resistance_vector(net), resistance_vector(back)
         for a, b in zip(d1.values, d2.values):
@@ -425,7 +473,7 @@ def test_invert_random_round_trip():
 def test_invert_rejects_missing_weight():
     # dropping one ring split leaves a class that still rebuilds the whole
     # 5-cycle, so the skeleton displays a split carrying no weight
-    sys = resistance_split_system(ring_with_pendants(5))
+    sys = decomposed_resistance_splits(ring_with_pendants(5))
     smaller = [(s, w) for s, w in sys.entries if s != Split({1, 2}, 5)]
     from phylocircuit.splits import CircularSplitSystem
 
@@ -473,8 +521,8 @@ def test_heavy_edge_split_weights_approach_deleted_network():
         pendant_weights=[1.0, 1.0, 1.0, 1.0],
     )
     deleted = square_with_pendants().without_edge("c1", "c2")
-    sys_heavy = resistance_split_system(heavy)
-    sys_del = resistance_split_system(deleted)
+    sys_heavy = decomposed_resistance_splits(heavy)
+    sys_del = decomposed_resistance_splits(deleted)
     for s, w in sys_del.entries:
         wh = sys_heavy.weight(s)
         assert abs(float(wh) - float(w)) <= 1e-5 * max(1.0, float(w))
@@ -505,7 +553,7 @@ def test_double_display_sums_both_contributions():
     direct = resistance_split_system_direct(net)
     # bridge a-t carries 5; the adjacent cycle pair (d-a, a-b) adds 4*1/10
     assert direct.weight(target) == F(5) + F(4) * F(1) / F(10)
-    assert resistance_split_system(net).same_weighted_splits(direct)
+    assert decomposed_resistance_splits(net).same_weighted_splits(direct)
 
 
 def test_three_leaf_search_returns_identity_order():
@@ -533,7 +581,7 @@ def test_invert_asymmetric_square_uses_feasible_weighting():
         cycle_weights=[F(1), F(7, 3), F(9), F(4)],
         pendant_weights=[F(1, 2), F(1), F(2), F(1)],
     )
-    sys = resistance_split_system(net)
+    sys = decomposed_resistance_splits(net)
     back = invert_to_network(sys)
     d1, d2 = resistance_vector(net), resistance_vector(back)
     for a, b in zip(d1.values, d2.values):
@@ -544,7 +592,7 @@ def test_invert_round_trip_large_leaf_counts():
     rng = random.Random(314)
     for _ in range(12):
         net = random_one_nested(rng.randint(8, 10), rng)
-        sys = resistance_split_system(net)
+        sys = decomposed_resistance_splits(net)
         back = invert_to_network(sys)
         d1, d2 = resistance_vector(net), resistance_vector(back)
         for a, b in zip(d1.values, d2.values):
