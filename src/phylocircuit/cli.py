@@ -246,10 +246,6 @@ def _emit_network(args, net) -> int:
 
 def cmd_exterior(args) -> int:
     system = splits.load_split_system(args.splits, exact=args.exact)
-    if not hasattr(system, "order"):
-        raise PhyloCircuitError(
-            "split file needs an order header to rebuild a network"
-        )
     if system.is_weighted:
         net = splits.weighted_network_from_splits(system)
     else:

@@ -65,6 +65,19 @@ def _with_chords(net: PhyloNetwork, placements) -> PhyloNetwork:
     return PhyloNetwork.build(net.leaves, new_edges, strict=True)
 
 
+def _chordable_bases(n: int) -> list[PhyloNetwork]:
+    """Binary triangle-free 1-nested networks with n leaves and at least
+    one cycle, for every count of internal bridges."""
+    if n < 4 or n > 6:
+        raise OutOfRangeError("supported leaf counts are 4..6")
+    return [
+        base
+        for k in range(n - 2)
+        for base in enumerate_binary_one_nested(n, k)
+        if classify(base).blocks.of_kind(CYCLE)
+    ]
+
+
 def enumerate_binary_two_nested(n: int) -> list[PhyloNetwork]:
     """All binary triangle-free strictly 2-nested networks with n leaves.
 
@@ -72,30 +85,21 @@ def enumerate_binary_two_nested(n: int) -> list[PhyloNetwork]:
     one chord in total; chord endpoints subdivide edges so the result
     stays binary.
     """
-    if n < 4 or n > 6:
-        raise OutOfRangeError("supported leaf counts are 4..6")
     out = []
-    for k in range(0, n - 2):
-        try:
-            bases = enumerate_binary_one_nested(n, k)
-        except OutOfRangeError:
-            continue
-        for base in bases:
-            cycles = classify(base).blocks.of_kind(CYCLE)
-            if not cycles:
+    for base in _chordable_bases(n):
+        cycles = classify(base).blocks.of_kind(CYCLE)
+        rings = [cycle_node_sequence(b) for b in cycles]
+        slot_lists = [_valid_chord_slots(len(r)) for r in rings]
+        choices = [[None] + slots for slots in slot_lists]
+        for combo in itertools.product(*choices):
+            if all(c is None for c in combo):
                 continue
-            rings = [cycle_node_sequence(b) for b in cycles]
-            slot_lists = [_valid_chord_slots(len(r)) for r in rings]
-            choices = [[None] + slots for slots in slot_lists]
-            for combo in itertools.product(*choices):
-                if all(c is None for c in combo):
-                    continue
-                placements = [
-                    (ring, slot)
-                    for ring, slot in zip(rings, combo)
-                    if slot is not None
-                ]
-                out.append(_with_chords(base, placements))
+            placements = [
+                (ring, slot)
+                for ring, slot in zip(rings, combo)
+                if slot is not None
+            ]
+            out.append(_with_chords(base, placements))
     return out
 
 
@@ -134,15 +138,9 @@ def _unlabeled_classes(nets: list[PhyloNetwork]) -> list[list[int]]:
 
 
 def skeleton_census(n: int) -> int:
-    """Unlabeled binary triangle-free 1-nested shapes carrying a cycle."""
-    if n < 4 or n > 6:
-        raise OutOfRangeError("supported leaf counts are 4..6")
-    nets = []
-    for k in range(0, n - 2):
-        for base in enumerate_binary_one_nested(n, k):
-            if classify(base).blocks.of_kind(CYCLE):
-                nets.append(base)
-    return len(_unlabeled_classes(nets))
+    """Unlabeled binary triangle-free 1-nested shapes carrying a cycle:
+    one per row of :func:`two_nested_breakdown`."""
+    return len(_unlabeled_classes(_chordable_bases(n)))
 
 
 @dataclass(frozen=True)
@@ -153,13 +151,7 @@ class TwoNestedBreakdown:
 
 def two_nested_breakdown(n: int) -> TwoNestedBreakdown:
     """Count per unlabeled chordable skeleton; totals match the census."""
-    if n < 4 or n > 6:
-        raise OutOfRangeError("supported leaf counts are 4..6")
-    bases = []
-    for k in range(0, n - 2):
-        for base in enumerate_binary_one_nested(n, k):
-            if classify(base).blocks.of_kind(CYCLE):
-                bases.append(base)
+    bases = _chordable_bases(n)
     classes = _unlabeled_classes(bases)
     rows = []
     for idx, group in enumerate(classes):

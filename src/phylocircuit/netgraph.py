@@ -550,14 +550,19 @@ def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
     return frozenset(CircularOrder((1,) + t) for t in tails)
 
 
-def canonical_order(net: PhyloNetwork) -> CircularOrder:
-    """The least consistent order, read off the network in one traversal.
+def outward_reading(net: PhyloNetwork) -> dict[str, tuple[int, ...]]:
+    """Every node but leaf 1's -> the labels beyond it, seen from leaf 1.
 
-    Equals the least of :func:`consistent_orders` without enumerating them.
-    Subtrees carry disjoint labels, so the least reading below a junction
-    joins its items' least readings sorted by first label, and a cycle
-    gives the smaller of its two walks.  Requires level <= 1.
+    Computed once per network and cached.  Each reading is the least
+    exterior reading of the part hanging beyond its node: subtrees carry
+    disjoint labels, so a junction joins its items' least readings sorted
+    by first label, and a cycle gives the smaller of its two walks.  Dict
+    order is outward: a node comes before every node beyond it.  Requires
+    level <= 1.
     """
+    cached = net.__dict__.get("_reading")
+    if cached is not None:
+        return cached
     cls = classify(net)
     if cls.level is None or cls.level > 1:
         raise NotOneNestedError(f"level {cls.level_name} network")
@@ -581,7 +586,7 @@ def canonical_order(net: PhyloNetwork) -> CircularOrder:
                 seen.update(walk)
                 stack.extend(walk)
 
-    reading: dict[str, tuple[int, ...]] = {}
+    reading: dict[str, tuple[int, ...]] = dict.fromkeys(walks, ())
 
     def read(walk: list[str]) -> tuple[int, ...]:
         return tuple(x for u in walk for x in reading[u])
@@ -592,6 +597,18 @@ def canonical_order(net: PhyloNetwork) -> CircularOrder:
         else:
             parts = sorted(min(read(w), read(w[::-1])) for w in walks[v])
             reading[v] = tuple(x for part in parts for x in part)
+    net.__dict__["_reading"] = reading
+    return reading
+
+
+def canonical_order(net: PhyloNetwork) -> CircularOrder:
+    """The least consistent order: leaf 1, then the reading beyond it.
+
+    Equals the least of :func:`consistent_orders` without enumerating them.
+    Requires level <= 1.
+    """
+    reading = outward_reading(net)
+    (v0,) = net.neighbors(net.leaves[1])
     return CircularOrder((1,) + reading[v0])
 
 

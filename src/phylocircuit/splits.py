@@ -2,38 +2,41 @@
 
 A split is a bipartition of the leaf set; a system pairs splits with
 nonnegative weights (or no weights at all).  ``displayed_splits`` extracts
-the splits a 1-nested network displays via its minimal cuts;
-``network_from_splits`` rebuilds the unique 1-nested network from a
-circular system by grouping mutually crossing splits into cycles and
-lone splits into bridges, then hanging everything along the circular
-order.  The weighted variant sums, onto each rebuilt edge, the weights of
-the splits that were smoothed into it.
+the splits a 1-nested network displays, each an arc of its canonical
+order read off the outward walk from leaf 1; ``network_from_splits``
+rebuilds the unique 1-nested network from a circular system by grouping
+mutually crossing splits into cycles and lone splits into bridges, then
+hanging everything along the circular order.  The weighted variant sums,
+onto each rebuilt edge, the weights of the splits that were smoothed into
+it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MissingTrivialSplitsError,
     NotCircularError,
-    NotOneNestedError,
     NotRealizableError,
+    PhyloCircuitError,
     SizeMismatchError,
     line_errors,
 )
-from .metrics import DistanceVector, min_path_vector, pair_iter
+from .metrics import DistanceVector, min_path_vector, pair_index
 from .netgraph import (
     CYCLE,
     BRIDGE,
     CircularOrder,
     PhyloNetwork,
-    classify,
+    block_decomposition,
+    cycle_node_sequence,
     edge_key,
-    smooth_degree_two,
+    outward_reading,
 )
 from .rational import Value, format_value, parse_value, values_close
 
@@ -142,16 +145,12 @@ class WeightedSplitSystem:
         return all(isinstance(w, (Fraction, type(None))) for _, w in self.entries)
 
     def strip_weights(self) -> "WeightedSplitSystem":
-        return WeightedSplitSystem.of(self.n, [(s, None) for s, _ in self.entries])
+        stripped = tuple((s, None) for s, _ in self.entries)
+        return dataclasses.replace(self, entries=stripped)
 
     def drop_zero_weights(self) -> "WeightedSplitSystem":
-        kept = [(s, w) for s, w in self.entries if w is None or w != 0]
-        return WeightedSplitSystem.of(self.n, kept)
-
-    def has_all_trivial(self) -> bool:
-        return all(
-            trivial_split(lab, self.n) in self.splits for lab in range(1, self.n + 1)
-        )
+        kept = tuple((s, w) for s, w in self.entries if w is None or w != 0)
+        return dataclasses.replace(self, entries=kept)
 
     def same_weighted_splits(self, other: "WeightedSplitSystem") -> bool:
         return self.n == other.n and self.entries == other.entries
@@ -167,8 +166,7 @@ class CircularSplitSystem(WeightedSplitSystem):
     order: CircularOrder
 
     def __post_init__(self):
-        if self.order.n != self.n:
-            raise SizeMismatchError("order size differs from system size")
+        _require_permutation(self.order, self.n)
         for s, _ in self.entries:
             if not _contiguous(s, self.order):
                 raise NotCircularError(f"{s} not contiguous in {self.order}")
@@ -180,65 +178,33 @@ class CircularSplitSystem(WeightedSplitSystem):
         base = WeightedSplitSystem.of(n, weights)
         return cls(n=base.n, entries=base.entries, order=order)
 
-    def base(self) -> WeightedSplitSystem:
-        return WeightedSplitSystem(n=self.n, entries=self.entries)
 
-    def strip_weights(self) -> "CircularSplitSystem":
-        return CircularSplitSystem.of_order(
-            self.n, [(s, None) for s, _ in self.entries], self.order
-        )
+def _require_permutation(order: CircularOrder, n: int) -> None:
+    if order.n != n:
+        raise SizeMismatchError("order size differs from system size")
+    if min(order.labels) < 1 or max(order.labels) > n:
+        raise SizeMismatchError(f"order {order} is not a permutation of 1..{n}")
 
-    def drop_zero_weights(self) -> "CircularSplitSystem":
-        kept = [(s, w) for s, w in self.entries if w is None or w != 0]
-        return CircularSplitSystem.of_order(self.n, kept, self.order)
+
+def _interval(split: Split, order: CircularOrder) -> tuple[int, int]:
+    """1-based first and last positions of side_b, the side avoiding leaf 1."""
+    positions = sorted(order.position(x) + 1 for x in split.side_b)
+    return positions[0], positions[-1]
 
 
 def _contiguous(split: Split, order: CircularOrder) -> bool:
-    side = set(split.side_b if 1 in split.side_a else split.side_a)
-    positions = sorted(order.position(x) for x in side)
-    return positions[-1] - positions[0] == len(positions) - 1
+    lo, hi = _interval(split, order)
+    return hi - lo == len(split.side_b) - 1
 
 
 def is_circular(system: WeightedSplitSystem, order: CircularOrder) -> bool:
     """True iff both sides of every split are contiguous arcs of the order."""
-    if order.n != system.n:
-        raise SizeMismatchError("order size differs from system size")
+    _require_permutation(order, system.n)
     return all(_contiguous(s, order) for s, _ in system.entries)
 
 
 # ---------------------------------------------------------------------------
 # splits displayed by a network
-
-
-def _component_leaves(
-    net: PhyloNetwork, removed: frozenset, start: str
-) -> set[int]:
-    leaf_of = net.leaf_of_node
-    seen = {start}
-    stack = [start]
-    labels = set()
-    while stack:
-        v = stack.pop()
-        if v in leaf_of:
-            labels.add(leaf_of[v])
-        for w in net.adjacency[v]:
-            if w not in seen and edge_key(v, w) not in removed:
-                seen.add(w)
-                stack.append(w)
-    return labels
-
-
-def split_from_cut(
-    net: PhyloNetwork, removed: Iterable[frozenset]
-) -> Split | None:
-    """Split displayed by deleting the given edges, if both sides hold leaves."""
-    removed = frozenset(removed)
-    anchor = next(iter(next(iter(removed))))
-    side = _component_leaves(net, removed, anchor)
-    rest = set(range(1, net.n + 1)) - side
-    if not side or not rest:
-        return None
-    return Split(side, net.n)
 
 
 def displayed_splits(net: PhyloNetwork) -> WeightedSplitSystem:
@@ -251,22 +217,34 @@ def displayed_splits(net: PhyloNetwork) -> WeightedSplitSystem:
 
 
 def display_catalog(net: PhyloNetwork) -> dict[Split, list[tuple]]:
-    """Every display of every split: ('bridge', edge) or ('pair', block, e, f)."""
-    cls = classify(net)
-    if cls.level is None or cls.level > 1:
-        raise NotOneNestedError(f"level {cls.level_name} network")
+    """Every display of every split: ('bridge', edge) or ('pair', block, e, f).
+
+    Each side away from leaf 1 is read off :func:`outward_reading`: a
+    bridge shows the reading of its far endpoint, and a pair of cycle edges
+    the readings of the ring nodes between them on the side away from the
+    cycle's root, its node nearest leaf 1.
+    """
+    reading = outward_reading(net)
+    # outward rank: leaf 1's node, then every node in reading order
+    rank = {v: r for r, v in enumerate((net.leaves[1], *reading))}
     catalog: dict[Split, list[tuple]] = {}
-    for block in cls.blocks.blocks:
+
+    def add(side: Iterable[int], display: tuple) -> None:
+        if side:  # a side without leaves displays no split
+            catalog.setdefault(Split(side, net.n), []).append(display)
+
+    for block in block_decomposition(net).blocks:
         if block.kind == BRIDGE:
             (e,) = block.edges
-            s = split_from_cut(net, [e])
-            if s is not None:
-                catalog.setdefault(s, []).append(("bridge", e))
+            add(reading[max(e, key=rank.get)], ("bridge", e))
         elif block.kind == CYCLE:
+            ring = cycle_node_sequence(block, start=min(block.nodes, key=rank.get))
+            m = len(ring)
+            at = {edge_key(ring[t], ring[(t + 1) % m]): t for t in range(m)}
             for e, f in itertools.combinations(sorted(block.edges, key=sorted), 2):
-                s = split_from_cut(net, [e, f])
-                if s is not None:
-                    catalog.setdefault(s, []).append(("pair", block, e, f))
+                s, t = sorted((at[e], at[f]))
+                side = [x for u in ring[s + 1 : t + 1] for x in reading[u]]
+                add(side, ("pair", block, e, f))
     return catalog
 
 
@@ -275,15 +253,19 @@ def display_catalog(net: PhyloNetwork) -> dict[Split, list[tuple]]:
 
 
 def split_metric(system: WeightedSplitSystem) -> DistanceVector:
-    """d(i,j) = total weight of the splits separating i from j."""
-    values = []
-    for i, j in pair_iter(system.n):
-        total = Fraction(0)
-        for s, w in system.entries:
-            if w is not None and s.separates(i, j):
-                total += w
-        values.append(total)
-    return DistanceVector(system.n, tuple(values))
+    """d(i,j) = total weight of the splits separating i from j.
+
+    Each pair takes its splits' weights in entry order.
+    """
+    n = system.n
+    totals: list[Value] = [Fraction(0)] * (n * (n - 1) // 2)
+    for s, w in system.entries:
+        if w is None:
+            continue
+        for i in s.side_a:
+            for j in s.side_b:
+                totals[pair_index(i, j, n)] += w
+    return DistanceVector(n, tuple(totals))
 
 
 def refines(finer: WeightedSplitSystem, coarser: WeightedSplitSystem) -> bool:
@@ -311,16 +293,6 @@ class _Object:
     hi: int
     children: list
     corner_leaves: dict | None = None
-
-
-def _interval(split: Split, order: CircularOrder) -> tuple[int, int]:
-    """1-based positions of the side avoiding the order's first label."""
-    first = order.labels[0]
-    side = split.side_b if first in split.side_a else split.side_a
-    positions = sorted(order.position(x) + 1 for x in side)
-    if positions[-1] - positions[0] != len(positions) - 1:
-        raise NotCircularError(f"{split} not contiguous in {order}")
-    return positions[0], positions[-1]
 
 
 def _crossing_classes(
@@ -492,47 +464,27 @@ def _child_key(child) -> tuple:
     return (child.lo, child.hi)
 
 
-def _require_rebuild_ready(system: CircularSplitSystem) -> None:
-    if not system.has_all_trivial():
-        missing = [
-            lab
-            for lab in range(1, system.n + 1)
-            if trivial_split(lab, system.n) not in system.splits
-        ]
-        raise MissingTrivialSplitsError(f"missing trivial splits for {missing}")
-
-
-def network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
-    """The unique 1-nested network displaying (at least) these splits.
-
-    Mutually crossing splits become cycles, lone nontrivial splits become
-    bridges, trivial splits become pendant edges; junctions left with
-    degree 2 are smoothed away.  All edges get unit weight.
-    """
-    _require_rebuild_ready(system)
-    if system.n == 2:
-        return PhyloNetwork.build(
-            {1: "x1", 2: "x2"}, [("x1", "x2", Fraction(1))], strict=True
+def _rebuild(
+    system: CircularSplitSystem, weigh: Callable[[Iterable[Split]], Value]
+) -> PhyloNetwork:
+    """Assemble the network of a circular system and smooth its degree-2
+    junctions; ``weigh`` turns the set of splits an edge carries into its
+    weight."""
+    if not isinstance(system, CircularSplitSystem):
+        raise PhyloCircuitError(
+            "split file needs an order header to rebuild a network"
         )
-    leaves, tagged = _Assembler(system).run()
-    edges = [(u, v, Fraction(1)) for u, v, _ in tagged]
-    net = smooth_degree_two(PhyloNetwork.build(leaves, edges, strict=False))
-    unit = [(u, v, Fraction(1)) for u, v, _ in net.edge_items]
-    return PhyloNetwork.build(net.leaves, unit, strict=True)
-
-
-def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
-    """Weighted rebuild: each edge carries the total weight of the splits
-    smoothed into it.  Zero-weight splits are dropped first (flagged
-    convention), so every trivial split must still have positive weight."""
-    if not system.is_weighted:
-        raise SizeMismatchError("weighted rebuild needs weights on every split")
-    system = system.drop_zero_weights()
-    _require_rebuild_ready(system)
+    present = system.splits
+    missing = [
+        lab
+        for lab in range(1, system.n + 1)
+        if trivial_split(lab, system.n) not in present
+    ]
+    if missing:
+        raise MissingTrivialSplitsError(f"missing trivial splits for {missing}")
     if system.n == 2:
-        total = sum((w for _, w in system.entries), Fraction(0))
         return PhyloNetwork.build(
-            {1: "x1", 2: "x2"}, [("x1", "x2", total)], strict=True
+            {1: "x1", 2: "x2"}, [("x1", "x2", weigh(system.splits))], strict=True
         )
     leaves, tagged = _Assembler(system).run()
     net = PhyloNetwork.build(
@@ -561,12 +513,31 @@ def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
             adj[b][a] = 1
             tags[edge_key(a, b)] = union
             changed = True
-    edges = []
-    for key, ts in tags.items():
-        u, v = sorted(key)
-        weight = sum((system.weight(s) for s in ts), Fraction(0))
-        edges.append((u, v, weight))
+    edges = [(*sorted(key), weigh(ts)) for key, ts in tags.items()]
     return PhyloNetwork.build(leaves, edges, strict=True)
+
+
+def network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
+    """The unique 1-nested network displaying (at least) these splits.
+
+    Mutually crossing splits become cycles, lone nontrivial splits become
+    bridges, trivial splits become pendant edges; junctions left with
+    degree 2 are smoothed away.  All edges get unit weight.
+    """
+    return _rebuild(system, lambda tags: Fraction(1))
+
+
+def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
+    """Weighted rebuild: each edge carries the total weight of the splits
+    smoothed into it.  Zero-weight splits are dropped first (flagged
+    convention), so every trivial split must still have positive weight."""
+    if not system.is_weighted:
+        raise SizeMismatchError("weighted rebuild needs weights on every split")
+    system = system.drop_zero_weights()
+    weights = system.weights
+    return _rebuild(
+        system, lambda tags: sum((weights[s] for s in tags), Fraction(0))
+    )
 
 
 # ---------------------------------------------------------------------------

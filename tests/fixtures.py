@@ -1,20 +1,25 @@
 """Networks used across the test modules."""
 
+import itertools
 import random
 from fractions import Fraction
 
+from phylocircuit.errors import NotOneNestedError
 from phylocircuit.metrics import DistanceVector, min_path_vector, resistance_vector
 from phylocircuit.netgraph import (
+    BRIDGE,
     CYCLE,
     CircularOrder,
     PhyloNetwork,
     canonical_order,
     classify,
     cycle_node_sequence,
+    edge_key,
     validate,
 )
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.reconstruct import circular_decomposition
+from phylocircuit.splits import Split
 
 F = Fraction
 
@@ -131,6 +136,46 @@ def decomposed_resistance_splits(net: PhyloNetwork):
     return circular_decomposition(d, canonical_order(net)).system
 
 
+def _split_from_cut(net: PhyloNetwork, removed: frozenset) -> Split | None:
+    """Split displayed by deleting the given edges, if both sides hold leaves."""
+    start = next(iter(next(iter(removed))))
+    leaf_of = net.leaf_of_node
+    seen, stack, side = {start}, [start], set()
+    while stack:
+        v = stack.pop()
+        if v in leaf_of:
+            side.add(leaf_of[v])
+        for w in net.adjacency[v]:
+            if w not in seen and edge_key(v, w) not in removed:
+                seen.add(w)
+                stack.append(w)
+    if not side or len(side) == net.n:
+        return None
+    return Split(side, net.n)
+
+
+def cut_catalog(net: PhyloNetwork) -> dict:
+    """Every display of every split, found by deleting each bridge and each
+    pair of edges of one cycle and searching the whole network for the leaves
+    on one side: the oracle for ``splits.display_catalog``."""
+    cls = classify(net)
+    if cls.level is None or cls.level > 1:
+        raise NotOneNestedError(f"level {cls.level_name} network")
+    catalog: dict = {}
+    for block in cls.blocks.blocks:
+        if block.kind == BRIDGE:
+            (e,) = block.edges
+            cuts = [((e,), ("bridge", e))]
+        else:
+            pairs = itertools.combinations(sorted(block.edges, key=sorted), 2)
+            cuts = [((e, f), ("pair", block, e, f)) for e, f in pairs]
+        for removed, display in cuts:
+            s = _split_from_cut(net, frozenset(removed))
+            if s is not None:
+                catalog.setdefault(s, []).append(display)
+    return catalog
+
+
 def with_chord(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork | None:
     """Level-2 network: ``net`` plus one chord across one of its cycles of
     four or more nodes (None when it has none)."""
@@ -154,6 +199,27 @@ def shuffled_order(n: int, rng: random.Random) -> CircularOrder:
     return CircularOrder(labels)
 
 
+def _scan_draws(rng: random.Random, count: int, n_range):
+    """(networks, orders) per draw: a seeded level-1 network and, when it has
+    a cycle of four or more nodes, its chorded level-2 version; the level-1
+    network's canonical order and two shuffled orders."""
+    for _ in range(count):
+        base = random_one_nested(rng.randint(*n_range), rng, binary=rng.random() < 0.5)
+        orders = [canonical_order(base)]
+        orders += [shuffled_order(base.n, rng) for _ in range(2)]
+        nets = [base]
+        chorded = with_chord(base, rng)
+        if chorded is not None:
+            nets.append(chorded)
+        yield nets, orders
+
+
+def scan_networks(seed: int, count: int, n_range=(4, 16)):
+    """The networks :func:`scan_corpus` draws its vectors from."""
+    for nets, _ in _scan_draws(random.Random(seed), count, n_range):
+        yield from nets
+
+
 def scan_corpus(seed: int, count: int, n_range=(4, 16)):
     """(vector, order) pairs for checking the Kalmanson scan.
 
@@ -163,14 +229,7 @@ def scan_corpus(seed: int, count: int, n_range=(4, 16)):
     shuffled orders; then random rational vectors that need not be metrics.
     """
     rng = random.Random(seed)
-    for _ in range(count):
-        base = random_one_nested(rng.randint(*n_range), rng, binary=rng.random() < 0.5)
-        orders = [canonical_order(base)]
-        orders += [shuffled_order(base.n, rng) for _ in range(2)]
-        nets = [base]
-        chorded = with_chord(base, rng)
-        if chorded is not None:
-            nets.append(chorded)
+    for nets, orders in _scan_draws(rng, count, n_range):
         for net in nets:
             for exact in (resistance_vector(net), min_path_vector(net)):
                 vectors = [exact] + [

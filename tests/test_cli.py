@@ -77,6 +77,34 @@ def test_split_file_with_two_fields_exits_one(tmp_path, capsys, command):
     assert err == f"error: ValidationError: line 2: cannot parse '1 | 1,2'\n"
 
 
+_TRIVIAL_4 = "1 | 1 | 2,3,4\n1 | 1,3,4 | 2\n1 | 1,2,4 | 3\n1 | 1,2,3 | 4\n"
+
+
+@pytest.mark.parametrize("command", ["exterior", "invert"])
+def test_split_file_without_order_exits_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.splits"
+    bad.write_text("n 4 order -\n" + _TRIVIAL_4 + "1 | 1,2 | 3,4\n")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: PhyloCircuitError: split file needs an order header to"
+        " rebuild a network\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["exterior", "invert"])
+def test_split_file_order_label_above_n_exits_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.splits"
+    bad.write_text("n 4 order 1,2,3,5\n" + _TRIVIAL_4)
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: SizeMismatchError: order (1,2,3,5) is not a permutation of 1..4\n"
+    )
+
+
 def test_validate_directory_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(tmp_path))
     assert code == 1

@@ -46,6 +46,11 @@ def test_skeleton_census():
     assert skeleton_census(6) == 6
 
 
+def test_census_counts_breakdown_rows():
+    for n in (4, 5, 6):
+        assert skeleton_census(n) == len(two_nested_breakdown(n).rows)
+
+
 def test_enumerated_networks_classify_level_two():
     nets = enumerate_binary_two_nested(4)
     for net in nets:

@@ -10,14 +10,16 @@ from phylocircuit.errors import (
     SizeMismatchError,
     ValidationError,
 )
-from phylocircuit.metrics import min_path_vector
+from phylocircuit.metrics import DistanceVector, min_path_vector, pair_iter
 from phylocircuit.netgraph import CircularOrder, classify, consistent_orders, validate
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.reconstruct import resistance_split_system_direct
 from phylocircuit.splits import (
     CircularSplitSystem,
     Split,
     WeightedSplitSystem,
     crosses,
+    display_catalog,
     displayed_splits,
     is_circular,
     is_faithfully_phylogenetic,
@@ -32,10 +34,16 @@ from phylocircuit.splits import (
 )
 
 from fixtures import (
+    cut_catalog,
     k33_with_leaves,
     quartet_tree,
     ring_with_pendants,
+    scan_networks,
     square_with_pendants,
+    star,
+    triangle_with_leaves,
+    two_cycles_with_bridge,
+    two_leaf_edge,
 )
 
 F = Fraction
@@ -156,6 +164,41 @@ def test_split_metric_linear_in_weights():
     assert lhs == rhs
 
 
+def _split_metric_by_pairs(system):
+    """Every split asked about every pair: the oracle for split_metric."""
+    values = []
+    for i, j in pair_iter(system.n):
+        total = F(0)
+        for s, w in system.entries:
+            if w is not None and s.separates(i, j):
+                total += w
+        values.append(total)
+    return DistanceVector(system.n, tuple(values))
+
+
+def test_split_metric_matches_pairwise_oracle_bit_for_bit():
+    rng = random.Random(61)
+    for k in range(40):
+        exact = resistance_split_system_direct(
+            random_one_nested(2 + k % 15, rng, binary=k % 2 == 0)
+        )
+        systems = [exact]
+        for scale in (1e-3, 1.37, 1e4):
+            systems.append(
+                WeightedSplitSystem.of(
+                    exact.n, [(s, float(w) * scale) for s, w in exact.entries]
+                )
+            )
+        systems.append(
+            WeightedSplitSystem.of(
+                exact.n,
+                [(s, None if t % 2 else w) for t, (s, w) in enumerate(exact.entries)],
+            )
+        )
+        for system in systems:
+            assert repr(split_metric(system)) == repr(_split_metric_by_pairs(system))
+
+
 # ---------------------------------------------------------------------------
 # circularity
 
@@ -166,6 +209,16 @@ def test_is_circular_basic():
     o = CircularOrder((1, 2, 3, 4))
     assert is_circular(sys12, o)
     assert not is_circular(sys13, o)
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 3, 5), (1, 2, 3, 0)], ids=["above-n", "zero"])
+def test_order_outside_one_to_n_is_size_mismatch(labels):
+    order = CircularOrder(labels)
+    system = WeightedSplitSystem.of(4, full_trivial(4))
+    with pytest.raises(SizeMismatchError, match=r"is not a permutation of 1\.\.4"):
+        CircularSplitSystem.of_order(4, full_trivial(4), order)
+    with pytest.raises(SizeMismatchError, match=r"is not a permutation of 1\.\.4"):
+        is_circular(system, order)
 
 
 def test_circular_system_constructor_enforces_contiguity():
@@ -306,6 +359,23 @@ def test_weighted_rebuild_strips_to_plain_rebuild():
         }
 
 
+def test_unit_and_weighted_rebuilds_share_one_shape():
+    rng = random.Random(59)
+    for k in range(60):
+        net = random_one_nested(2 + k % 19, rng, binary=k % 2 == 0)
+        exact = resistance_split_system_direct(net)
+        floats = CircularSplitSystem.of_order(
+            net.n, [(s, float(w) * 1.37) for s, w in exact.entries], exact.order
+        )
+        for system in (exact, floats):
+            w_net = weighted_network_from_splits(system)
+            u_net = network_from_splits(system.strip_weights())
+            assert w_net.leaf_items == u_net.leaf_items
+            assert w_net.nodes == u_net.nodes
+            assert [e[:2] for e in w_net.edge_items] == [e[:2] for e in u_net.edge_items]
+            assert {w for _, _, w in u_net.edge_items} == {F(1)}
+
+
 def test_non_outer_path_witness():
     # one crossing class whose two arcs between leaves 2 and 5 each carry a
     # split that does not separate them: every exterior route pays twice
@@ -415,7 +485,6 @@ def test_separating_splits_come_from_pairwise_circuit_displays():
     # on each branch of a traversed cycle)
     from phylocircuit.netgraph import CYCLE, BRIDGE, cycle_node_sequence, edge_key
     from phylocircuit.netgraph import block_path
-    from phylocircuit.splits import display_catalog
 
     for net in (square_with_pendants(), quartet_tree(), ring_with_pendants(5)):
         catalog = display_catalog(net)
@@ -457,3 +526,40 @@ def test_separating_splits_come_from_pairwise_circuit_displays():
                         for d in displays
                     )
                     assert witnessed == split.separates(i, j)
+
+
+def _assert_catalog_is_cut_catalog(net):
+    try:
+        oracle = cut_catalog(net)
+    except NotOneNestedError:
+        with pytest.raises(NotOneNestedError):
+            display_catalog(net)
+        return
+    catalog = display_catalog(net)
+    assert catalog == oracle
+    # same display order, which the float sums of rw and invert follow
+    assert list(catalog.items()) == list(oracle.items())
+
+
+@pytest.mark.parametrize(
+    "net",
+    [star(5), two_leaf_edge(), quartet_tree(), square_with_pendants(),
+     ring_with_pendants(6), triangle_with_leaves(), two_cycles_with_bridge(),
+     k33_with_leaves()],
+    ids=["star", "two-leaf", "quartet", "square", "ring6", "triangle",
+         "two-cycles", "k33"],
+)
+def test_display_catalog_is_cut_catalog_on_fixtures(net):
+    _assert_catalog_is_cut_catalog(net)
+
+
+def test_display_catalog_is_cut_catalog_on_scan_networks():
+    for net in scan_networks(seed=47, count=12):
+        _assert_catalog_is_cut_catalog(net)
+
+
+def test_display_catalog_is_cut_catalog_on_seeded_networks():
+    rng = random.Random(4040)
+    for k in range(200):
+        net = random_one_nested(rng.randint(2, 40), rng, binary=k % 2 == 0)
+        _assert_catalog_is_cut_catalog(net)
