@@ -1,9 +1,12 @@
 """Leaf distance computations and circular-inequality (Kalmanson) checks.
 
 Two metrics are supported: effective resistance (edge weights as resistors)
-and minimum path length.  Resistance comes from one linear solve per leaf
-against the full-node Laplacian; an independent series/parallel/wye-delta
-reduction serves as a cross-check oracle for the same quantity.
+and minimum path length.  Resistance adds in series across a cut vertex, so
+it comes block by block: each block of the network's block-cut tree gets
+one grounded solve of its own Laplacian (a bridge none), and a leaf pair's
+resistance is the sum along the tree path.  An independent
+series/parallel/wye-delta reduction serves as a cross-check oracle for the
+same quantity.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -24,8 +27,11 @@ from .errors import (
     line_errors,
 )
 from .netgraph import (
+    BRIDGE,
+    Block,
     CircularOrder,
     PhyloNetwork,
+    block_decomposition,
     block_path,
     edge_key,
 )
@@ -78,7 +84,7 @@ class DistanceVector:
 
 
 # ---------------------------------------------------------------------------
-# resistance via the node equations
+# resistance by blocks
 
 
 def _check_positive(net: PhyloNetwork) -> None:
@@ -87,58 +93,100 @@ def _check_positive(net: PhyloNetwork) -> None:
             raise ZeroWeightEdgeError(f"edge {u}-{v} has zero weight")
 
 
-def gamma_inverse_columns(
-    net: PhyloNetwork, targets: Sequence[str]
+def _portal_resistances(
+    net: PhyloNetwork, block: Block, portals: list[str], exact: bool
 ) -> dict[str, dict[str, Value]]:
-    """Columns of the inverse of (Laplacian + J/n_total) for target nodes."""
-    _check_positive(net)
-    nodes = net.nodes
-    idx = {v: i for i, v in enumerate(nodes)}
-    m = len(nodes)
-    exact = net.is_exact
-    one_over = Fraction(1, m) if exact else 1.0 / m
-    zero = Fraction(0) if exact else 0.0
-    gamma = [[one_over for _ in range(m)] for _ in range(m)]
-    for u, v, w in net.edge_items:
-        c = (Fraction(1) / w) if exact else 1.0 / float(w)
-        iu, iv = idx[u], idx[v]
-        gamma[iu][iu] += c
-        gamma[iv][iv] += c
-        gamma[iu][iv] -= c
-        gamma[iv][iu] -= c
-    cols = []
-    for t in targets:
-        e = [zero] * m
-        e[idx[t]] = Fraction(1) if exact else 1.0
-        cols.append(e)
-    if exact:
-        sols = linalg.solve_exact(gamma, cols)
-    else:
-        sols = linalg.solve_float(gamma, cols)
-    return {
-        t: {v: sols[c][idx[v]] for v in nodes} for c, t in enumerate(targets)
-    }
+    """Effective resistance between every two portals of one block.
 
-
-def resistance_between_nodes(net: PhyloNetwork, pairs: Iterable[tuple[str, str]]) -> dict:
-    """Effective resistance for arbitrary node pairs (internal tool)."""
-    pairs = list(pairs)
-    targets = sorted({x for p in pairs for x in p})
-    cols = gamma_inverse_columns(net, targets)
-    return {
-        (u, v): cols[u][u] + cols[v][v] - 2 * cols[u][v] for u, v in pairs
-    }
+    A bridge's is its weight.  Any other block's Laplacian is grounded at
+    its first portal; solving for the other portals' columns gives G, and
+    R(p, q) = G_pp + G_qq - 2 G_pq, with G zero on the ground.
+    """
+    out: dict[str, dict[str, Value]] = {p: {} for p in portals}
+    if len(portals) < 2:
+        return out
+    if block.kind == BRIDGE:
+        u, v = portals
+        w = net.weight(u, v)
+        out[u][v] = out[v][u] = w if exact else float(w)
+        return out
+    ground, others = portals[0], portals[1:]
+    idx = {v: k for k, v in enumerate(sorted(block.nodes - {ground}))}
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    lap = [[zero] * len(idx) for _ in idx]
+    for u, v in sorted(tuple(sorted(e)) for e in block.edges):
+        w = net.weight(u, v)
+        c = one / (w if exact else float(w))
+        for a, b in ((u, v), (v, u)):
+            if a in idx:
+                lap[idx[a]][idx[a]] += c
+                if b in idx:
+                    lap[idx[a]][idx[b]] -= c
+    units = [[zero] * len(idx) for _ in others]
+    for col, p in zip(units, others):
+        col[idx[p]] = one
+    solve = linalg.solve_exact if exact else linalg.solve_float
+    g = [[col[idx[q]] for q in others] for col in solve(lap, units)]
+    for a, p in enumerate(others):
+        out[ground][p] = out[p][ground] = g[a][a]
+        for b, q in enumerate(others[:a]):
+            out[p][q] = out[q][p] = g[a][a] + g[b][b] - 2 * g[a][b]
+    return out
 
 
 def resistance_vector(net: PhyloNetwork) -> DistanceVector:
-    """Effective resistance between every leaf pair."""
-    leaves = net.leaves
-    targets = [leaves[lab] for lab in sorted(leaves)]
-    cols = gamma_inverse_columns(net, targets)
-    values = []
-    for i, j in pair_iter(net.n):
-        u, v = leaves[i], leaves[j]
-        values.append(cols[u][u] + cols[v][v] - 2 * cols[u][v])
+    """Effective resistance between every leaf pair.
+
+    Resistance adds in series across a cut vertex, so each block of the
+    cached block-cut tree is solved on its own for its portals, the nodes
+    that are cut vertices or leaves.  A leaf pair's resistance is the sum
+    of the portal resistances along the tree path between the two leaves.
+    """
+    _check_positive(net)
+    decomp = block_decomposition(net)
+    exact = net.is_exact
+    leaf_nodes = net.leaf_of_node
+    portals = decomp.cut_vertices.union(leaf_nodes)
+    # per block: portal -> other portal -> resistance between them
+    links = [
+        _portal_resistances(net, block, sorted(block.nodes & portals), exact)
+        for block in decomp.blocks
+    ]
+    zero = Fraction(0) if exact else 0.0
+    n, leaves = net.n, net.leaves
+    # root the tree at leaf 1 and list each block with its parent portal,
+    # parents first; below[p] collects (label, resistance to p) of the
+    # leaves hanging below portal p
+    below = {leaves[1]: [(1, zero)]}
+    order = []
+    stack = [(leaves[1], -1)]
+    while stack:
+        v, came = stack.pop()
+        for bi in decomp.blocks_at[v]:
+            if bi != came:
+                order.append((bi, v))
+                for p in links[bi][v]:
+                    below[p] = [(leaf_nodes[p], zero)] if p in leaf_nodes else []
+                    stack.append((p, bi))
+    # children first: a pair is written at the block where its leaves'
+    # branches meet, then the block's leaves move up to its parent portal
+    full = [[zero] * (n + 1) for _ in range(n + 1)]
+    for bi, r in reversed(order):
+        link = links[bi]
+        met = [(r, below[r])]
+        for p in link[r]:
+            hang = below.pop(p)
+            for q, other in met:
+                r_pq = link[p][q]
+                for i, d_i in hang:
+                    row = full[i]
+                    for j, d_j in other:
+                        row[j] = full[j][i] = d_i + r_pq + d_j
+            met.append((p, hang))
+        for p, hang in met[1:]:
+            r_pr = link[p][r]
+            below[r] += [(i, d + r_pr) for i, d in hang]
+    values = [full[i][j] for i, j in pair_iter(n)]
     return DistanceVector(net.n, tuple(values))
 
 

@@ -435,7 +435,8 @@ def invert_to_network(system: CircularSplitSystem) -> PhyloNetwork:
     check = resistance_split_system_direct(net)
     if check.splits != system.splits:
         raise NotInvertibleError("rebuilt network displays different splits")
+    got = {s: Fraction(0) if w is None else w for s, w in check.entries}
     for s, w in system.entries:
-        if not _close(check.weight(s), w, rel=1e-9):
+        if not _close(got[s], w, rel=1e-9):
             raise NotInvertibleError(f"weight mismatch on {s}")
     return net

@@ -4,8 +4,14 @@ import itertools
 import random
 from fractions import Fraction
 
+from phylocircuit import linalg
 from phylocircuit.errors import NotOneNestedError
-from phylocircuit.metrics import DistanceVector, min_path_vector, resistance_vector
+from phylocircuit.metrics import (
+    DistanceVector,
+    min_path_vector,
+    pair_iter,
+    resistance_vector,
+)
 from phylocircuit.netgraph import (
     BRIDGE,
     CYCLE,
@@ -127,6 +133,50 @@ def two_cycles_with_bridge() -> PhyloNetwork:
 
 def two_leaf_edge(w=F(5)) -> PhyloNetwork:
     return validate({1: "x1", 2: "x2"}, [("x1", "x2", w)])
+
+
+def _dense_inverse_columns(net: PhyloNetwork, targets) -> dict:
+    """Columns of the inverse of (Laplacian + J/m) over all m nodes of the
+    network, for the target nodes."""
+    nodes = net.nodes
+    idx = {v: i for i, v in enumerate(nodes)}
+    m = len(nodes)
+    exact = net.is_exact
+    one_over = Fraction(1, m) if exact else 1.0 / m
+    zero = Fraction(0) if exact else 0.0
+    gamma = [[one_over for _ in range(m)] for _ in range(m)]
+    for u, v, w in net.edge_items:
+        c = (Fraction(1) / w) if exact else 1.0 / float(w)
+        iu, iv = idx[u], idx[v]
+        gamma[iu][iu] += c
+        gamma[iv][iv] += c
+        gamma[iu][iv] -= c
+        gamma[iv][iu] -= c
+    cols = []
+    for t in targets:
+        e = [zero] * m
+        e[idx[t]] = Fraction(1) if exact else 1.0
+        cols.append(e)
+    solve = linalg.solve_exact if exact else linalg.solve_float
+    sols = solve(gamma, cols)
+    return {t: {v: sols[c][idx[v]] for v in nodes} for c, t in enumerate(targets)}
+
+
+def resistance_between_nodes(net: PhyloNetwork, pairs) -> dict:
+    """Effective resistance between arbitrary node pairs by one dense solve
+    over every node of the network."""
+    pairs = list(pairs)
+    cols = _dense_inverse_columns(net, sorted({x for p in pairs for x in p}))
+    return {(u, v): cols[u][u] + cols[v][v] - 2 * cols[u][v] for u, v in pairs}
+
+
+def resistance_by_dense_solve(net: PhyloNetwork) -> DistanceVector:
+    """Resistance vector by one dense solve of (Laplacian + J/m) over every
+    node: the oracle for the block-by-block route of ``resistance_vector``."""
+    leaves = net.leaves
+    pairs = [(leaves[i], leaves[j]) for i, j in pair_iter(net.n)]
+    r = resistance_between_nodes(net, pairs)
+    return DistanceVector(net.n, tuple(r[p] for p in pairs))
 
 
 def decomposed_resistance_splits(net: PhyloNetwork):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phylocircuit import linalg
 from phylocircuit.errors import (
     SizeMismatchError,
     TooLargeForExactError,
@@ -26,17 +27,29 @@ from phylocircuit.metrics import (
     resistance_by_reduction,
     resistance_vector,
 )
-from phylocircuit.netgraph import CircularOrder, classify, wye_delta
+from phylocircuit.netgraph import (
+    BRIDGE,
+    CircularOrder,
+    PhyloNetwork,
+    block_decomposition,
+    canonical_order,
+    classify,
+    wye_delta,
+)
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.rational import FLOAT_TOL
+from phylocircuit.reconstruct import resistance_split_system_direct
+from phylocircuit.splits import split_metric
 
 from fixtures import (
     decomposed_resistance_splits,
     k33_with_leaves,
     k5_with_leaves,
     quartet_tree,
+    resistance_by_dense_solve,
     ring_with_pendants,
     scan_corpus,
+    scan_networks,
     shuffled_order,
     square_with_pendants,
     star,
@@ -108,8 +121,31 @@ def test_k33_resistances_exact():
             assert d.value(i, j) == F(23, 9)
 
 
+def _with_zero_edge(net: PhyloNetwork, k: int, exact: bool = True) -> PhyloNetwork:
+    edges = [
+        (u, v, 0 if e == k else (w if exact else float(w)))
+        for e, (u, v, w) in enumerate(net.edge_items)
+    ]
+    return PhyloNetwork.build(net.leaves, edges, strict=False)
+
+
 def test_zero_weight_edge_rejected():
     net = square_with_pendants(cycle_weights=[F(0), F(1), F(1), F(1)])
+    with pytest.raises(ZeroWeightEdgeError):
+        resistance_vector(net)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        # every edge of the triangle zero: the block's solve would be singular
+        triangle_with_leaves(tri=[F(0), F(0), F(0)]),
+        _with_zero_edge(quartet_tree(), 0),
+        _with_zero_edge(k5_with_leaves(), 0),
+        _with_zero_edge(two_cycles_with_bridge(), 3, exact=False),
+    ],
+)
+def test_zero_weight_edge_rejected_in_any_block(net):
     with pytest.raises(ZeroWeightEdgeError):
         resistance_vector(net)
 
@@ -118,6 +154,114 @@ def test_wye_delta_fixed_leaf_resistances():
     net = triangle_with_leaves(tri=[F(2), F(3), F(4)], pend=[F(1), F(2), F(1), F(3)])
     image = wye_delta(net, ("t1", "t2", "t3"))
     assert resistance_vector(net) == resistance_vector(image)
+
+
+# ---------------------------------------------------------------------------
+# resistance by blocks against the whole-network dense solve
+
+
+def _resistance_fixtures() -> list[PhyloNetwork]:
+    from phylocircuit.enum2 import enumerate_binary_two_nested
+
+    triangle = triangle_with_leaves(tri=[F(2), F(3), F(4)], pend=[F(1), F(2), F(1), F(3)])
+    return [
+        quartet_tree(w_inner=F(7, 3), pend=F(2)),
+        star(5, [F(1), F(2), F(3), F(1, 2), F(5, 7)]),
+        square_with_pendants([F(1), F(2), F(3, 2), F(7)], [F(2), F(1), F(1, 3), F(4)]),
+        ring_with_pendants(6),
+        k33_with_leaves(),
+        k5_with_leaves(),
+        triangle,
+        triangle_with_leaves(),
+        wye_delta(triangle, ("t1", "t2", "t3")),
+        two_cycles_with_bridge(),
+        two_leaf_edge(F(5)),
+    ] + enumerate_binary_two_nested(4)[:3]
+
+
+def _as_float(net: PhyloNetwork, scale: float) -> PhyloNetwork:
+    edges = [(u, v, float(w) * scale) for u, v, w in net.edge_items]
+    return PhyloNetwork.build(net.leaves, edges, strict=False)
+
+
+def _assert_same_fractions(net: PhyloNetwork, want) -> None:
+    d = resistance_vector(net)
+    assert d.is_exact
+    assert d == want
+
+
+def test_resistance_equals_dense_solve_on_fixtures():
+    for net in _resistance_fixtures():
+        _assert_same_fractions(net, resistance_by_dense_solve(net))
+
+
+def test_resistance_equals_dense_solve_on_seeded_level1():
+    rng = random.Random(2026)
+    for k in range(200):
+        net = random_one_nested(rng.randint(2, 16), rng, binary=k % 2 == 0)
+        _assert_same_fractions(net, resistance_by_dense_solve(net))
+    # the dense solve costs about 1 s at n=32 and 10 s at n=64, so larger
+    # networks are checked against it once and, up to n=64, against the
+    # split metric of the paper's direct weights
+    for binary in (True, False):
+        net = random_one_nested(32, rng, binary=binary)
+        _assert_same_fractions(net, resistance_by_dense_solve(net))
+        for n in (48, 64):
+            net = random_one_nested(n, rng, binary=binary)
+            _assert_same_fractions(net, split_metric(resistance_split_system_direct(net)))
+
+
+def test_resistance_equals_dense_solve_on_chorded_scan_networks():
+    levels = set()
+    for net in scan_networks(seed=61, count=30):
+        levels.add(classify(net).level)
+        _assert_same_fractions(net, resistance_by_dense_solve(net))
+    assert {1, 2} <= levels
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_float_resistance_agrees_with_dense_solve(scale):
+    nets = _resistance_fixtures() + list(scan_networks(seed=67, count=8))
+    for net in nets:
+        want = [float(v) * scale for v in resistance_by_dense_solve(net).values]
+        got = resistance_vector(_as_float(net, scale))
+        assert not got.is_exact
+        bound = 1e-12 * max(abs(v) for v in want)
+        assert all(abs(a - b) <= bound for a, b in zip(got.values, want))
+
+
+@pytest.mark.parametrize("n", [10, 32])
+def test_float_resistance_kalmanson_at_weight_scale_1e4(n):
+    # one dense solve of L + J/m over every node lost the 1e-4 conductances
+    # next to J/m and failed all 30 of these on their own canonical order
+    for seed in range(30):
+        net = _as_float(random_one_nested(n, random.Random(seed)), 1e4)
+        assert is_kalmanson(resistance_vector(net), canonical_order(net)).passed
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_resistance_solves_block_by_block(monkeypatch, exact):
+    orders = []
+
+    def recording(solve):
+        def wrapped(matrix, rhs):
+            orders.append(len(matrix))
+            return solve(matrix, rhs)
+
+        return wrapped
+
+    monkeypatch.setattr(linalg, "solve_exact", recording(linalg.solve_exact))
+    monkeypatch.setattr(linalg, "solve_float", recording(linalg.solve_float))
+    net = random_one_nested(64, random.Random(64))
+    if not exact:
+        net = _as_float(net, 1.0)
+    resistance_vector(net)
+    blocks = block_decomposition(net).blocks
+    solved = [b for b in blocks if b.kind != BRIDGE]
+    # one solve per block that is not a bridge, none larger than that block
+    assert len(orders) == len(solved)
+    assert max(orders) < max(len(b.nodes) for b in blocks)
+    assert min(orders) >= 2
 
 
 # ---------------------------------------------------------------------------

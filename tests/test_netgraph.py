@@ -37,6 +37,7 @@ from phylocircuit.randomnet import random_one_nested
 from fixtures import (
     k33_with_leaves,
     quartet_tree,
+    resistance_between_nodes,
     ring_with_pendants,
     square_with_pendants,
     star,
@@ -325,8 +326,6 @@ def PhyloNetwork_with_zero_triangle():
 
 
 def test_wye_delta_preserves_resistance_everywhere_off_site():
-    from phylocircuit.metrics import resistance_between_nodes
-
     net = triangle_with_leaves(tri=[F(2), F(3), F(4)], pend=[F(1), F(2), F(1), F(3)])
     out = wye_delta(net, ("t1", "t2", "t3"))
     shared = sorted(set(net.nodes) & set(out.nodes))
