@@ -23,6 +23,7 @@ from .errors import (
     ReductionStuckError,
     SizeMismatchError,
     TooLargeForExactError,
+    ValidationError,
     ZeroWeightEdgeError,
     line_errors,
 )
@@ -532,8 +533,18 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
         for lineno, raw, fields in lines:
             with line_errors(lineno, raw):
                 i_s, j_s, v_s = fields
-                i, j = int(i_s), int(j_s)
-                values[(min(i, j), max(i, j))] = _parse_distance(v_s, exact)
+                i, j = sorted((int(i_s), int(j_s)))
+                value = _parse_distance(v_s, exact)
+            if not 1 <= i <= j <= n:
+                problem = f"label outside 1..{n}"
+            elif i == j:
+                problem = "self pair"
+            elif (i, j) in values:
+                problem = "repeated pair"
+            else:
+                values[(i, j)] = value
+                continue
+            raise ValidationError(f"line {lineno}: {problem} in {raw!r}")
         try:
             ordered = tuple(values[(i, j)] for i, j in pair_iter(n))
         except KeyError as exc:
@@ -551,6 +562,10 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
             with line_errors(lineno, raw):
                 return _parse_distance(fields[c - 1], exact)
 
+        for i in range(1, n + 1):
+            if entry(i, i) != 0:
+                lineno, raw, _ = rows[i - 1]
+                raise ValidationError(f"line {lineno}: nonzero diagonal in {raw!r}")
         vals = []
         for i, j in pair_iter(n):
             a, b = entry(i, j), entry(j, i)

@@ -8,7 +8,6 @@ Fraction reading.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -46,23 +45,3 @@ def format_value(value: Value, precision: int = 6) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return f"{float(value):.{precision}g}"
-
-
-def exact_sqrt(value: Fraction) -> Fraction | None:
-    """Square root of a nonnegative rational when it is itself rational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def sqrt_value(value: Value) -> Value:
-    """Exact square root if possible, float otherwise."""
-    if isinstance(value, Fraction):
-        root = exact_sqrt(value)
-        if root is not None:
-            return root
-    return math.sqrt(float(value))

@@ -7,12 +7,15 @@ quantity computed from the four distances at its boundary.  For a
 1-nested network the decomposition of its resistance vector is read
 directly off the circuit instead (bridges contribute their own weight, a
 cycle pair with weights a and x contributes a*x/z for cycle total z); the
-tests keep the solve-and-decompose route as the oracle.
+tests keep the solve-and-decompose route as the oracle.  Inversion runs
+that map backwards; the node shares a 4-cycle's splits leave free are
+picked by one interval sweep, so exact input gives exact weights.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +41,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import FLOAT_TOL, Value, sqrt_value
+from .rational import FLOAT_TOL, Value
 from .splits import (
     CircularSplitSystem,
     Split,
@@ -117,11 +120,12 @@ def circular_decomposition(
 def _pair_share(weights: dict, cycle_totals: dict, block, e, f) -> Value:
     """a*x/z for edges e, f weighing a and x in a cycle of total z.
 
-    ``cycle_totals`` caches each cycle's z, summed in ``block.edges`` order.
+    ``cycle_totals`` caches each cycle's z, summed over the edges in sorted
+    order (a set's order would make float sums depend on the hash seed).
     """
     z = cycle_totals.get(block)
     if z is None:
-        z = sum((weights[ed] for ed in block.edges), Fraction(0))
+        z = sum((weights[ed] for ed in sorted(block.edges, key=sorted)), Fraction(0))
         cycle_totals[block] = z
     return weights[e] * weights[f] / z
 
@@ -193,20 +197,20 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
     known = dict(system.entries)
     if any(w is None or w <= 0 for w in known.values()):
         raise NotInvertibleError("weights must be positive")
+    if not system.is_exact:
+        # one decimal weight puts the whole system in float mode
+        known = {s: float(w) for s, w in known.items()}
 
-    cls = classify(skeleton)
-    cycle_blocks = cls.blocks.of_kind(CYCLE)
     edge_weight: dict[frozenset, Value] = {}
-
-    for block in cycle_blocks:
+    # 4-cycles whose products leave shares free: (ring edges, products)
+    squares: list[tuple[list, dict]] = []
+    for block in classify(skeleton).blocks.of_kind(CYCLE):
         ring = cycle_node_sequence(block)
         m = len(ring)
         ring_edges = [edge_key(ring[t], ring[(t + 1) % m]) for t in range(m)]
         # products u_i*u_j (u = a/sqrt(z)) from splits displayed only once;
-        # shared-display splits only bound the product from above, since the
-        # other displays must keep strictly positive weight
-        products: dict[tuple[int, int], Value] = {}
-        bounds: dict[tuple[int, int], Value] = {}
+        # a shared split also carries a bridge, whose weight takes the rest
+        products: dict[tuple[int, int], tuple[Value, Split]] = {}
         for i, j in itertools.combinations(range(m), 2):
             split = pair_split.get(frozenset((ring_edges[i], ring_edges[j])))
             if split is None:
@@ -214,208 +218,198 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
             if split not in known:
                 raise NotInvertibleError(f"missing weight for displayed {split}")
             if len(catalog[split]) == 1:
-                products[(i, j)] = known[split]
-            else:
-                bounds[(i, j)] = known[split]
-        weights = _solve_cycle_weights(m, products, bounds)
-        for t in range(m):
-            if weights[t] <= 0:
-                raise NotInvertibleError("nonpositive cycle weight recovered")
-            edge_weight[ring_edges[t]] = weights[t]
+                products[(i, j)] = (known[split], split)
+        weights = _cycle_weights(m, products)
+        if weights is not None:
+            edge_weight.update(zip(ring_edges, weights))
+        elif m == 4 and (0, 2) in products and (1, 3) in products:
+            squares.append((ring_edges, products))
+        else:
+            raise NotInvertibleError(f"the splits of a {m}-cycle leave it free")
+    for (sq, p), share in _free_shares(squares, catalog, known, edge_weight).items():
+        ring_edges, products = squares[sq]
+        split = pair_split[frozenset((ring_edges[p - 1], ring_edges[p]))]
+        products[_NODE_PAIRS[p]] = (share, split)
+    for ring_edges, products in squares:
+        edge_weight.update(zip(ring_edges, _cycle_weights(4, products)))
 
-    # bridges: split total minus the now-known cycle pair contributions
+    # bridges (at most one per split, each a split of the system): split
+    # total minus the now-known cycle pair contributions
     cycle_totals: dict = {}
     for split, displays in catalog.items():
-        bridge_edges = [d[1] for d in displays if d[0] == "bridge"]
-        if not bridge_edges:
-            continue
-        if len(bridge_edges) > 1:
-            raise NotInvertibleError(f"{split} displayed by two bridges")
-        if split not in known:
-            raise NotInvertibleError(f"missing weight for displayed {split}")
-        rest = Fraction(0)
-        for disp in displays:
-            if disp[0] == "pair":
-                rest += _pair_share(edge_weight, cycle_totals, *disp[1:])
-        w = known[split] - rest
-        if w <= 0:
-            raise NotInvertibleError(f"nonpositive bridge weight for {split}")
-        edge_weight[bridge_edges[0]] = w
-
-    edges = []
-    for a, b, _ in skeleton.edge_items:
-        key = edge_key(a, b)
-        if key not in edge_weight:
-            raise NotInvertibleError(f"edge {a}-{b} carries no recoverable split")
-        edges.append((a, b, edge_weight[key]))
+        bridges = [d[1] for d in displays if d[0] == "bridge"]
+        if bridges:
+            w = known[split] - sum(
+                (_pair_share(edge_weight, cycle_totals, *d[1:])
+                 for d in displays if d[0] == "pair"),
+                Fraction(0),
+            )
+            if w <= 0:
+                raise NotInvertibleError(f"nonpositive bridge weight for {split}")
+            edge_weight[bridges[0]] = w
+    edges = [(a, b, edge_weight[edge_key(a, b)]) for a, b, _ in skeleton.edge_items]
     return PhyloNetwork.build(skeleton.leaves, edges, strict=True)
 
 
-def _solve_cycle_weights(
-    m: int,
-    products: dict[tuple[int, int], Value],
-    bounds: dict[tuple[int, int], Value] | None = None,
-) -> list[Value]:
-    """Solve a_i*a_j = z*P_ij with z = sum(a) for positive a.
+def _cycle_weights(m: int, products: dict) -> list[Value] | None:
+    """Solve a_i*a_j = z*P_ij with z = sum(a) for positive a, or None.
 
-    Writing u = a/sqrt(z), the products pin u within each component of the
-    product graph up to one scale; an odd closure fixes the scale.  A
-    bipartite component keeps one degree of freedom: the symmetric
-    (side-balancing) choice is tried first and kept when it respects the
-    strict upper ``bounds`` on shared-display products, otherwise a
-    feasible scale assignment is found in the log domain.  Then
-    a_t = u_t * sum(u).  Within one component the radicals cancel, so
-    rational inputs yield rational weights; across components exactness
-    survives only when each component scale has an exact square root.
+    Writing u = a/sqrt(z), a walk over the product graph from edge 0 gives
+    every u_t as ratio_t * X**sign_t for one unknown X, and an odd closure
+    pins X**2.  Every u_i*u_j is then rational in the products and X**2,
+    so a_t = sum_j u_t*u_j takes no root: rational input gives rational
+    weights.  Returns None when the products leave X free or miss an edge.
     """
-    bounds = bounds or {}
-    adj: dict[int, list[tuple[int, Value]]] = {i: [] for i in range(m)}
-    for (i, j), p in products.items():
-        adj[i].append((j, p))
-        adj[j].append((i, p))
-    ratio: list[Value | None] = [None] * m
-    sign: list[int] = [0] * m
-    comp_of: list[int] = [-1] * m
-    comp_members: list[list[int]] = []
-    comp_scale_sq: list[Value] = []
-    comp_pinned: list[bool] = []
-    for root in range(m):
-        if ratio[root] is not None:
-            continue
-        comp_idx = len(comp_members)
-        members = [root]
-        ratio[root] = Fraction(1)
-        sign[root] = 1
-        comp_of[root] = comp_idx
-        queue = [root]
-        scale_sq: Value | None = None
-        while queue:
-            v = queue.pop()
-            for w, p in adj[v]:
-                expected_sign = -sign[v]
-                expected_ratio = p / ratio[v]
-                if ratio[w] is None:
-                    ratio[w] = expected_ratio
-                    sign[w] = expected_sign
-                    comp_of[w] = comp_idx
-                    members.append(w)
-                    queue.append(w)
-                    continue
-                if sign[w] == expected_sign:
-                    if not _close(ratio[w], expected_ratio):
-                        raise NotInvertibleError("inconsistent split products")
-                else:
-                    # odd closure: X^(2*sign) = p / (ratio_v * ratio_w)
-                    cand = p / (ratio[v] * ratio[w])
-                    if sign[w] == -1:
-                        cand = 1 / cand
-                    if cand <= 0:
-                        raise NotInvertibleError("negative squared scale")
-                    if scale_sq is None:
-                        scale_sq = cand
-                    elif not _close(scale_sq, cand):
-                        raise NotInvertibleError("inconsistent split products")
-        pinned = scale_sq is not None
-        if scale_sq is None:
-            plus = [ratio[v] for v in members if sign[v] == 1]
-            minus = [ratio[v] for v in members if sign[v] == -1]
-            if minus:
-                scale_sq = sum(minus[1:], minus[0]) / sum(plus[1:], plus[0])
+    adj: dict[int, list] = {i: [] for i in range(m)}
+    for (i, j), (p, split) in products.items():
+        adj[i].append((j, p, split))
+        adj[j].append((i, p, split))
+    ratio: list[Value | None] = [Fraction(1)] + [None] * (m - 1)
+    sign = [1] + [0] * (m - 1)
+    scale_sq: Value | None = None
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        for w, p, split in adj[v]:
+            if ratio[w] is None:
+                ratio[w] = p / ratio[v]
+                sign[w] = -sign[v]
+                queue.append(w)
+            elif sign[w] != sign[v]:
+                if not _close(ratio[w], p / ratio[v]):
+                    raise NotInvertibleError(f"inconsistent split products at {split}")
             else:
-                scale_sq = Fraction(1)  # no products touch this edge
-        comp_members.append(members)
-        comp_scale_sq.append(scale_sq)
-        comp_pinned.append(pinned)
-
-    def u_values(scales_sq):
-        roots = [sqrt_value(q) for q in scales_sq]
-        return [
-            ratio[t] * roots[comp_of[t]]
-            if sign[t] == 1
-            else ratio[t] / roots[comp_of[t]]
-            for t in range(m)
-        ]
-
-    def bounds_ok(u) -> bool:
-        return all(u[i] * u[j] < bound for (i, j), bound in bounds.items())
-
-    free = [c for c in range(len(comp_members)) if not comp_pinned[c]]
-    if free and not bounds_ok(u_values(comp_scale_sq)):
-        comp_scale_sq = _feasible_scales(
-            comp_scale_sq, free, comp_of, ratio, sign, bounds
-        )
-
-    exact_in = all(isinstance(r, Fraction) for r in ratio) and all(
-        isinstance(q, Fraction) for q in comp_scale_sq
-    )
-    if exact_in and len(comp_members) == 1:
-        q = comp_scale_sq[0]
-        out = []
-        for t in range(m):
-            acc = Fraction(0)
-            for j in range(m):
-                e = (sign[t] + sign[j]) // 2  # -1, 0, or 1
-                acc += ratio[t] * ratio[j] * q**e
-            out.append(acc)
-        return out
-    u = u_values(comp_scale_sq)
-    total = sum(u[1:], u[0])
-    return [val * total for val in u]
-
-
-def _feasible_scales(scales_sq, free, comp_of, ratio, sign, bounds):
-    """Replace the free component scales by a strictly feasible choice.
-
-    Each bound on u_i*u_j is linear in the log of the free squared scales;
-    the interior point maximizing the minimum slack is found by linear
-    programming (pinned components enter as constants).
-    """
-    import math
-
-    from scipy.optimize import linprog
-
-    col = {c: k for k, c in enumerate(free)}
-    f = len(free)
-    rows, rhs = [], []
-    for (i, j), bound in bounds.items():
-        coef = math.log(float(ratio[i])) + math.log(float(ratio[j]))
-        exps = [0.0] * f
-        for t in (i, j):
-            c = comp_of[t]
-            half_log = 0.5 * math.log(float(scales_sq[c]))
-            if c in col:
-                exps[col[c]] += float(sign[t])
-            else:
-                coef += sign[t] * half_log
-        limit = math.log(float(bound)) - coef
-        if all(e == 0.0 for e in exps):
-            if limit <= 0:
-                raise NotInvertibleError("shared-display bound already violated")
-            continue
-        norm = math.sqrt(sum(e * e for e in exps))
-        rows.append(exps + [norm])
-        rhs.append(limit)
-    cap = 60.0
-    for k in range(f):
-        for direction in (1.0, -1.0):
-            row = [0.0] * f + [1.0]
-            row[k] = direction
-            rows.append(row)
-            rhs.append(cap)
-    objective = [0.0] * f + [-1.0]
-    result = linprog(
-        objective,
-        A_ub=rows,
-        b_ub=rhs,
-        bounds=[(None, None)] * f + [(0.0, None)],
-        method="highs",
-    )
-    if not result.success or result.x[-1] <= 1e-12:
-        raise NotInvertibleError("no feasible cycle weighting under the bounds")
-    out = list(scales_sq)
-    for c, k in col.items():
-        out[c] = math.exp(2.0 * result.x[k])
+                # odd closure: X^(2*sign) = p / (ratio_v * ratio_w)
+                cand = p / (ratio[v] * ratio[w])
+                if sign[w] == -1:
+                    cand = 1 / cand
+                if scale_sq is None:
+                    scale_sq = cand
+                elif not _close(scale_sq, cand):
+                    raise NotInvertibleError(f"inconsistent split products at {split}")
+    if scale_sq is None or None in ratio:
+        return None
+    out = []
+    for t in range(m):
+        acc = Fraction(0)
+        for j in range(m):
+            e = (sign[t] + sign[j]) // 2  # -1, 0, or 1
+            acc += ratio[t] * ratio[j] * scale_sq**e
+        out.append(acc)
     return out
+
+
+#: the 4-cycle edges meeting at ring node k, between edges k-1 and k
+_NODE_PAIRS = ((0, 3), (0, 1), (1, 2), (2, 3))
+
+
+def _free_shares(squares, catalog, known, edge_weight) -> dict:
+    """{(square index, p): s} for the node shares 4-cycles leave free.
+
+    Ring node k shows its split with the share x_k = u_{k-1}*u_k, and
+    opposite shares multiply to q = P02*P13, the diagonal splits' weights.
+    If neither node p nor p+2 (p = 0, 1) shows its split alone, one free s
+    gives x_p = s and x_{p+2} = q/s.  The rebuild gives each such split a
+    bridge, which must keep positive weight, and at most one other free
+    share, so free shares form chains linked by "sum of shares < w".  A
+    forward sweep bounds each share, a backward pass picks a point of each.
+    """
+    node_at, q, free = {}, {}, []
+    for sq, (ring_edges, products) in enumerate(squares):
+        for k in range(4):
+            node_at[frozenset((ring_edges[k - 1], ring_edges[k]))] = (sq, k)
+        for p in (0, 1):
+            q[(sq, p)] = products[(0, 2)][0] * products[(1, 3)][0]
+            if not {_NODE_PAIRS[p], _NODE_PAIRS[p + 2]} & products.keys():
+                free.append((sq, p))
+    # bound at end (var, 0), node p, and (var, 1), node p+2: (split, room
+    # left by the fixed shares, the other free share in it or None)
+    bound = {}
+    cycle_totals: dict = {}
+    for split, displays in catalog.items():
+        if not any(d[0] == "bridge" for d in displays):
+            continue
+        room = known[split]
+        ends = []
+        for _, block, e, f in (d for d in displays if d[0] == "pair"):
+            if frozenset((e, f)) not in node_at:
+                room -= _pair_share(edge_weight, cycle_totals, block, e, f)
+                continue
+            sq, k = node_at[frozenset((e, f))]
+            fixed = squares[sq][1].get(_NODE_PAIRS[k - 2])  # opposite node
+            if fixed is None:
+                ends.append(((sq, k % 2), k // 2))
+            else:
+                room -= q[(sq, k % 2)] / fixed[0]
+        if ends and room <= 0:
+            raise _no_room(split)
+        for end in ends:
+            bound[end] = (split, room, next((o for o in ends if o != end), None))
+
+    chosen: dict = {}
+    for start in free:
+        for left in (0, 1):
+            if start in chosen or bound[(start, left)][2]:
+                continue
+            chain = [(start, left)]
+            while nxt := bound[(chain[-1][0], 1 - chain[-1][1])][2]:
+                chain.append(nxt)
+            # forward: the share t_i at chain[i]'s left end lies below his[i]
+            his, carry = [], 0
+            for var, left_end in chain:
+                his.append(bound[(var, left_end)][1] - carry)
+                split, room, _ = bound[(var, 1 - left_end)]
+                if q[var] >= room * his[-1]:
+                    raise _no_room(split)
+                carry = q[var] / his[-1]
+            # backward: q_i/t_i + t_{i+1} < room, with t_{L+1} = 0
+            after = 0
+            for (var, left_end), hi in reversed(list(zip(chain, his))):
+                lo = q[var] / (bound[(var, 1 - left_end)][1] - after)
+                after = _balanced_share(lo, hi, q[var])
+                chosen[var] = after if left_end == 0 else q[var] / after
+    return chosen
+
+
+def _no_room(split: Split) -> NotInvertibleError:
+    return NotInvertibleError(
+        f"no cycle shares leave a positive bridge weight for {split}"
+    )
+
+
+def _balanced_share(lo: Value, hi: Value, q: Value) -> Value:
+    """A share in the open interval (lo, hi) near sqrt(q), which balances s
+    and q/s: sqrt(q) itself if rational (always, for floats), else the
+    simplest rational within 2**-19 of it; if it lies outside, the middle
+    of the interval."""
+    if isinstance(q, Fraction):
+        # sqrt(q) = sqrt(num) / den, bracketed by integers over den << shift
+        num, den = q.numerator * q.denominator, q.denominator
+        shift = max(0, 20 - num.bit_length() // 2)
+        root = math.isqrt(num << 2 * shift)
+        square = root * root == num << 2 * shift
+        root_lo = Fraction(root, den << shift)
+        root_hi = Fraction(root + (not square), den << shift)
+    else:
+        root_lo = root_hi = math.sqrt(q)
+    if root_lo == root_hi:
+        if lo < root_lo < hi:
+            return root_lo
+    elif max(lo, root_lo) < min(hi, root_hi):
+        return _simplest_between(max(lo, root_lo), min(hi, root_hi))
+    return (lo + hi) / 2
+
+
+def _simplest_between(a: Fraction, b: Fraction | None) -> Fraction:
+    """The rational of least denominator in the open interval (a, b) for
+    0 <= a < b; b None means unbounded.  A continued-fraction descent."""
+    whole = math.floor(a) + 1
+    if b is None or whole < b:
+        return Fraction(whole)
+    base = whole - 1
+    return base + 1 / _simplest_between(
+        1 / (b - base), None if a == base else 1 / (a - base)
+    )
 
 
 def _close(a: Value, b: Value, rel: float = 1e-6) -> bool:
@@ -428,8 +422,9 @@ def _close(a: Value, b: Value, rel: float = 1e-6) -> bool:
 def invert_to_network(system: CircularSplitSystem) -> PhyloNetwork:
     """Positive-weighted network whose resistance splits equal the input.
 
-    Raises NotInvertible when the products are inconsistent, a recovered
-    weight is nonpositive, or the final direct check fails.
+    Raises NotInvertible when the products are inconsistent, when no cycle
+    shares leave a bridge positive weight (naming the split), or when the
+    final direct check fails.
     """
     net = _mul_inverse_weights(system)
     check = resistance_split_system_direct(net)

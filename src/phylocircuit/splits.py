@@ -25,6 +25,7 @@ from .errors import (
     NotRealizableError,
     PhyloCircuitError,
     SizeMismatchError,
+    ValidationError,
     line_errors,
 )
 from .metrics import DistanceVector, min_path_vector, pair_index
@@ -599,9 +600,14 @@ def parse_split_system(text: str, exact: bool = False) -> WeightedSplitSystem:
     entries = []
     for lineno, raw, ln in lines[1:]:
         with line_errors(lineno, raw):
-            w_txt, a_txt, _b_txt = (part.strip() for part in ln.split("|"))
+            w_txt, a_txt, b_txt = (part.strip() for part in ln.split("|"))
             weight = None if w_txt == "-" else parse_value(w_txt, exact)
-            side = {int(x) for x in a_txt.split(",")}
+            side = [int(x) for x in a_txt.split(",")]
+            other = [int(x) for x in b_txt.split(",")]
+        if sorted(side + other) != list(range(1, n + 1)):
+            raise ValidationError(
+                f"line {lineno}: sides do not partition 1..{n} in {raw!r}"
+            )
         entries.append((Split(side, n), weight))
     if order is not None:
         return CircularSplitSystem.of_order(n, entries, order)

@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from phylocircuit.cli import main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, network_to_text
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.reconstruct import resistance_split_system_direct
+from phylocircuit.splits import split_system_to_text
 from fixtures import (
     decomposed_resistance_splits,
     k33_with_leaves,
@@ -103,6 +108,57 @@ def test_split_file_order_label_above_n_exits_one(tmp_path, capsys, command):
     assert err == (
         "error: SizeMismatchError: order (1,2,3,5) is not a permutation of 1..4\n"
     )
+
+
+def test_split_line_with_a_stray_second_side_exits_one(tmp_path, capsys):
+    # the second side must be the rest of 1..4, or the line is no split
+    bad = tmp_path / "bad.splits"
+    bad.write_text("n 4 order 1,2,3,4\n1 | 1 | 3\n" + _TRIVIAL_4)
+    code, out, err = run(capsys, "exterior", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValidationError: line 2: sides do not partition")
+
+
+def _run_cli_process(*argv, flags=(), **env):
+    """Run ``python -m phylocircuit.cli`` in a child process on this src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "phylocircuit.cli", *argv],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+
+
+def test_invert_never_imports_scipy(tmp_path):
+    # both node-share pairs of this network's 4-cycle are free, so invert
+    # picks shares; -X importtime lists each module the command imports
+    path = tmp_path / "free.splits"
+    net = random_one_nested(5, random.Random(5030), binary=True)
+    path.write_text(split_system_to_text(resistance_split_system_direct(net)))
+    done = _run_cli_process("invert", str(path), "--exact", flags=["-X", "importtime"])
+    assert "edge" in done.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "phylocircuit.reconstruct" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_float_invert_independent_of_hash_seed(tmp_path):
+    # sets iterate in hash order, which PYTHONHASHSEED changes per process;
+    # no float sum may follow it
+    net = random_one_nested(8, random.Random(2), binary=True)
+    scaled = [(a, b, float(w) * 1.37) for a, b, w in net.edge_items]
+    system = resistance_split_system_direct(
+        PhyloNetwork.build(net.leaves, scaled, strict=True)
+    )
+    path = tmp_path / "float.splits"
+    path.write_text(split_system_to_text(system, precision=17))
+    outs = {
+        _run_cli_process("--precision", "17", "invert", str(path),
+                         PYTHONHASHSEED=seed).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outs) == 1
 
 
 def test_validate_directory_exits_one(tmp_path, capsys):

@@ -576,6 +576,21 @@ def test_distance_rejects_non_finite_value(text):
         parse_distance_vector(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 3\n1 2 1\n1 3 1\n2 3 1\n1 7 5\n", "line 5: label outside 1..3"),
+        ("n 3\n1 2 1\n2 2 9\n1 3 1\n2 3 1\n", "line 3: self pair"),
+        ("n 3\n1 2 1\n1 3 1\n2 3 1\n2 1 4\n", "line 5: repeated pair"),
+        ("3\n0 1 2\n1 5 3\n2 3 0\n", "line 3: nonzero diagonal"),
+    ],
+    ids=["label-outside", "self-pair", "repeated-pair", "square-diagonal"],
+)
+def test_distance_rejects_bad_pair_line(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_distance_vector(text)
+
+
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
 def test_pair_index_bijection(n, seed):

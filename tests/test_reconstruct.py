@@ -37,6 +37,7 @@ from phylocircuit.reconstruct import (
 from phylocircuit.splits import (
     CircularSplitSystem,
     Split,
+    display_catalog,
     displayed_splits,
     network_from_splits,
     split_metric,
@@ -573,19 +574,18 @@ def test_min_path_images_are_outer_path():
 
 
 def test_invert_asymmetric_square_uses_feasible_weighting():
-    # opposite products leave one degree of freedom per diagonal; the
-    # symmetric choice is infeasible here, so a bounded feasible scale must
-    # be found (the recovered network may weigh edges differently but must
-    # reproduce the resistance vector)
+    # opposite shares leave one degree of freedom per diagonal, bounded by
+    # the pendant bridges; the recovered network may weigh edges differently
+    # but must reproduce the splits and the resistance vector exactly
     net = square_with_pendants(
         cycle_weights=[F(1), F(7, 3), F(9), F(4)],
         pendant_weights=[F(1, 2), F(1), F(2), F(1)],
     )
     sys = decomposed_resistance_splits(net)
     back = invert_to_network(sys)
-    d1, d2 = resistance_vector(net), resistance_vector(back)
-    for a, b in zip(d1.values, d2.values):
-        assert abs(float(a) - float(b)) <= 1e-8 * max(1.0, abs(float(b)))
+    assert back.is_exact
+    assert resistance_split_system_direct(back).same_weighted_splits(sys)
+    assert resistance_vector(back) == resistance_vector(net)
 
 
 def test_invert_round_trip_large_leaf_counts():
@@ -600,3 +600,62 @@ def test_invert_round_trip_large_leaf_counts():
                 assert a == b
             else:
                 assert abs(float(a) - float(b)) <= 1e-8 * max(1.0, abs(float(b)))
+
+
+def _assert_exact_inverse(system):
+    back = invert_to_network(system)
+    assert all(isinstance(w, F) for _, _, w in back.edge_items)
+    assert resistance_split_system_direct(back).same_weighted_splits(system)
+    return back
+
+
+@pytest.mark.parametrize(
+    "n, binary, s", [(26, True, 0), (32, False, 0), (32, False, 4)]
+)
+def test_invert_bridge_split_shared_by_two_free_shares(n, binary, s):
+    # one bridge split of the rebuilt skeleton is also shown by a node share
+    # of each of two 4-cycles: the sum of both shares, not each share on
+    # its own, must stay below the split's weight
+    net = random_one_nested(n, random.Random(7919 * n + s), binary=binary)
+    _assert_exact_inverse(resistance_split_system_direct(net))
+
+
+def test_invert_exact_on_seeded_corpus():
+    for n in range(6, 31, 4):
+        for binary in (True, False):
+            net = random_one_nested(n, random.Random(7919 * n + 1), binary=binary)
+            _assert_exact_inverse(resistance_split_system_direct(net))
+
+
+def test_invert_split_of_a_node_on_two_squares():
+    # ring node h lies on both 4-cycles and carries no leaf
+    net = validate(
+        {i: f"x{i}" for i in range(1, 7)},
+        [
+            ("h", "a1", F(1)), ("a1", "a2", F(2)), ("a2", "a3", F(3)),
+            ("a3", "h", F(4)), ("h", "b1", F(5)), ("b1", "b2", F(1)),
+            ("b2", "b3", F(2)), ("b3", "h", F(3)),
+            ("a1", "x1", F(1)), ("a2", "x2", F(1)), ("a3", "x3", F(1)),
+            ("b1", "x4", F(1)), ("b2", "x5", F(1)), ("b3", "x6", F(1)),
+        ],
+    )
+    kinds = [d[0] for d in display_catalog(net)[Split({1, 2, 3}, 6)]]
+    assert kinds == ["pair", "pair"]
+    back = _assert_exact_inverse(resistance_split_system_direct(net))
+    assert resistance_vector(back) == resistance_vector(net)
+
+
+def test_invert_infeasible_square_names_its_split():
+    # leaves 1 and 3 hang off opposite ring nodes, whose shares multiply to
+    # P02*P13 = 1/16; trivial weights of 1/4 each leave no room for both
+    # pendant bridges, just above that they fit
+    system = resistance_split_system_direct(square_with_pendants())
+    weights = dict(system.entries)
+    weights[trivial_split(1, 4)] = weights[trivial_split(3, 4)] = F(1, 4)
+    with pytest.raises(NotInvertibleError) as info:
+        invert_to_network(CircularSplitSystem.of_order(4, weights, system.order))
+    assert str(info.value) == (
+        "no cycle shares leave a positive bridge weight for {1,2,4}|{3}"
+    )
+    weights[trivial_split(3, 4)] += F(1, 10**6)
+    _assert_exact_inverse(CircularSplitSystem.of_order(4, weights, system.order))

@@ -443,6 +443,17 @@ def test_split_system_malformed_line_names_line(text, line):
         parse_split_system(text)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["1 | 1 | 3", "1 | 1,2 | 2,3,4", "1 | 1,2 | 3", "1 | 1,2 | 3,4,5"],
+    ids=["one-label-each", "overlap", "missing-label", "label-above-n"],
+)
+def test_split_line_sides_must_partition(line):
+    text = "n 4 order 1,2,3,4\n1 | 1,3,4 | 2\n" + line + "\n"
+    with pytest.raises(ValidationError, match="line 3: sides do not partition"):
+        parse_split_system(text)
+
+
 def test_split_system_empty_file():
     with pytest.raises(SizeMismatchError, match="empty"):
         parse_split_system("# nothing\n")
