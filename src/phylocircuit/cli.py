@@ -261,10 +261,7 @@ def cmd_invert(args) -> int:
 
 def cmd_xvector(args) -> int:
     net = _load_net(args.network)
-    if netgraph.is_binary(net):
-        x = polytope.vertex_vector(net)
-    else:
-        x = polytope.vertex_vector_by_orders(net)
+    x = polytope.vertex_vector(net)
     pairs = [
         [i, j, x.value(i, j)] for i, j in metrics.pair_iter(net.n)
     ]

@@ -54,10 +54,6 @@ class NotOneNestedError(PhyloCircuitError):
     """Operation requires every edge to lie in at most one cycle."""
 
 
-class NotBinaryError(PhyloCircuitError):
-    pass
-
-
 class NotATriangleError(PhyloCircuitError):
     pass
 

@@ -1,12 +1,19 @@
 """Vertex vectors of the level-1 BME polytopes and exhaustive minimization.
 
-Each binary triangle-free 1-nested network N with n leaves and k internal
-bridges yields an integer vector indexed by leaf pairs: 2^(k - b_ij) when
-i and j can sit next to each other in some exterior reading of N (b_ij
-counts internal bridges between them), 0 otherwise.  Equivalently the sum
-of adjacency incidence vectors over all consistent circular orders.
-These vectors are the vertices of BME(n, k); minimizing a distance vector
-as a linear functional over them recovers refinement classes exactly.
+Every 1-nested network N yields an integer vector indexed by leaf pairs:
+the number of consistent circular orders in which i and j sit side by
+side.  With c(v) the items at internal node v (edges on no cycle plus
+cycles through v), x_ij is 0 when a cycle between i and j is entered and
+left at ring nodes that are not adjacent, and otherwise
+
+    prod over cut vertices v on the path of (c(v) - 2)!
+    * prod over the other internal nodes v of (c(v) - 1)!
+    * 2^(cycles off the path).
+
+On a binary network this is 2^(k - b_ij), with k internal bridges of
+which b_ij lie between i and j.  The vectors of the binary triangle-free
+networks are the vertices of BME(n, k); minimizing a distance vector as
+a linear functional over them recovers refinement classes exactly.
 """
 
 from __future__ import annotations
@@ -18,24 +25,20 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import NotBinaryError, NotOneNestedError, OutOfRangeError, SizeMismatchError
+from .errors import NotOneNestedError, OutOfRangeError, SizeMismatchError
 from .metrics import (
     DistanceVector,
     min_path_vector,
     pair_index,
-    pair_iter,
     resistance_vector,
 )
 from .netgraph import (
-    BRIDGE,
     CYCLE,
     PhyloNetwork,
-    block_path,
     bridges,
     classify,
     consistent_orders,
     edge_key,
-    is_binary,
 )
 from .rational import Value, values_close
 from .splits import displayed_splits
@@ -66,38 +69,56 @@ class XVector:
 
 
 def vertex_vector(net: PhyloNetwork) -> XVector:
-    """Polytope vertex vector of a binary 1-nested network (closed form)."""
+    """Polytope vertex vector of a 1-nested network, binary or not.
+
+    The product of the module docstring, read with one outward walk per
+    leaf: the product of (c(v)-1)! over every internal node and 2 per
+    cycle, divided by c(v)-1 at each node the walk passes and by 2 at
+    each cycle it crosses.
+    """
     cls = classify(net)
     if cls.level is None or cls.level > 1:
         raise NotOneNestedError(f"level {cls.level_name} network")
-    if not is_binary(net):
-        raise NotBinaryError("vertex vector formula needs a binary network")
-    nontrivial = bridges(net).nontrivial
-    k = len(nontrivial)
-    entries = []
-    for i, j in pair_iter(net.n):
-        path = block_path(net, i, j)
-        cuts = [next(iter(a.nodes & b.nodes)) for a, b in zip(path, path[1:])]
-        stops = [net.leaves[i]] + cuts + [net.leaves[j]]
-        # i and j can sit side by side unless a cycle on the way is entered
-        # and left at non-adjacent corners; junctions never obstruct
-        if any(
-            b.kind == CYCLE and edge_key(u, v) not in b.edges
-            for b, u, v in zip(path, stops, stops[1:])
-        ):
-            entries.append(0)
-        else:
-            b_ij = sum(1 for b in path if b.kind == BRIDGE and b.edges <= nontrivial)
-            entries.append(2 ** (k - b_ij))
-    return XVector(net.n, tuple(entries))
+    blocks, blocks_at = cls.blocks.blocks, cls.blocks.blocks_at
+    adj, leaf_of_node = net.adjacency, net.leaf_of_node
+    # at level <= 1 every block is a bridge or a cycle, so a node's items
+    # are its blocks
+    full = 2 ** len(cls.blocks.of_kind(CYCLE))
+    for at in blocks_at.values():
+        full *= factorial(len(at) - 1)
+    n = net.n
+    entries = [0] * (n * (n - 1) // 2)
+    for i, start in net.leaf_items[:-1]:
+        (b0,) = blocks_at[start]
+        (v0,) = adj[start]
+        stack = [(v0, b0, 1)]
+        while stack:
+            v, came, divisor = stack.pop()
+            j = leaf_of_node.get(v)
+            if j is not None:
+                if j > i:
+                    entries[pair_index(i, j, n)] = full // divisor
+                continue
+            divisor *= len(blocks_at[v]) - 1
+            for bi in blocks_at[v]:
+                if bi != came:
+                    # a bridge leads to its far end; a cycle, crossed at 2,
+                    # to v's two ring neighbours, the only exits that keep
+                    # i and j side by side
+                    b = blocks[bi]
+                    step = divisor * (2 if b.kind == CYCLE else 1)
+                    stack.extend(
+                        (u, bi, step) for u in adj[v] if edge_key(v, u) in b.edges
+                    )
+    return XVector(n, tuple(entries))
 
 
 def vertex_vector_by_orders(net: PhyloNetwork) -> XVector:
     """Sum of adjacency incidence vectors over all consistent orders.
 
-    Defined for any 1-nested network, binary or not; it enumerates every
-    consistent order and serves as the independent oracle for
-    :func:`vertex_vector`.
+    An oracle only: it enumerates every consistent order, exponential in
+    the network's size, to check :func:`vertex_vector` against; no
+    command reaches it.
     """
     n = net.n
     entries = [0] * (n * (n - 1) // 2)
@@ -317,10 +338,10 @@ def face_minimization_report(net: PhyloNetwork, metric: str = "resistance") -> F
     )
     lhs = rhs = None
     if metric == "resistance":
-        x_general = vertex_vector_by_orders(net)
+        x = vertex_vector(net)
         rebuilt = weighted_network_from_splits(resistance_split_system_direct(net))
-        lhs = x_general.dot(d)
-        rhs = x_general.dot(min_path_vector(rebuilt))
+        lhs = x.dot(d)
+        rhs = x.dot(min_path_vector(rebuilt))
     return FaceReport(
         metric=metric,
         k=k,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -598,6 +599,7 @@ def parse_split_system(text: str, exact: bool = False) -> WeightedSplitSystem:
         if len(head) >= 4 and head[2] == "order" and head[3] != "-":
             order = CircularOrder(tuple(int(x) for x in head[3].split(",")))
     entries = []
+    first_line: dict[Split, int] = {}
     for lineno, raw, ln in lines[1:]:
         with line_errors(lineno, raw):
             w_txt, a_txt, b_txt = (part.strip() for part in ln.split("|"))
@@ -608,7 +610,17 @@ def parse_split_system(text: str, exact: bool = False) -> WeightedSplitSystem:
             raise ValidationError(
                 f"line {lineno}: sides do not partition 1..{n} in {raw!r}"
             )
-        entries.append((Split(side, n), weight))
+        if isinstance(weight, float) and not math.isfinite(weight):
+            raise ValidationError(f"line {lineno}: non-finite weight in {raw!r}")
+        if weight is not None and weight < 0:
+            raise ValidationError(f"line {lineno}: negative weight in {raw!r}")
+        split = Split(side, n)
+        if split in first_line:
+            raise ValidationError(
+                f"line {lineno}: split {split} repeats line {first_line[split]}"
+            )
+        first_line[split] = lineno
+        entries.append((split, weight))
     if order is not None:
         return CircularSplitSystem.of_order(n, entries, order)
     return WeightedSplitSystem.of(n, entries)

@@ -131,6 +131,20 @@ def two_cycles_with_bridge() -> PhyloNetwork:
     return validate(labels, edges)
 
 
+def two_squares_on_one_node() -> PhyloNetwork:
+    """9 leaves, two 4-cycles meeting at the leafless node h; ring nodes
+    a1, a3 and b2 carry two leaves each."""
+    edges = [
+        ("h", "a1", F(1)), ("a1", "a2", F(1)), ("a2", "a3", F(1)),
+        ("a3", "h", F(1)), ("h", "b1", F(1)), ("b1", "b2", F(1)),
+        ("b2", "b3", F(1)), ("b3", "h", F(1)),
+    ]
+    hosts = ["a1", "a1", "a2", "a3", "a3", "b1", "b2", "b2", "b3"]
+    for i, host in enumerate(hosts, start=1):
+        edges.append((f"x{i}", host, F(1)))
+    return validate({i: f"x{i}" for i in range(1, 10)}, edges)
+
+
 def two_leaf_edge(w=F(5)) -> PhyloNetwork:
     return validate({1: "x1", 2: "x2"}, [("x1", "x2", w)])
 

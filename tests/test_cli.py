@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phylocircuit import linalg, metrics, netgraph
+from phylocircuit import linalg, metrics, netgraph, polytope
 from phylocircuit.cli import main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, network_to_text
@@ -20,6 +20,7 @@ from fixtures import (
     k33_with_leaves,
     quartet_tree,
     square_with_pendants,
+    star,
     two_cycles_with_bridge,
 )
 
@@ -117,6 +118,15 @@ def test_split_line_with_a_stray_second_side_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "exterior", str(bad))
     assert (code, out) == (1, "")
     assert err.startswith("error: ValidationError: line 2: sides do not partition")
+
+
+def test_split_given_twice_exits_one(tmp_path, capsys):
+    # the second copy of {1}|{2,3,4} was summed in: pendant weight 2, exit 0
+    bad = tmp_path / "twice.splits"
+    bad.write_text("n 4 order 1,2,3,4\n1 | 1 | 2,3,4\n" + _TRIVIAL_4)
+    code, out, err = run(capsys, "exterior", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: ValidationError: line 3: split {1}|{2,3,4} repeats line 2\n"
 
 
 def _run_cli_process(*argv, flags=(), **env):
@@ -370,10 +380,13 @@ def _forbid(monkeypatch, original):
                     monkeypatch.setattr(module, attr, forbidden)
 
 
-def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, capsys):
+def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, square_file, capsys):
     _forbid(monkeypatch, netgraph.consistent_orders)
+    _forbid(monkeypatch, polytope.vertex_vector_by_orders)
     net_file = tmp_path / "two-cycles.net"
     net_file.write_text(network_to_text(two_cycles_with_bridge()))
+    star_file = tmp_path / "star.net"
+    star_file.write_text(network_to_text(star(5)))
     code, rw_out, _ = run(capsys, "rw", str(net_file))
     assert code == 0
     splits_file = tmp_path / "two-cycles.splits"
@@ -383,6 +396,11 @@ def test_commands_never_enumerate_consistent_orders(monkeypatch, tmp_path, capsy
         ["invert", str(splits_file), "--exact"],
         ["sw", str(net_file)],
         ["scan", "--conjecture", "faithful", "--trials", "3", "--seed", "5"],
+        ["xvector", str(star_file)],
+        ["verify-face", str(star_file), "--metric", "resistance"],
+        ["verify-face", str(star_file), "--metric", "minpath"],
+        ["verify-face", square_file, "--metric", "resistance"],
+        ["verify-face", square_file, "--metric", "minpath"],
     ):
         code, _, _ = run(capsys, *argv)
         assert code == 0, argv

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phylocircuit.errors import NotBinaryError, OutOfRangeError
+from phylocircuit.errors import NotOneNestedError, OutOfRangeError
 from phylocircuit.metrics import resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, bridges, classify, is_binary
 from phylocircuit.polytope import (
@@ -19,7 +19,19 @@ from phylocircuit.polytope import (
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.splits import displayed_splits
 
-from fixtures import decomposed_resistance_splits, quartet_tree, square_with_pendants, star
+from fixtures import (
+    decomposed_resistance_splits,
+    k33_with_leaves,
+    quartet_tree,
+    ring_with_pendants,
+    square_with_pendants,
+    star,
+    triangle_with_leaves,
+    two_cycles_with_bridge,
+    two_leaf_edge,
+    two_squares_on_one_node,
+    with_chord,
+)
 
 F = Fraction
 
@@ -36,9 +48,10 @@ def test_square_vertex_vector():
     assert vertex_vector(square_with_pendants()).entries == (1, 0, 1, 1, 0, 1)
 
 
-def test_vertex_vector_rejects_non_binary():
-    with pytest.raises(NotBinaryError):
-        vertex_vector(star(5))
+def test_vertex_vector_on_non_binary_star():
+    # each pair sits at the 5-way junction: (5-2)! arrangements keep it adjacent
+    assert vertex_vector(star(5)) == vertex_vector_by_orders(star(5))
+    assert vertex_vector(star(5)).entries == tuple([6] * 10)
 
 
 def test_general_vector_on_stars():
@@ -47,10 +60,45 @@ def test_general_vector_on_stars():
 
 
 def test_vertex_vector_oracle_equivalence_random():
-    rng = random.Random(19)
-    for _ in range(15):
-        net = random_one_nested(rng.randint(4, 7), rng, binary=True)
+    for n in range(2, 15):
+        for s in range(3):
+            for binary in (True, False):
+                net = random_one_nested(n, random.Random(1000 * n + s), binary=binary)
+                assert vertex_vector(net) == vertex_vector_by_orders(net), (n, s, binary)
+
+
+def test_vertex_vector_oracle_equivalence_fixtures():
+    for net in (
+        quartet_tree(),
+        star(3),
+        square_with_pendants(),
+        ring_with_pendants(6),
+        triangle_with_leaves(),
+        two_cycles_with_bridge(),
+        two_leaf_edge(),
+    ):
         assert vertex_vector(net) == vertex_vector_by_orders(net)
+
+
+def test_vertex_vector_two_squares_on_one_node():
+    # h carries two cycles and nothing else; a ring node with two leaves
+    # gives 2! off the path and 1! on it, a cycle 2 off the path
+    net = two_squares_on_one_node()
+    x = vertex_vector(net)
+    assert x == vertex_vector_by_orders(net)
+    assert x.value(1, 2) == 2 * 2 * 2 * 2  # a3, b2, both cycles
+    assert x.value(1, 3) == 2 * 2 * 2  # a3, b2, the b cycle
+    assert x.value(1, 6) == 2 * 2  # a3, b2; both cycles crossed
+    assert x.value(2, 4) == 0  # a1 and a3 are not neighbours on their ring
+
+
+def test_vertex_vector_rejects_level_two():
+    net = with_chord(two_cycles_with_bridge(), random.Random(3))
+    assert classify(net).level == 2
+    with pytest.raises(NotOneNestedError):
+        vertex_vector(net)
+    with pytest.raises(NotOneNestedError):
+        vertex_vector(k33_with_leaves())
 
 
 def test_vertex_vector_entries_powers_of_two_and_sum():

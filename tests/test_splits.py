@@ -454,6 +454,24 @@ def test_split_line_sides_must_partition(line):
         parse_split_system(text)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 | 1 | 2,3,4", r"line 3: split \{1\}\|\{2,3,4\} repeats line 2"),
+        ("-1 | 2 | 1,3,4", "line 3: negative weight in '-1 | 2 | 1,3,4'"),
+        ("nan | 2 | 1,3,4", "line 3: non-finite weight in 'nan | 2 | 1,3,4'"),
+        ("inf | 2 | 1,3,4", "line 3: non-finite weight in 'inf | 2 | 1,3,4'"),
+    ],
+    ids=["repeated-split", "negative", "nan", "inf"],
+)
+def test_split_line_weight_and_repeat_name_the_line(line, message):
+    # a repeated split was summed into the first, a negative weight raised
+    # with no line, and nan surfaced later as a non-finite edge weight
+    text = "n 4 order 1,2,3,4\n1 | 1 | 2,3,4\n" + line + "\n"
+    with pytest.raises(ValidationError, match=message):
+        parse_split_system(text)
+
+
 def test_split_system_empty_file():
     with pytest.raises(SizeMismatchError, match="empty"):
         parse_split_system("# nothing\n")
