@@ -36,6 +36,13 @@ def _load_net(path: str) -> netgraph.PhyloNetwork:
     return netgraph.load_network(path)
 
 
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _order_from_arg(text: str) -> netgraph.CircularOrder:
     try:
         return netgraph.CircularOrder(tuple(int(x) for x in text.split(",")))
@@ -489,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument(
-        "--precision", type=int, default=6, help="significant digits for floats"
+        "--precision", type=_precision, default=6, help="significant digits for floats"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

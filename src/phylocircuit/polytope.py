@@ -260,9 +260,11 @@ class MinimizationResult:
     vectors: tuple[XVector, ...]
 
 
-def minimize_over_vertices(
-    d: DistanceVector, n: int, k: int, tol: float = 1e-9
-) -> MinimizationResult:
+#: relative gap under which float objective values tie at the minimum
+_TIE_TOL = 1e-9
+
+
+def minimize_over_vertices(d: DistanceVector, n: int, k: int) -> MinimizationResult:
     """Exhaustive argmin of x . d over the BME(n, k) vertex set.
 
     Ties are reported in full (a face, not an error).  Comparisons are
@@ -276,7 +278,7 @@ def minimize_over_vertices(
     if d.is_exact:
         hits = [i for i, v in enumerate(values) if v == best]
     else:
-        cut = float(best) + tol * max(1.0, abs(float(best)))
+        cut = float(best) + _TIE_TOL * max(1.0, abs(float(best)))
         hits = [i for i, v in enumerate(values) if float(v) <= cut]
     return MinimizationResult(
         value=best,

@@ -159,13 +159,9 @@ def resistance_split_system_direct(net: PhyloNetwork) -> CircularSplitSystem:
     return CircularSplitSystem.of_order(net.n, totals, canonical_order(net))
 
 
-def min_path_split_system(
-    net: PhyloNetwork, order: CircularOrder | None = None
-) -> CircularSplitSystem:
+def min_path_split_system(net: PhyloNetwork) -> CircularSplitSystem:
     """Decompose the minimum path vector; accepts outer-planar level-2 input."""
     d = min_path_vector(net)
-    if order is not None:
-        return circular_decomposition(d, order).system
     cls = classify(net)
     if cls.level is not None and cls.level <= 1:
         # alternating leaf paths around an outer-planar drawing cross, so

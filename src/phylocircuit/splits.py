@@ -6,13 +6,15 @@ the splits a 1-nested network displays, each an arc of its canonical
 order read off the outward walk from leaf 1; ``network_from_splits``
 rebuilds the unique 1-nested network from a circular system by grouping
 mutually crossing splits into cycles and lone splits into bridges, then
-hanging everything along the circular order.  The weighted variant sums,
-onto each rebuilt edge, the weights of the splits that were smoothed into
-it.
+hanging every class and leaf from the innermost class whose span holds it,
+in one stack sweep along the circular order.  Every node the sweep makes
+has degree at least 3, so nothing is smoothed.  The weighted variant gives
+each rebuilt edge the total weight of the splits it carries.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -288,13 +290,17 @@ def crosses(s1: Split, s2: Split) -> bool:
 
 @dataclass
 class _Object:
-    kind: str  # "bridge" or "cycle"
+    """A crossing class: one split makes a bridge, more make a cycle.
+
+    ``gaps`` are the boundaries (gap g lies between positions g and g+1) at
+    which its splits start or end, so its span is ``gaps[0] + 1 .. gaps[-1]``;
+    ``children`` are the leaf positions and objects hanging from it, in
+    position order.
+    """
+
     splits: list[Split]
     gaps: list[int]
-    lo: int
-    hi: int
-    children: list
-    corner_leaves: dict | None = None
+    children: list = dataclasses.field(default_factory=list)
 
 
 def _crossing_classes(
@@ -320,202 +326,91 @@ def _crossing_classes(
     return [sorted(g, key=_sort_key) for g in groups.values()]
 
 
-def _build_objects(system: CircularSplitSystem) -> list[_Object]:
-    order = system.order
-    nontrivial = sorted(
-        (s for s, _ in system.entries if not s.is_trivial), key=_sort_key
-    )
-    intervals = {s: _interval(s, order) for s in nontrivial}
-    objects = []
-    for group in _crossing_classes(nontrivial, intervals):
-        gapset: set[int] = set()
-        for s in group:
-            lo, hi = intervals[s]
-            gapset.update((lo - 1, hi))
-        kind = BRIDGE if len(group) == 1 else CYCLE
-        if kind == CYCLE and len(gapset) < 4:
-            raise NotRealizableError(
-                f"crossing class on {len(gapset)} boundary gaps cannot form a"
-                " triangle-free cycle"
-            )
-        lo = min(intervals[s][0] for s in group)
-        hi = max(intervals[s][1] for s in group)
-        objects.append(
-            _Object(
-                kind=kind,
-                splits=group,
-                gaps=sorted(gapset),
-                lo=lo,
-                hi=hi,
-                children=[],
-            )
-        )
-    objects.sort(key=lambda o: (o.lo, o.hi, o.kind))
-    return objects
-
-
-def _contains(a: _Object, b: _Object) -> bool:
-    if a is b:
-        return False
-    if (a.lo, a.hi) == (b.lo, b.hi):
-        return a.kind == BRIDGE and b.kind == CYCLE
-    return a.lo <= b.lo and b.hi <= a.hi
-
-
-def _host_key(o: _Object):
-    # smallest span first; cycles beat an equal-span bridge for contents
-    return (o.hi - o.lo, o.lo, 0 if o.kind == CYCLE else 1)
-
-
-class _Assembler:
-    def __init__(self, system: CircularSplitSystem):
-        self.system = system
-        self.order = system.order
-        self.n = system.n
-        self.counter = 0
-        self.edges: list[tuple[str, str, set[Split]]] = []
-        self.objects = _build_objects(system)
-
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"v{self.counter}"
-
-    def run(self) -> tuple[dict[int, str], list[tuple[str, str, set[Split]]]]:
-        roots: list[_Object] = []
-        for obj in self.objects:
-            hosts = [o for o in self.objects if _contains(o, obj)]
-            if hosts:
-                min(hosts, key=_host_key).children.append(obj)
-            else:
-                roots.append(obj)
-        leaf_hosts: dict[int, _Object | None] = {}
-        for p in range(1, self.n + 1):
-            cands = [o for o in self.objects if o.lo <= p <= o.hi]
-            leaf_hosts[p] = min(cands, key=_host_key) if cands else None
-        for p, host in leaf_hosts.items():
-            if host is not None:
-                host.children.append(p)
-        root_node = self.fresh()
-        for p, host in leaf_hosts.items():
-            if host is None:
-                self.add_pendant(root_node, p)
-        for obj in roots:
-            self.realize(obj, root_node)
-        leaves = {
-            self.order.labels[p - 1]: f"x{self.order.labels[p - 1]}"
-            for p in range(1, self.n + 1)
-        }
-        return leaves, self.edges
-
-    def add_pendant(self, node: str, position: int) -> None:
-        label = self.order.labels[position - 1]
-        self.edges.append(
-            (node, f"x{label}", {trivial_split(label, self.n)})
-        )
-
-    def realize(self, obj: _Object, parent_node: str) -> None:
-        if obj.kind == BRIDGE:
-            junction = self.fresh()
-            self.edges.append((parent_node, junction, set(obj.splits)))
-            for child in sorted(obj.children, key=_child_key):
-                if isinstance(child, int):
-                    self.add_pendant(junction, child)
-                else:
-                    self.realize(child, junction)
-            return
-        gaps = obj.gaps
-        m = len(gaps)
-        ring = [parent_node] + [self.fresh() for _ in range(m - 1)]
-        intervals = {s: _interval(s, self.order) for s in obj.splits}
-        # cycle edge for gap g_t joins ring[t-1] and ring[t mod m] (1-based t)
-        for t in range(1, m + 1):
-            u = ring[t - 1]
-            v = ring[t % m]
-            gap = gaps[t - 1]
-            tags = {
-                s
-                for s in obj.splits
-                if gap in (intervals[s][0] - 1, intervals[s][1])
-            }
-            self.edges.append((u, v, tags))
-        for child in sorted(obj.children, key=_child_key):
-            placed = False
-            for t in range(1, m):
-                low, high = gaps[t - 1], gaps[t]
-                if isinstance(child, int):
-                    ok = low < child <= high
-                else:
-                    ok = low < child.lo and child.hi <= high
-                if ok:
-                    node = ring[t]
-                    if isinstance(child, int):
-                        self.add_pendant(node, child)
-                    else:
-                        self.realize(child, node)
-                    placed = True
-                    break
-            if not placed:
-                raise NotRealizableError(
-                    f"item {child} straddles the corners of a rebuilt cycle"
-                )
-
-
-def _child_key(child) -> tuple:
-    if isinstance(child, int):
-        return (child, child)
-    return (child.lo, child.hi)
-
-
 def _rebuild(
     system: CircularSplitSystem, weigh: Callable[[Iterable[Split]], Value]
 ) -> PhyloNetwork:
-    """Assemble the network of a circular system and smooth its degree-2
-    junctions; ``weigh`` turns the set of splits an edge carries into its
-    weight."""
+    """Hang the crossing classes and leaves of a circular system in one
+    sweep and build its network; ``weigh`` turns the splits an edge carries,
+    in ``_sort_key`` order, into its weight."""
     if not isinstance(system, CircularSplitSystem):
         raise PhyloCircuitError(
             "split file needs an order header to rebuild a network"
         )
+    n, labels = system.n, system.order.labels
     present = system.splits
-    missing = [
-        lab
-        for lab in range(1, system.n + 1)
-        if trivial_split(lab, system.n) not in present
-    ]
+    missing = [lab for lab in range(1, n + 1) if trivial_split(lab, n) not in present]
     if missing:
         raise MissingTrivialSplitsError(f"missing trivial splits for {missing}")
-    if system.n == 2:
-        return PhyloNetwork.build(
-            {1: "x1", 2: "x2"}, [("x1", "x2", weigh(system.splits))], strict=True
-        )
-    leaves, tagged = _Assembler(system).run()
-    net = PhyloNetwork.build(
-        leaves,
-        [(u, v, Fraction(1)) for u, v, _ in tagged],
-        strict=False,
-    )
-    # smooth with tag bookkeeping
-    tags = {edge_key(u, v): set(ts) for u, v, ts in tagged}
-    adj = {v: dict(nbrs) for v, nbrs in net.adjacency.items()}
-    leaf_nodes = set(net.leaf_of_node)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in leaf_nodes or len(adj[v]) != 2:
-                continue
-            (a, _), (b, _) = sorted(adj[v].items())
-            if a == b or b in adj[a]:
-                continue
-            union = tags.pop(edge_key(v, a)) | tags.pop(edge_key(v, b))
-            del adj[v]
-            del adj[a][v]
-            del adj[b][v]
-            adj[a][b] = 1
-            adj[b][a] = 1
-            tags[edge_key(a, b)] = union
-            changed = True
-    edges = [(*sorted(key), weigh(ts)) for key, ts in tags.items()]
+    leaves = {lab: f"x{lab}" for lab in labels}
+    if n == 2:
+        return PhyloNetwork.build(leaves, [("x1", "x2", weigh(present))], strict=True)
+    intervals = {
+        s: _interval(s, system.order) for s, _ in system.entries if not s.is_trivial
+    }
+    # spans of crossing classes nest, and a bridge's span holds a cycle's
+    # equal one, so sorted by (left end, -right end, bridge, cycle, leaf)
+    # each item hangs from the innermost object still open
+    keyed: list[tuple[tuple[int, int, int], int | _Object]] = [
+        ((p, -p, 2), p) for p in range(1, n + 1)
+    ]
+    for group in _crossing_classes(sorted(intervals, key=_sort_key), intervals):
+        ends = (intervals[s] for s in group)
+        gaps = sorted({g for lo, hi in ends for g in (lo - 1, hi)})
+        if len(group) > 1 and len(gaps) < 4:
+            raise NotRealizableError(
+                f"crossing class on {len(gaps)} boundary gaps cannot form a"
+                " triangle-free cycle"
+            )
+        obj = _Object(group, gaps)
+        keyed.append(((gaps[0] + 1, -gaps[-1], int(len(group) > 1)), obj))
+    top: list[int | _Object] = []
+    stack: list[_Object] = []
+    for (lo, _, _), item in sorted(keyed, key=lambda kv: kv[0]):
+        while stack and stack[-1].gaps[-1] < lo:
+            stack.pop()
+        (stack[-1].children if stack else top).append(item)
+        if isinstance(item, _Object):
+            stack.append(item)
+
+    names = (f"v{k}" for k in itertools.count(1))
+    edges: list[tuple[str, str, Value]] = []
+
+    def hang(node: str, item: int | _Object) -> None:
+        if isinstance(item, int):
+            label = labels[item - 1]
+            edges.append((node, f"x{label}", weigh([trivial_split(label, n)])))
+        elif len(item.splits) == 1:
+            junction = next(names)
+            edges.append((node, junction, weigh(item.splits)))
+            for child in item.children:
+                hang(junction, child)
+        else:
+            gaps = item.gaps
+            ring = [node] + [next(names) for _ in gaps[1:]]
+            tags: dict[int, list[Split]] = {g: [] for g in gaps}
+            for s in item.splits:
+                lo, hi = intervals[s]
+                tags[lo - 1].append(s)
+                tags[hi].append(s)
+            # the ring edge at gaps[t] joins ring[t] and ring[t + 1]
+            for t, g in enumerate(gaps):
+                edges.append((ring[t], ring[(t + 1) % len(ring)], weigh(tags[g])))
+            for child in item.children:
+                lo, hi = (
+                    (child, child)
+                    if isinstance(child, int)
+                    else (child.gaps[0] + 1, child.gaps[-1])
+                )
+                t = bisect.bisect_left(gaps, lo)  # gaps[t - 1] < lo <= gaps[t]
+                if hi > gaps[t]:
+                    raise NotRealizableError(
+                        f"item {child} straddles the corners of a rebuilt cycle"
+                    )
+                hang(ring[t], child)
+
+    root = next(names)
+    for item in top:
+        hang(root, item)
     return PhyloNetwork.build(leaves, edges, strict=True)
 
 
@@ -523,16 +418,19 @@ def network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
     """The unique 1-nested network displaying (at least) these splits.
 
     Mutually crossing splits become cycles, lone nontrivial splits become
-    bridges, trivial splits become pendant edges; junctions left with
-    degree 2 are smoothed away.  All edges get unit weight.
+    bridges, trivial splits become pendant edges, each hung from the
+    innermost class whose span holds it; no junction is left with degree 2,
+    so no smoothing is needed.  All edges get unit weight.
     """
     return _rebuild(system, lambda tags: Fraction(1))
 
 
 def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
-    """Weighted rebuild: each edge carries the total weight of the splits
-    smoothed into it.  Zero-weight splits are dropped first (flagged
-    convention), so every trivial split must still have positive weight."""
+    """Weighted rebuild: each edge weighs the total, in split order, of the
+    splits it carries: a pendant or bridge edge its one split, a cycle edge
+    every split of its cycle that starts or ends at its gap.  Zero-weight
+    splits are dropped first (flagged convention), so every trivial split
+    must still have positive weight."""
     if not system.is_weighted:
         raise SizeMismatchError("weighted rebuild needs weights on every split")
     system = system.drop_zero_weights()
@@ -546,16 +444,13 @@ def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
 # predicates tying the maps together
 
 
-def is_outer_path(system: CircularSplitSystem, tol: float | None = None) -> bool:
+def is_outer_path(system: CircularSplitSystem) -> bool:
     """True iff the weighted rebuild reproduces the split metric as its
     minimum path metric."""
     rebuilt = weighted_network_from_splits(system)
     got = min_path_vector(rebuilt)
     want = split_metric(system)
-    return all(
-        values_close(a, b, tol) if tol is not None else values_close(a, b)
-        for a, b in zip(got.values, want.values)
-    )
+    return all(values_close(a, b) for a, b in zip(got.values, want.values))
 
 
 def is_faithfully_phylogenetic(system: CircularSplitSystem) -> bool:

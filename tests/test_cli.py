@@ -222,6 +222,66 @@ def test_kalmanson_not_found_on_k33(k33_dist_file, capsys):
     assert "orders_checked: 60" in out
 
 
+def test_kalmanson_report_on_given_order(k33_dist_file, capsys):
+    code, out, _ = run(
+        capsys, "kalmanson", k33_dist_file, "--exact", "--order", "1,2,3,4,5,6"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "order: (1,2,3,4,5,6)",
+        "kalmanson: false",
+        "equalities: 6",
+        "violations: 9",
+        "max_violation: 2/9",
+        "first_violation: (1, 2, 4, 5) by 2/9",
+    ]
+    code, out, _ = run(
+        capsys, "--json", "kalmanson", k33_dist_file, "--exact",
+        "--order", "1,2,3,4,5,6",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "order": [1, 2, 3, 4, 5, 6],
+        "kalmanson": False,
+        "equalities": 6,
+        "violations": 9,
+        "max_violation": "2/9",
+    }
+
+
+def test_kalmanson_report_passes_on_square(square_file, tmp_path, capsys):
+    dist = str(tmp_path / "sq.dist")
+    assert run(capsys, "dist", square_file, "-o", dist)[0] == 0
+    code, out, _ = run(capsys, "kalmanson", dist, "--exact", "--order", "1,2,3,4")
+    assert code == 0
+    assert "kalmanson: true" in out.splitlines()
+    assert "violations: 0" in out.splitlines()
+    code, out, _ = run(
+        capsys, "--json", "kalmanson", dist, "--exact", "--order", "1,2,3,4"
+    )
+    doc = json.loads(out)
+    assert (doc["kalmanson"], doc["violations"]) == (True, 0)
+
+
+@pytest.mark.parametrize("precision", ["-1", "0"])
+def test_precision_below_one_is_usage_error(tmp_path, capsys, precision):
+    net = square_with_pendants()
+    path = tmp_path / "float.net"
+    path.write_text(
+        network_to_text(
+            PhyloNetwork.build(
+                net.leaves, [(u, v, float(w) * 1.37) for u, v, w in net.edge_items]
+            )
+        )
+    )
+    with pytest.raises(SystemExit) as info:
+        main(["--precision", precision, "dist", str(path)])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --precision: must be at least 1" in out.err
+
+
 def test_decompose_json(square_file, tmp_path, capsys):
     out_file = str(tmp_path / "sq.dist")
     run(capsys, "dist", square_file, "-o", out_file)

@@ -414,6 +414,21 @@ def test_heuristic_search_on_resistance_metric():
         assert is_kalmanson(d, result.order).passed
 
 
+def test_heuristic_search_miss_above_exhaustive_cap():
+    # K3,3 with a leaf on every node and a second leaf on four of them: 10
+    # leaves, no Kalmanson order, so the failed chain is the one order checked
+    core = ["r1", "r2", "r3", "b1", "b2", "b3"]
+    edges = [(r, b, F(1)) for r in core[:3] for b in core[3:]]
+    edges += [(f"x{i}", v, F(1)) for i, v in enumerate(core + core[:4], start=1)]
+    net = PhyloNetwork.build({i: f"x{i}" for i in range(1, 11)}, edges)
+    d = resistance_vector(net)
+    result = find_kalmanson_order(d, mode="heuristic")
+    assert not result.found
+    assert result.orders_checked == 1
+    assert result.best_violation == F(2, 9)
+    assert is_kalmanson(d, result.best_order).max_violation == F(2, 9)
+
+
 def test_theorem_one_on_every_consistent_order():
     from phylocircuit.netgraph import consistent_orders
 

@@ -47,6 +47,7 @@ from phylocircuit.splits import (
 
 from fixtures import (
     decomposed_resistance_splits,
+    k33_with_leaves,
     quartet_tree,
     ring_with_pendants,
     scan_corpus,
@@ -408,6 +409,14 @@ def test_min_path_of_rebuild_is_fixed_point():
         assert sys.same_weighted_splits(again)
 
 
+def test_min_path_system_rejects_k33():
+    # K3,3 is level 2 and its min-path vector has no Kalmanson order
+    with pytest.raises(NotKalmansonError) as info:
+        min_path_split_system(k33_with_leaves())
+    assert info.value.quadruple == (1, 2, 4, 5)
+    assert info.value.amount == 2
+
+
 def test_min_path_system_on_two_nested_input():
     from phylocircuit.enum2 import add_heavy_chord
 
@@ -625,6 +634,39 @@ def test_invert_exact_on_seeded_corpus():
         for binary in (True, False):
             net = random_one_nested(n, random.Random(7919 * n + 1), binary=binary)
             _assert_exact_inverse(resistance_split_system_direct(net))
+
+
+def _assert_float_inverse(system):
+    # float weights: the rebuilt network's splits match within 1e-9 relative
+    back = invert_to_network(system)
+    assert not back.is_exact
+    check = resistance_split_system_direct(back)
+    assert check.splits == system.splits
+    got = dict(check.entries)
+    for s, w in system.entries:
+        assert abs(got[s] - w) <= 1e-9 * abs(w)
+    return back
+
+
+def _scaled(system, scale):
+    return CircularSplitSystem.of_order(
+        system.n, [(s, float(w) * scale) for s, w in system.entries], system.order
+    )
+
+
+def test_invert_float_asymmetric_square_with_free_shares():
+    net = square_with_pendants(
+        cycle_weights=[F(1), F(7, 3), F(9), F(4)],
+        pendant_weights=[F(1, 2), F(1), F(2), F(1)],
+    )
+    _assert_float_inverse(_scaled(decomposed_resistance_splits(net), 1.37))
+
+
+def test_invert_float_on_seeded_corpus():
+    for n in range(6, 31, 4):
+        for binary in (True, False):
+            net = random_one_nested(n, random.Random(7919 * n + 1), binary=binary)
+            _assert_float_inverse(_scaled(resistance_split_system_direct(net), 1.37))
 
 
 def test_invert_split_of_a_node_on_two_squares():

@@ -478,13 +478,11 @@ def test_split_system_empty_file():
 
 
 def test_rebuild_superset_fuzz():
-    # random interval systems: the rebuild either reports NotRealizable or
-    # displays a superset of the input splits
+    # random interval systems: the spans of their crossing classes nest, so
+    # every one rebuilds, and the rebuild displays a superset of its splits
     import random as _random
-    from phylocircuit.errors import NotRealizableError
 
     rng = _random.Random(2024)
-    built = 0
     for _ in range(60):
         n = rng.randint(5, 8)
         order = CircularOrder(tuple(range(1, n + 1)))
@@ -499,13 +497,8 @@ def test_rebuild_superset_fuzz():
             (Split(set(range(lo, hi + 1)), n), F(1)) for lo, hi in chosen
         ]
         system = CircularSplitSystem.of_order(n, entries, order)
-        try:
-            rebuilt = network_from_splits(system.strip_weights())
-        except NotRealizableError:
-            continue
-        built += 1
+        rebuilt = network_from_splits(system.strip_weights())
         assert displayed_splits(rebuilt).splits >= system.splits
-    assert built >= 40
 
 
 def test_separating_splits_come_from_pairwise_circuit_displays():
