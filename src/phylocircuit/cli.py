@@ -518,7 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kalmanson", help="circular-inequality check or search")
     p.add_argument("distances")
     p.add_argument("--order", help="comma-separated leaf order")
-    p.add_argument("--search", choices=("exact", "heuristic"), default="exact")
+    p.add_argument(
+        "--search",
+        choices=("exact", "heuristic"),
+        default="exact",
+        help="exact: try every order (n <= 9), report the first that passes "
+        "or the least maximum violation; heuristic: check NeighborNet's "
+        "order, a Kalmanson order whenever one exists (any n), and fall "
+        "back to exact for n <= 9 when it fails",
+    )
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_kalmanson)

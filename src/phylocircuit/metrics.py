@@ -341,15 +341,13 @@ class KalmansonReport:
         return max((v for _, v in self.violations), default=Fraction(0))
 
 
-def _position_table(
-    d: DistanceVector, order: CircularOrder
-) -> tuple[list[list[Value | int]], int]:
-    """Distances between the labels at each pair of positions of ``order``.
+def _label_table(d: DistanceVector) -> tuple[list[list[Value | int]], int]:
+    """Distances by label: ``full[i][j]`` is d(i, j), 0 on the diagonal.
 
-    ``rows[p][q]`` is d(labels[p], labels[q]), 0 on the diagonal.  For exact
-    ``d`` the entries are Python ints, each distance times ``scale``, the
-    lcm of the denominators, so sums and comparisons need no Fraction
-    arithmetic; otherwise they are the values unchanged and ``scale`` is 1.
+    For exact ``d`` the entries are Python ints, each distance times
+    ``scale``, the lcm of the denominators, so sums and comparisons need no
+    Fraction arithmetic; otherwise they are the values unchanged and
+    ``scale`` is 1.
     """
     n = d.n
     values = d.values
@@ -360,9 +358,55 @@ def _position_table(
     full = [[0] * (n + 1) for _ in range(n + 1)]
     for (i, j), v in zip(pair_iter(n), values):
         full[i][j] = full[j][i] = v
+    return full, scale
+
+
+def _position_table(
+    d: DistanceVector, order: CircularOrder
+) -> tuple[list[list[Value | int]], int]:
+    """Distances between the labels at each pair of positions of ``order``:
+    ``rows[p][q]`` is d(labels[p], labels[q]), scaled as in _label_table."""
+    full, scale = _label_table(d)
     labels = order.labels
-    rows = [[full[i][j] for j in labels] for i in labels]
-    return rows, scale
+    return [[full[i][j] for j in labels] for i in labels], scale
+
+
+def _scan(rows: list[list], eps: Value) -> tuple[list[tuple], int]:
+    """The circular inequality on every quadruple of positions a < b < c < e.
+
+    The excess of a quadruple is max(d_ab + d_ce, d_bc + d_ae) -
+    (d_ac + d_be), in the units of ``rows``.  Returns the violations
+    (a, b, c, e, excess) with excess > eps, in lexicographic order, and the
+    number of equalities, |excess| <= eps.
+    """
+    n = len(rows)
+    neg_eps = -eps
+    violations = []
+    equalities = 0
+    for a in range(n - 3):
+        row_a = rows[a]
+        for b in range(a + 1, n - 2):
+            row_b = rows[b]
+            d_ab = row_a[b]
+            for c in range(b + 1, n - 1):
+                row_c = rows[c]
+                d_ac = row_a[c]
+                d_bc = row_b[c]
+                for e in range(c + 1, n):
+                    left = d_ab + row_c[e]
+                    right = d_bc + row_a[e]
+                    excess = (right if right > left else left) - (
+                        d_ac + row_b[e]
+                    )
+                    if excess > eps:
+                        violations.append((a, b, c, e, excess))
+                    elif excess >= neg_eps:
+                        equalities += 1
+    return violations, equalities
+
+
+def _tolerance(d: DistanceVector, tol: float | None) -> Value:
+    return 0 if d.is_exact else (FLOAT_TOL if tol is None else tol)
 
 
 def is_kalmanson(
@@ -380,39 +424,38 @@ def is_kalmanson(
     if min(order.labels) < 1 or max(order.labels) > d.n:
         raise SizeMismatchError(f"order {order} is not a permutation of 1..{d.n}")
     exact = d.is_exact
-    eps = 0 if exact else (FLOAT_TOL if tol is None else tol)
-    neg_eps = -eps
     rows, scale = _position_table(d, order)
     labels = order.labels
-    n = d.n
-    violations = []
-    equalities = 0
-    # quadruples of positions a < b < c < e, in lexicographic order
-    for a in range(n - 3):
-        row_a = rows[a]
-        for b in range(a + 1, n - 2):
-            row_b = rows[b]
-            d_ab = row_a[b]
-            for c in range(b + 1, n - 1):
-                row_c = rows[c]
-                d_ac = row_a[c]
-                d_bc = row_b[c]
-                for e in range(c + 1, n):
-                    left = d_ab + row_c[e]
-                    right = d_bc + row_a[e]
-                    excess = (right if right > left else left) - (
-                        d_ac + row_b[e]
-                    )
-                    if excess > eps:
-                        quad = (labels[a], labels[b], labels[c], labels[e])
-                        violations.append((quad, excess))
-                    elif excess >= neg_eps:  # |excess| <= eps
-                        equalities += 1
-    if exact:
-        violations = [(quad, Fraction(x, scale)) for quad, x in violations]
-    return KalmansonReport(
-        order=order, violations=tuple(violations), equalities=equalities
+    found, equalities = _scan(rows, _tolerance(d, tol))
+    violations = tuple(
+        (
+            (labels[a], labels[b], labels[c], labels[e]),
+            Fraction(excess, scale) if exact else excess,
+        )
+        for a, b, c, e, excess in found
     )
+    return KalmansonReport(order=order, violations=violations, equalities=equalities)
+
+
+def _arcs_nonnegative(full: list[list[int]], labels: Sequence[int]) -> bool:
+    """Whether every nontrivial arc of ``labels`` has a nonnegative
+    isolation index, read from the int table ``full`` of _label_table.
+
+    The index of the arc at positions p..q is d(p-1, q) + d(p, q+1) -
+    d(p-1, q+1) - d(p, q), one side of the circular inequality on the
+    quadruple (p-1, p, q, q+1), and each side of the inequality on any
+    quadruple is a sum of such indices.  So on exact input this decides
+    the check in O(n^2) (Christopher, Farach & Trick 1996).  Each split
+    is read once, from the side that misses the last position.
+    """
+    n = len(labels)
+    for p in range(n - 1):
+        before, first = full[labels[p - 1]], full[labels[p]]
+        for q in range(p + 1, n - 1 if p else n - 2):
+            x, y = labels[q], labels[q + 1]
+            if before[x] + first[y] < before[y] + first[x]:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -433,12 +476,113 @@ class OrderSearchResult:
         return self.order is not None
 
 
+def _canonical_labels(n: int) -> Iterator[tuple[int, ...]]:
+    """Label sequences of the canonical orders, lexicographically."""
+    for perm in itertools.permutations(range(2, n + 1)):
+        if n < 3 or perm[0] < perm[-1]:
+            yield (1,) + perm
+
+
 def _canonical_orders(n: int) -> Iterator[CircularOrder]:
-    rest = list(range(2, n + 1))
-    for perm in itertools.permutations(rest):
-        if n >= 3 and perm[0] > perm[-1]:
-            continue
-        yield CircularOrder((1,) + perm)
+    return map(CircularOrder, _canonical_labels(n))
+
+
+def _neighbor_net_order(d: DistanceVector) -> CircularOrder:
+    """The circular order of NeighborNet's agglomeration (Bryant & Moulton
+    2004), with ties going to the first minimum.
+
+    Active nodes form clusters of one or two.  Each round picks the pair
+    of clusters minimising Q = (m-2) d(Ci, Cj) - R_i - R_j over cluster
+    means, then the node pair x in Ci, y in Cj minimising the same form
+    with Ci and Cj split into singletons (m^ = m + |Ci| + |Cj| - 2).  A node
+    with two neighbours x-y-z is reduced to u = 2/3 x + 1/3 y and
+    v = 1/3 y + 2/3 z, with d(u, v) = (d_xy + d_yz + d_xz) / 3.  Once three
+    nodes are left the reductions are undone in reverse, each u, v giving
+    back x, y, z in their place.
+
+    Exact input runs on the ints of _label_table; a reduction triples every
+    active entry first, so the thirds stay integral.  Cluster means are
+    taken times 4 and node sums times 2, again to stay in ints.
+    """
+    n = d.n
+    full, _ = _label_table(d)
+    if d.is_exact:
+        grow, heavy, light, mean = 3, 2, 1, 1
+    else:
+        grow, heavy, light, mean = 1, 2 / 3, 1 / 3, 1 / 3
+    nodes = list(range(1, n + 1))  # ids of the active rows; a leaf's is its label
+    dist = [row[1:] for row in full[1:]]
+    partner: dict[int, int] = {}
+    reductions = []
+
+    def reduce_three(x: int, y: int, z: int) -> tuple[int, int]:
+        nonlocal nodes, dist
+        u = n + 2 * len(reductions) + 1
+        v = u + 1
+        slot = {w: k for k, w in enumerate(nodes)}
+        row_x, row_y, row_z = dist[slot[x]], dist[slot[y]], dist[slot[z]]
+        keep = [k for k, w in enumerate(nodes) if w not in (x, y, z)]
+        to_u = [heavy * row_x[k] + light * row_y[k] for k in keep]
+        to_v = [light * row_y[k] + heavy * row_z[k] for k in keep]
+        d_uv = mean * (row_x[slot[y]] + row_y[slot[z]] + row_x[slot[z]])
+        dist = [
+            [grow * dist[k][l] for l in keep] + [to_u[a], to_v[a]]
+            for a, k in enumerate(keep)
+        ] + [to_u + [0, d_uv], to_v + [d_uv, 0]]
+        nodes = [nodes[k] for k in keep] + [u, v]
+        for w in (x, y, z):
+            partner.pop(w, None)
+        reductions.append((x, y, z, u, v))
+        return u, v
+
+    while len(nodes) > 3:
+        slot = {w: k for k, w in enumerate(nodes)}
+        # each cluster as the slots of its two ends, one slot twice for a
+        # singleton, so that summing over the ends doubles the mean
+        ends = []
+        for k, w in enumerate(nodes):
+            mate = slot[partner[w]] if w in partner else k
+            if mate >= k:
+                ends.append((k, mate))
+        m = len(ends)
+        half = [[row[k] + row[l] for k, l in ends] for row in dist]
+        bar = [[a + b for a, b in zip(half[k], half[l])] for k, l in ends]
+        r = [sum(row) - row[i] for i, row in enumerate(bar)]
+        best = None
+        for i in range(m - 1):
+            row = bar[i]
+            q = [(m - 2) * row[j] - r[j] for j in range(i + 1, m)]
+            low = min(q)
+            if best is None or low - r[i] < best[0]:
+                best = (low - r[i], i, i + 1 + q.index(low))
+        _, i, j = best
+        members = [sorted(set(ends[c])) for c in (i, j)]
+        joined = members[0] + members[1]
+        r_hat = {
+            x: sum(half[x]) - half[x][i] - half[x][j]
+            + 2 * sum(dist[x][z] for z in joined)
+            for x in joined
+        }
+        factor = 2 * (m + len(joined) - 4)
+        x, y = min(
+            ((x, y) for x in members[0] for y in members[1]),
+            key=lambda p: factor * dist[p[0]][p[1]] - r_hat[p[0]] - r_hat[p[1]],
+        )
+        x, y = nodes[x], nodes[y]
+        path = [w for w in (partner.get(x), x, y, partner.get(y)) if w is not None]
+        while len(path) > 2:
+            path = [*reduce_three(*path[:3]), *path[3:]]
+        a, b = path
+        partner[a], partner[b] = b, a
+    order = nodes
+    for x, y, z, u, v in reversed(reductions):
+        k = order.index(u)
+        order = order[k:] + order[:k]
+        if order[1] == v:
+            order = [x, y, z] + order[2:]
+        else:  # v sits just before u
+            order = [x] + order[1:-1] + [z, y]
+    return CircularOrder(order)
 
 
 def find_kalmanson_order(
@@ -446,60 +590,68 @@ def find_kalmanson_order(
 ) -> OrderSearchResult:
     """Search for a circular order under which ``d`` passes the check.
 
-    Exact mode enumerates all (n-1)!/2 canonical orders (n <= 9).
-    Heuristic mode grows a chain by nearest-neighbor joins and falls back
-    to the exact search when the chain fails and n allows it.
+    Heuristic mode takes the order of NeighborNet's agglomeration
+    (_neighbor_net_order) and checks only that one: by the O(n^2) sign
+    test on exact input, by the quadruple scan within the tolerance on
+    float input.  For a Kalmanson metric that order is a Kalmanson order
+    (Bryant, Moulton & Spillner 2007, "Consistency of the Neighbor-Net
+    algorithm").  The same holds for every Kalmanson vector, metric or
+    not: d(x, y) += a_x + a_y changes neither NeighborNet's choices (Q and
+    its node form move by one constant per round, and the reductions carry
+    the terms along) nor the circular inequality, and a large enough a
+    makes any vector a metric.  So on exact input a miss means that no
+    order exists, decided in O(n^3) at any n.  When the order fails, n <= 9
+    falls back to the exhaustive search; above that the order is reported
+    with its maximum violation.
+
+    Exact mode enumerates the (n-1)!/2 canonical orders lexicographically
+    (n <= 9) and returns the first that passes, or, when none does, the
+    first order with the least maximum violation.  On exact input a
+    passing NeighborNet order first tells whether an order exists; if one
+    does, each order is checked by the O(n^2) sign test of its arcs.
     """
+    if mode not in ("exact", "heuristic"):
+        raise ValidationError(
+            f"unknown search mode {mode!r}; expected 'exact' or 'heuristic'"
+        )
     n = d.n
     if n <= 3:
         order = CircularOrder(tuple(range(1, n + 1)))
         return OrderSearchResult(order, order, Fraction(0), 1)
     if mode == "heuristic":
-        order = _chain_order(d)
+        order = _neighbor_net_order(d)
+        if d.is_exact and _arcs_nonnegative(_label_table(d)[0], order.labels):
+            return OrderSearchResult(order, order, Fraction(0), 1)
         report = is_kalmanson(d, order, tol)
         if report.passed:
             return OrderSearchResult(order, order, Fraction(0), 1)
         if n <= 9:
             return find_kalmanson_order(d, "exact", tol)
         return OrderSearchResult(None, order, report.max_violation, 1)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if n > 9:
         raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
-    best_order = None
-    best_violation: Value | None = None
+    full, _ = _label_table(d)
+    if d.is_exact and _arcs_nonnegative(full, _neighbor_net_order(d).labels):
+        for checked, labels in enumerate(_canonical_labels(n), start=1):
+            if _arcs_nonnegative(full, labels):
+                order = CircularOrder(labels)
+                return OrderSearchResult(order, order, Fraction(0), checked)
+    # no order passes on exact input; float input is checked order by order
+    eps = _tolerance(d, tol)
+    best_labels, best_excess = None, None
     checked = 0
-    for order in _canonical_orders(n):
+    for labels in _canonical_labels(n):
         checked += 1
-        report = is_kalmanson(d, order, tol)
-        if report.passed:
+        violations, _ = _scan([[full[i][j] for j in labels] for i in labels], eps)
+        if not violations:
+            order = CircularOrder(labels)
             return OrderSearchResult(order, order, Fraction(0), checked)
-        v = report.max_violation
-        if best_violation is None or v < best_violation:
-            best_order, best_violation = order, v
-    return OrderSearchResult(None, best_order, best_violation, checked)
-
-
-def _chain_order(d: DistanceVector) -> CircularOrder:
-    """Deterministic nearest-neighbor chain agglomeration."""
-    chains = [[lab] for lab in range(1, d.n + 1)]
-    while len(chains) > 1:
-        best = None
-        for a, b in itertools.combinations(range(len(chains)), 2):
-            for flip_a in (False, True):
-                for flip_b in (False, True):
-                    ea = chains[a][0] if flip_a else chains[a][-1]
-                    eb = chains[b][-1] if flip_b else chains[b][0]
-                    key = (d.value(ea, eb), ea, eb, a, b, flip_a, flip_b)
-                    if best is None or key < best:
-                        best = key
-        _, _, _, a, b, flip_a, flip_b = best
-        ca = list(reversed(chains[a])) if flip_a else chains[a]
-        cb = list(reversed(chains[b])) if flip_b else chains[b]
-        merged = ca + cb
-        chains = [c for k, c in enumerate(chains) if k not in (a, b)]
-        chains.append(merged)
-    return CircularOrder(tuple(chains[0]))
+        worst = max(hit[4] for hit in violations)
+        if best_excess is None or worst < best_excess:
+            best_labels, best_excess = labels, worst
+    best_order = CircularOrder(best_labels)
+    report = is_kalmanson(d, best_order, tol)
+    return OrderSearchResult(None, best_order, report.max_violation, checked)
 
 
 # ---------------------------------------------------------------------------

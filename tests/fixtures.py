@@ -257,6 +257,30 @@ def with_chord(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork | None:
     return PhyloNetwork.build(net.leaves, edges, strict=True)
 
 
+def with_leaf_chord(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork | None:
+    """Level-2 network with a leaf on each of the three paths of its theta:
+    a chord across one of the cycles of four or more nodes of ``net``,
+    through a new node that carries leaf n + 1 (None when there is no such
+    cycle).  No outer-planar drawing shows every leaf, so the vectors of
+    such networks often pass the Kalmanson check on no order."""
+    rings = [
+        cycle_node_sequence(block)
+        for block in classify(net).blocks.of_kind(CYCLE)
+    ]
+    rings = [ring for ring in rings if len(ring) >= 4]
+    if not rings:
+        return None
+    ring = rng.choice(rings)
+    a = rng.randrange(len(ring))
+    b = (a + rng.randrange(2, len(ring) - 1)) % len(ring)
+    edges = list(net.edge_items) + [
+        (ring[a], "chord", F(rng.randint(1, 10))),
+        ("chord", ring[b], F(rng.randint(1, 10))),
+        ("chord", "chord_leaf", F(rng.randint(1, 3))),
+    ]
+    return PhyloNetwork.build({**net.leaves, net.n + 1: "chord_leaf"}, edges, strict=True)
+
+
 def shuffled_order(n: int, rng: random.Random) -> CircularOrder:
     labels = list(range(1, n + 1))
     rng.shuffle(labels)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phylocircuit import linalg, metrics, netgraph, polytope
+from phylocircuit import enum2, linalg, metrics, netgraph, polytope
 from phylocircuit.cli import main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, network_to_text
@@ -220,6 +220,50 @@ def test_kalmanson_not_found_on_k33(k33_dist_file, capsys):
     assert "found order: none" in out
     assert "best_violation: 2/9" in out
     assert "orders_checked: 60" in out
+
+
+def test_kalmanson_heuristic_finds_shuffled_twelve_leaf_order(tmp_path, capsys):
+    # the NeighborNet order of a level-1 resistance vector is a Kalmanson
+    # order, found with one check above the exhaustive cap
+    rng = random.Random(12)
+    d = resistance_vector(random_one_nested(12, rng))
+    perm = list(range(1, 13))
+    rng.shuffle(perm)
+    moved = {
+        tuple(sorted((perm[i - 1], perm[j - 1]))): v
+        for (i, j), v in zip(metrics.pair_iter(12), d.values)
+    }
+    path = tmp_path / "shuffled.dist"
+    path.write_text(distance_vector_to_text(
+        metrics.DistanceVector(12, tuple(moved[p] for p in metrics.pair_iter(12)))
+    ))
+    code, out, _ = run(capsys, "kalmanson", str(path), "--exact", "--search", "heuristic")
+    assert code == 0
+    first, checked = out.splitlines()
+    assert first.startswith("found order: (") and checked == "orders_checked: 1"
+    order = first.removeprefix("found order: (").rstrip(")")
+    code, _, err = run(capsys, "decompose", str(path), "--exact", "--order", order)
+    assert (code, err) == (0, "")
+
+
+def test_sw_on_level_two_heavy_chord_above_exhaustive_cap(tmp_path, capsys):
+    # a chord heavier than the whole network leaves the minimum path vector
+    # of the 11-leaf level-1 network unchanged, so it has a Kalmanson order
+    rng = random.Random(0)
+    base = random_one_nested(11, rng, binary=True)
+    cycles = netgraph.classify(base).blocks.of_kind(netgraph.CYCLE)
+    k, ring = next(
+        (k, ring)
+        for k, ring in enumerate(map(netgraph.cycle_node_sequence, cycles))
+        if len(ring) >= 4
+    )
+    net = enum2.add_heavy_chord(base, k, (ring[0], ring[2]), base.total_weight + 1)
+    assert netgraph.classify(net).level == 2
+    path = tmp_path / "chorded.net"
+    path.write_text(network_to_text(net))
+    code, out, err = run(capsys, "sw", str(path))
+    assert (code, err) == (0, "")
+    assert out.strip()
 
 
 def test_kalmanson_report_on_given_order(k33_dist_file, capsys):

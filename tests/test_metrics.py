@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylocircuit import linalg
+from phylocircuit import linalg, metrics
 from phylocircuit.errors import (
     SizeMismatchError,
     TooLargeForExactError,
@@ -38,8 +38,11 @@ from phylocircuit.netgraph import (
 )
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.rational import FLOAT_TOL
-from phylocircuit.reconstruct import resistance_split_system_direct
-from phylocircuit.splits import split_metric
+from phylocircuit.reconstruct import (
+    circular_decomposition,
+    resistance_split_system_direct,
+)
+from phylocircuit.splits import CircularSplitSystem, Split, split_metric
 
 from fixtures import (
     decomposed_resistance_splits,
@@ -56,6 +59,8 @@ from fixtures import (
     triangle_with_leaves,
     two_cycles_with_bridge,
     two_leaf_edge,
+    with_chord,
+    with_leaf_chord,
 )
 
 F = Fraction
@@ -539,6 +544,167 @@ def test_scan_violation_amounts_keep_exact_type():
     report = is_kalmanson(d, shuffled_order(6, random.Random(1)))
     assert report.violations
     assert all(type(amount) is Fraction for _, amount in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# NeighborNet order and the arc sign test
+
+
+def _shifted(d, a):
+    """d(x, y) + a[x] + a[y]: Kalmanson exactly when d is, on every order."""
+    pairs = itertools.combinations(range(1, d.n + 1), 2)
+    return DistanceVector(
+        d.n, tuple(v + a[i] + a[j] for (i, j), v in zip(pairs, d.values))
+    )
+
+
+def _random_rational_vector(n, rng):
+    values = (F(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(n * (n - 1) // 2))
+    return DistanceVector(n, tuple(values))
+
+
+@pytest.mark.parametrize("n", [10, 13, 16, 24, 32, 48, 64])
+def test_heuristic_search_finds_every_level_one_vector(n):
+    # no false negatives, exact and float, binary and not, labels shuffled
+    for binary in (True, False):
+        rng = random.Random(1000 * n + binary)
+        net = random_one_nested(n, rng, binary=binary)
+        for vector in (resistance_vector, min_path_vector):
+            d = _relabelled(vector(net), rng)
+            for v in (d, d.as_floats()):
+                result = find_kalmanson_order(v, "heuristic")
+                assert result.found, (n, binary, vector, v.is_exact)
+                assert result.orders_checked == 1
+
+
+def _agreement_corpus(rng):
+    """Exact vectors at n <= 8, with and without a Kalmanson order."""
+    for _ in range(10):
+        base = random_one_nested(rng.randint(4, 7), rng, binary=rng.random() < 0.5)
+        for net in (base, with_chord(base, rng), with_leaf_chord(base, rng)):
+            if net is not None:
+                yield _relabelled(resistance_vector(net), rng)
+                yield _relabelled(min_path_vector(net), rng)
+    for _ in range(40):
+        yield _random_rational_vector(rng.randint(4, 7), rng)
+
+
+def test_heuristic_search_agrees_with_exhaustive_search():
+    # the NeighborNet order passes exactly when some order does, so the
+    # heuristic checks one order and falls back only when none exists
+    seen = {True: 0, False: 0}
+    for d in _agreement_corpus(random.Random(53)):
+        exhaustive = find_kalmanson_order(d, "exact")
+        heuristic = find_kalmanson_order(d, "heuristic")
+        assert heuristic.found == exhaustive.found
+        assert (heuristic.orders_checked == 1) == exhaustive.found
+        seen[exhaustive.found] += 1
+    assert min(seen.values()) >= 20
+
+
+def test_exact_search_matches_oracle_without_an_order():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 4:
+        net = with_leaf_chord(random_one_nested(6, rng), rng)
+        if net is None:
+            continue
+        d = _relabelled(resistance_vector(net), rng)
+        for vector in (d, d.as_floats()):
+            result = find_kalmanson_order(vector, "exact")
+            assert result == _search_oracle(vector)
+        assert not result.found
+        checked += 1
+
+
+def test_exhaustive_search_builds_one_report(monkeypatch):
+    calls = []
+    original = metrics.is_kalmanson
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "is_kalmanson", counted)
+    d = resistance_vector(k33_with_leaves())
+    for vector in (d, d.as_floats()):
+        result = find_kalmanson_order(vector, "exact")
+        assert not result.found and result.orders_checked == 60
+    assert len(calls) == 2
+
+
+def test_sign_test_matches_scan():
+    seen = {True: 0, False: 0}
+    for d, order in scan_corpus(seed=47, count=40):
+        if not d.is_exact:
+            continue
+        full, _ = metrics._label_table(d)
+        passed = metrics._arcs_nonnegative(full, order.labels)
+        assert passed == is_kalmanson(d, order).passed
+        seen[passed] += 1
+    assert min(seen.values()) >= 100
+
+
+def test_neighbor_net_order_ignores_added_leaf_terms():
+    rng = random.Random(67)
+    for k in range(30):
+        n = rng.randint(4, 16)
+        if k % 3:
+            d = _relabelled(resistance_vector(random_one_nested(n, rng)), rng)
+        else:
+            d = _random_rational_vector(n, rng)
+        a = [None] + [F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+        order = metrics._neighbor_net_order(d)
+        assert metrics._neighbor_net_order(_shifted(d, a)) == order
+
+
+@st.composite
+def circular_split_sums(draw):
+    """A shuffled circular order and a weighted system of its arcs, with
+    small integer weights so that equalities abound."""
+    n = draw(st.integers(min_value=4, max_value=20))
+    labels = draw(st.permutations(range(1, n + 1)))
+    # (first position, size) of each split's side of at most n / 2 leaves
+    arcs = [
+        (p, size)
+        for size in range(1, n // 2 + 1)
+        for p in range(n if 2 * size < n else n // 2)
+    ]
+    chosen = draw(
+        st.lists(st.sampled_from(arcs), min_size=1, max_size=3 * n, unique=True)
+    )
+    weights = {}
+    for p, size in chosen:
+        side = [labels[(p + t) % n] for t in range(size)]
+        weights[Split(side, n)] = F(draw(st.integers(min_value=1, max_value=3)))
+    return CircularSplitSystem.of_order(n, weights, CircularOrder(labels))
+
+
+@given(circular_split_sums())
+@settings(max_examples=60, deadline=None)
+def test_heuristic_search_recovers_circular_split_sums(system):
+    d = split_metric(system)
+    result = find_kalmanson_order(d, "heuristic")
+    assert result.found
+    assert split_metric(circular_decomposition(d, result.order).system) == d
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_unknown_search_mode_is_validation_error(n):
+    d = DistanceVector(n, tuple(F(1) for _ in range(n * (n - 1) // 2)))
+    with pytest.raises(ValidationError, match="unknown search mode 'bogus'"):
+        find_kalmanson_order(d, mode="bogus")
+
+
+def test_heuristic_search_at_nine_leaves_is_fast():
+    import time
+
+    rng = random.Random(9)
+    d = _relabelled(resistance_vector(random_one_nested(9, rng)), rng)
+    start = time.perf_counter()
+    result = find_kalmanson_order(d, "heuristic")
+    assert result.found and result.orders_checked == 1
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------
