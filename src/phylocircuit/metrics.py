@@ -1,12 +1,14 @@
 """Leaf distance computations and circular-inequality (Kalmanson) checks.
 
 Two metrics are supported: effective resistance (edge weights as resistors)
-and minimum path length.  Resistance adds in series across a cut vertex, so
-it comes block by block: each block of the network's block-cut tree gets
-one grounded solve of its own Laplacian (a bridge none), and a leaf pair's
-resistance is the sum along the tree path.  An independent
-series/parallel/wye-delta reduction serves as a cross-check oracle for the
-same quantity.
+and minimum path length.  Both add in series across a cut vertex, so both
+come from one sweep of the network's block-cut tree.  Each block gives the
+distances between its portals, the nodes that are cut vertices or leaves,
+and a leaf pair's distance is the sum along the tree path.  A bridge gives
+its weight and a cycle a closed form of its arc lengths; any other block
+gives one grounded solve of its Laplacian (resistance) or a Dijkstra
+confined to it (minimum path).  An independent series/parallel/wye-delta
+reduction serves as a cross-check oracle for resistance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -29,11 +31,13 @@ from .errors import (
 )
 from .netgraph import (
     BRIDGE,
+    CYCLE,
     Block,
     CircularOrder,
     PhyloNetwork,
     block_decomposition,
     block_path,
+    cycle_node_sequence,
     edge_key,
 )
 from .rational import FLOAT_TOL, Value, format_value, parse_value
@@ -85,7 +89,7 @@ class DistanceVector:
 
 
 # ---------------------------------------------------------------------------
-# resistance by blocks
+# distances by blocks
 
 
 def _check_positive(net: PhyloNetwork) -> None:
@@ -99,18 +103,11 @@ def _portal_resistances(
 ) -> dict[str, dict[str, Value]]:
     """Effective resistance between every two portals of one block.
 
-    A bridge's is its weight.  Any other block's Laplacian is grounded at
-    its first portal; solving for the other portals' columns gives G, and
-    R(p, q) = G_pp + G_qq - 2 G_pq, with G zero on the ground.
+    The block's Laplacian is grounded at its first portal; solving for the
+    other portals' columns gives G, and R(p, q) = G_pp + G_qq - 2 G_pq,
+    with G zero on the ground.
     """
     out: dict[str, dict[str, Value]] = {p: {} for p in portals}
-    if len(portals) < 2:
-        return out
-    if block.kind == BRIDGE:
-        u, v = portals
-        w = net.weight(u, v)
-        out[u][v] = out[v][u] = w if exact else float(w)
-        return out
     ground, others = portals[0], portals[1:]
     idx = {v: k for k, v in enumerate(sorted(block.nodes - {ground}))}
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
@@ -135,28 +132,64 @@ def _portal_resistances(
     return out
 
 
-def resistance_vector(net: PhyloNetwork) -> DistanceVector:
-    """Effective resistance between every leaf pair.
+def _ring_positions(
+    net: PhyloNetwork, block: Block, portals: frozenset, exact: bool
+) -> tuple[list[tuple[str, Value]], Value]:
+    """The portals of a cycle block in ring order, each with its arc length
+    from the ring's first node, and the length z of the whole ring."""
+    ring = cycle_node_sequence(block)
+    at = Fraction(0) if exact else 0.0
+    placed = []
+    for u, v in zip(ring, ring[1:] + ring[:1]):
+        if u in portals:
+            placed.append((u, at))
+        w = net.weight(u, v)
+        at += w if exact else float(w)
+    return placed, at
 
-    Resistance adds in series across a cut vertex, so each block of the
-    cached block-cut tree is solved on its own for its portals, the nodes
-    that are cut vertices or leaves.  A leaf pair's resistance is the sum
-    of the portal resistances along the tree path between the two leaves.
+
+def _series_sweep(
+    net: PhyloNetwork,
+    on_cycle: Callable[[Value, Value], Value],
+    on_other: Callable[..., dict[str, dict[str, Value]]],
+) -> DistanceVector:
+    """Leaf distances of a metric that adds in series across cut vertices.
+
+    The portals are the cut vertices and the leaves.  Each block of the
+    cached block-cut tree gives the distances between its own portals: a
+    bridge its weight, a cycle ``on_cycle(a, z)`` for two portals an arc a
+    apart on a ring of length z, any other block
+    ``on_other(net, block, portals, exact)``.  A leaf pair's distance is
+    the sum of those along the tree path between the two leaves.  Values
+    are Fractions when every weight is and floats otherwise.
     """
-    _check_positive(net)
     decomp = block_decomposition(net)
     exact = net.is_exact
     leaf_nodes = net.leaf_of_node
     portals = decomp.cut_vertices.union(leaf_nodes)
-    # per block: portal -> other portal -> resistance between them
-    links = [
-        _portal_resistances(net, block, sorted(block.nodes & portals), exact)
-        for block in decomp.blocks
-    ]
+    # per block: portal -> other portal -> distance between them
+    links = []
+    for block in decomp.blocks:
+        ends = block.nodes & portals
+        link: dict[str, dict[str, Value]] = {p: {} for p in ends}
+        if len(ends) < 2:
+            pass  # no pair to join
+        elif block.kind == BRIDGE:
+            u, v = ends
+            w = net.weight(u, v)
+            link[u][v] = link[v][u] = w if exact else float(w)
+        elif block.kind == CYCLE:
+            ring, z = _ring_positions(net, block, ends, exact)
+            for a, (p, x) in enumerate(ring):
+                for q, y in ring[:a]:
+                    link[p][q] = link[q][p] = on_cycle(x - y, z)
+        else:
+            link = on_other(net, block, sorted(ends), exact)
+        links.append(link)
     zero = Fraction(0) if exact else 0.0
     n, leaves = net.n, net.leaves
     # root the tree at leaf 1 and list each block with its parent portal,
-    # parents first; below[p] collects (label, resistance to p) of the
+    # parents first; below[p] collects (label, distance to p) of the
     # leaves hanging below portal p
     below = {leaves[1]: [(1, zero)]}
     order = []
@@ -178,17 +211,35 @@ def resistance_vector(net: PhyloNetwork) -> DistanceVector:
         for p in link[r]:
             hang = below.pop(p)
             for q, other in met:
-                r_pq = link[p][q]
+                d_pq = link[p][q]
                 for i, d_i in hang:
                     row = full[i]
                     for j, d_j in other:
-                        row[j] = full[j][i] = d_i + r_pq + d_j
+                        row[j] = full[j][i] = d_i + d_pq + d_j
             met.append((p, hang))
         for p, hang in met[1:]:
-            r_pr = link[p][r]
-            below[r] += [(i, d + r_pr) for i, d in hang]
+            d_pr = link[p][r]
+            below[r] += [(i, d + d_pr) for i, d in hang]
     values = [full[i][j] for i, j in pair_iter(n)]
     return DistanceVector(net.n, tuple(values))
+
+
+def _ring_resistance(a: Value, z: Value) -> Value:
+    # the two arcs, a and z - a, in parallel
+    return a * (z - a) / z
+
+
+def resistance_vector(net: PhyloNetwork) -> DistanceVector:
+    """Effective resistance between every leaf pair.
+
+    Resistance adds in series across a cut vertex (Klein & Randic 1993),
+    so it comes from the block-cut-tree sweep: a bridge gives its weight,
+    two portals an arc a apart on a cycle of length z give a (z - a) / z,
+    the two arcs in parallel, and any other block one grounded solve of
+    its own Laplacian.
+    """
+    _check_positive(net)
+    return _series_sweep(net, _ring_resistance, _portal_resistances)
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +331,53 @@ def resistance_by_reduction(net: PhyloNetwork, i: int, j: int) -> Value:
 # minimum path distance
 
 
-def min_path_vector(net: PhyloNetwork) -> DistanceVector:
-    """Shortest weighted path length between every leaf pair."""
-    adj = net.adjacency
-    leaves = net.leaves
-    dist_rows: dict[int, dict[str, Value]] = {}
-    for lab in sorted(leaves):
-        src = leaves[lab]
-        dist: dict[str, Value] = {src: Fraction(0)}
-        heap = [(Fraction(0), src)]
+def _ring_min_path(a: Value, z: Value) -> Value:
+    return min(a, z - a)
+
+
+def _portal_min_paths(
+    net: PhyloNetwork, block: Block, portals: list[str], exact: bool
+) -> dict[str, dict[str, Value]]:
+    """Shortest path between every two portals of one block, by a Dijkstra
+    from each portal that stays inside the block: a path that leaves it
+    through a cut vertex has to come back through the same one."""
+    adj: dict[str, list[tuple[str, Value]]] = {}
+    for u, v in sorted(tuple(sorted(e)) for e in block.edges):
+        w = net.weight(u, v)
+        w = w if exact else float(w)
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    zero = Fraction(0) if exact else 0.0
+    out: dict[str, dict[str, Value]] = {p: {} for p in portals}
+    for a, src in enumerate(portals[:-1]):
+        dist = {src: zero}
+        heap = [(zero, src)]
         seen = set()
         while heap:
             d, v = heapq.heappop(heap)
             if v in seen:
                 continue
             seen.add(v)
-            for w, wt in adj[v].items():
-                nd = d + wt
-                if w not in dist or nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        dist_rows[lab] = dist
-    values = [dist_rows[i][leaves[j]] for i, j in pair_iter(net.n)]
-    return DistanceVector(net.n, tuple(values))
+            for x, w in adj[v]:
+                nd = d + w
+                if x not in dist or nd < dist[x]:
+                    dist[x] = nd
+                    heapq.heappush(heap, (nd, x))
+        for q in portals[a + 1 :]:
+            out[src][q] = out[q][src] = dist[q]
+    return out
+
+
+def min_path_vector(net: PhyloNetwork) -> DistanceVector:
+    """Shortest weighted path length between every leaf pair.
+
+    A shortest path crosses each cut vertex at most once, so minimum path
+    adds in series along the block-cut tree like resistance does, from the
+    same sweep: a bridge gives its weight, two portals an arc a apart on a
+    cycle of length z give min(a, z - a), and any other block a Dijkstra
+    from each portal confined to the block.  Zero weights are allowed.
+    """
+    return _series_sweep(net, _ring_min_path, _portal_min_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +810,8 @@ def load_distance_vector(path: str, exact: bool = False) -> DistanceVector:
 
 def distance_vector_to_text(d: DistanceVector, precision: int = 6) -> str:
     lines = [f"n {d.n}"]
-    for i, j in pair_iter(d.n):
-        lines.append(f"{i} {j} {format_value(d.value(i, j), precision)}")
+    lines += [
+        f"{i} {j} {format_value(v, precision)}"
+        for (i, j), v in zip(pair_iter(d.n), d.values)
+    ]
     return "\n".join(lines) + "\n"

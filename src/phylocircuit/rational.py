@@ -40,6 +40,8 @@ def values_close(a: Value, b: Value, tol: float = FLOAT_TOL) -> bool:
 
 def format_value(value: Value, precision: int = 6) -> str:
     """Render p/q for rationals, fixed significant digits for floats."""
+    if type(value) is float:
+        return f"{value:.{precision}g}"
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)

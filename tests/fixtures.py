@@ -1,5 +1,6 @@
 """Networks used across the test modules."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -191,6 +192,32 @@ def resistance_by_dense_solve(net: PhyloNetwork) -> DistanceVector:
     pairs = [(leaves[i], leaves[j]) for i, j in pair_iter(net.n)]
     r = resistance_between_nodes(net, pairs)
     return DistanceVector(net.n, tuple(r[p] for p in pairs))
+
+
+def min_path_by_dijkstra(net: PhyloNetwork) -> DistanceVector:
+    """Min-path vector by one heap Dijkstra over the whole network from
+    every leaf: the oracle for the block-by-block route of
+    ``min_path_vector``."""
+    adj = net.adjacency
+    leaves = net.leaves
+    rows = {}
+    for lab in sorted(leaves):
+        src = leaves[lab]
+        dist = {src: Fraction(0)}
+        heap = [(Fraction(0), src)]
+        seen = set()
+        while heap:
+            d, v = heapq.heappop(heap)
+            if v in seen:
+                continue
+            seen.add(v)
+            for w, wt in adj[v].items():
+                nd = d + wt
+                if w not in dist or nd < dist[w]:
+                    dist[w] = nd
+                    heapq.heappush(heap, (nd, w))
+        rows[lab] = dist
+    return DistanceVector(net.n, tuple(rows[i][leaves[j]] for i, j in pair_iter(net.n)))
 
 
 def decomposed_resistance_splits(net: PhyloNetwork):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylocircuit import linalg, metrics
+from phylocircuit import enum2, linalg, metrics
 from phylocircuit.errors import (
     SizeMismatchError,
     TooLargeForExactError,
@@ -28,12 +28,14 @@ from phylocircuit.metrics import (
     resistance_vector,
 )
 from phylocircuit.netgraph import (
-    BRIDGE,
+    CYCLE,
+    THETA,
     CircularOrder,
     PhyloNetwork,
     block_decomposition,
     canonical_order,
     classify,
+    cycle_node_sequence,
     wye_delta,
 )
 from phylocircuit.randomnet import random_one_nested
@@ -48,6 +50,7 @@ from fixtures import (
     decomposed_resistance_splits,
     k33_with_leaves,
     k5_with_leaves,
+    min_path_by_dijkstra,
     quartet_tree,
     resistance_by_dense_solve,
     ring_with_pendants,
@@ -257,16 +260,36 @@ def test_resistance_solves_block_by_block(monkeypatch, exact):
 
     monkeypatch.setattr(linalg, "solve_exact", recording(linalg.solve_exact))
     monkeypatch.setattr(linalg, "solve_float", recording(linalg.solve_float))
-    net = random_one_nested(64, random.Random(64))
+    rng = random.Random(64)
+    net = random_one_nested(64, rng)
+    chorded = with_chord(with_chord(net, rng), rng)
     if not exact:
-        net = _as_float(net, 1.0)
+        net, chorded = _as_float(net, 1.0), _as_float(chorded, 1.0)
+    # bridges and cycles are closed forms: a level-1 network solves nothing
     resistance_vector(net)
-    blocks = block_decomposition(net).blocks
-    solved = [b for b in blocks if b.kind != BRIDGE]
-    # one solve per block that is not a bridge, none larger than that block
-    assert len(orders) == len(solved)
-    assert max(orders) < max(len(b.nodes) for b in blocks)
-    assert min(orders) >= 2
+    assert orders == []
+    # each theta block is one solve of its own Laplacian grounded at one
+    # portal, of order one less than the block's node count
+    resistance_vector(chorded)
+    thetas = block_decomposition(chorded).of_kind(THETA)
+    assert classify(chorded).level == 2 and len(thetas) == 2
+    assert sorted(orders) == sorted(len(b.nodes) - 1 for b in thetas)
+
+
+def test_resistance_equals_dense_solve_on_rings():
+    # one cycle block holding every leaf, in its closed form
+    rng = random.Random(128)
+    for k in (3, 4, 5, 7, 12, 24, 32, 48, 64):
+        cw = [F(rng.randint(1, 10), rng.randint(1, 4)) for _ in range(k)]
+        pw = [F(rng.randint(1, 10), rng.randint(1, 4)) for _ in range(k)]
+        net = ring_with_pendants(k, cw, pw)
+        # the exact dense solve takes seconds beyond k = 32
+        if k <= 32:
+            _assert_same_fractions(net, resistance_by_dense_solve(net))
+        floats = _as_float(net, 1.37)
+        want = resistance_by_dense_solve(floats).values
+        got = resistance_vector(floats).values
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +352,74 @@ def test_min_path_equals_resistance_on_trees():
         net = random_one_nested(rng.randint(4, 8), rng, cycle_prob=0.0)
         assert classify(net).level == 0
         assert min_path_vector(net) == resistance_vector(net)
+
+
+def _assert_min_path_matches_dijkstra(net: PhyloNetwork) -> None:
+    got, want = min_path_vector(net), min_path_by_dijkstra(net)
+    if net.is_exact:
+        assert got.is_exact and got == want
+    else:
+        assert all(type(v) is float for v in got.values)
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got.values, want.values))
+
+
+def test_min_path_matches_dijkstra_on_seeded_level1():
+    rng = random.Random(4064)
+    for n in (4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64):
+        for binary in (True, False):
+            net = random_one_nested(n, rng, binary=binary)
+            for version in (net, _as_float(net, 1.0), _as_float(net, 1.37e4)):
+                _assert_min_path_matches_dijkstra(version)
+
+
+def test_min_path_matches_dijkstra_on_level2():
+    rng = random.Random(4065)
+    seen = 0
+    for k in range(40):
+        base = random_one_nested(rng.randint(5, 32), rng, binary=k % 2 == 0)
+        chorded = with_chord(base, rng)
+        if chorded is None:
+            continue
+        cycles = classify(base).blocks.of_kind(CYCLE)
+        index = next(c for c, b in enumerate(cycles) if len(b.nodes) >= 4)
+        ring = cycle_node_sequence(cycles[index])
+        heavy = enum2.add_heavy_chord(base, index, (ring[0], ring[2]), base.total_weight + 1)
+        for net in (chorded, heavy):
+            assert classify(net).level == 2
+            _assert_min_path_matches_dijkstra(net)
+            _assert_min_path_matches_dijkstra(_as_float(net, 0.37))
+        seen += 1
+    assert seen >= 20
+
+
+def test_min_path_matches_dijkstra_beyond_level_two():
+    for net in (k33_with_leaves(), k5_with_leaves()):
+        _assert_min_path_matches_dijkstra(net)
+        _assert_min_path_matches_dijkstra(_as_float(net, 2.5))
+
+
+def test_min_path_allows_zero_weights():
+    # resistance rejects a zero weight; min-path treats it as a short cut
+    cw = [F(0), F(2), F(0), F(0), F(3), F(1, 2), F(0)]
+    pw = [F(0), F(0), F(2), F(1, 3), F(1), F(0), F(5)]
+    net = ring_with_pendants(7, cw, pw)
+    with pytest.raises(ZeroWeightEdgeError):
+        resistance_vector(net)
+    _assert_min_path_matches_dijkstra(net)
+    _assert_min_path_matches_dijkstra(_as_float(net, 1.0))
+    d = min_path_vector(net)
+    assert d.value(1, 2) == 0
+    assert d.value(2, 6) == F(1, 2)  # the far way round, over two zeros
+
+
+def test_min_path_mixed_weights_are_all_floats():
+    # a rational weight next to a decimal one makes every distance a float,
+    # as resistance does; the whole-network Dijkstra gave 3/2 beside 1.25
+    net = star(3, [F(1), F(1, 2), 0.25])
+    d = min_path_vector(net)
+    assert all(type(v) is float for v in d.values)
+    assert d.values == (1.5, 1.25, 0.75)
+    assert all(type(v) is float for v in resistance_vector(net).values)
 
 
 def test_fig_minpath_vector_shape_and_kalmanson():
@@ -732,6 +823,17 @@ def test_distance_roundtrip_pair_format():
     text = distance_vector_to_text(d)
     again = parse_distance_vector(text, exact=True)
     assert again == d
+
+
+def test_distance_text_golden():
+    exact = DistanceVector(3, (F(3, 2), F(2), F(-1, 3)))
+    floats = DistanceVector(3, (1.5, 1234567.0, 1e-7))
+    mixed = DistanceVector(3, (F(1, 2), 0.1, F(4)))
+    assert distance_vector_to_text(exact) == "n 3\n1 2 3/2\n1 3 2\n2 3 -1/3\n"
+    assert distance_vector_to_text(floats) == "n 3\n1 2 1.5\n1 3 1.23457e+06\n2 3 1e-07\n"
+    assert distance_vector_to_text(floats, 3) == "n 3\n1 2 1.5\n1 3 1.23e+06\n2 3 1e-07\n"
+    assert distance_vector_to_text(mixed) == "n 3\n1 2 1/2\n1 3 0.1\n2 3 4\n"
+    assert distance_vector_to_text(DistanceVector(1, ())) == "n 1\n"
 
 
 def test_distance_square_matrix_format():
