@@ -81,10 +81,6 @@ class ZeroWeightEdgeError(PhyloCircuitError):
     """Conductance undefined for a zero-weight edge."""
 
 
-class SingularSystemError(PhyloCircuitError):
-    """Internal error: the node equations were singular."""
-
-
 class ReductionStuckError(PhyloCircuitError):
     """No series, parallel, prune, or wye-delta rule applies."""
 

@@ -6,9 +6,11 @@ come from one sweep of the network's block-cut tree.  Each block gives the
 distances between its portals, the nodes that are cut vertices or leaves,
 and a leaf pair's distance is the sum along the tree path.  A bridge gives
 its weight and a cycle a closed form of its arc lengths; any other block
-gives one grounded solve of its Laplacian (resistance) or a Dijkstra
-confined to it (minimum path).  An independent series/parallel/wye-delta
-reduction serves as a cross-check oracle for resistance.
+is grown edge by edge in series and rank-one steps (resistance) or
+searched by a Dijkstra confined to it (minimum path).  No routine solves a
+linear system, and Fractions and floats take the same code.  An
+independent series/parallel/wye-delta reduction serves as a cross-check
+oracle for resistance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from . import linalg
 from .errors import (
     ReductionStuckError,
     SizeMismatchError,
@@ -98,37 +99,65 @@ def _check_positive(net: PhyloNetwork) -> None:
             raise ZeroWeightEdgeError(f"edge {u}-{v} has zero weight")
 
 
+def _block_adjacency(
+    net: PhyloNetwork, block: Block, exact: bool
+) -> dict[str, list[tuple[str, Value]]]:
+    """Each node of a block with its neighbours in the block and the edge
+    weights, in sorted order, so that a float sum never follows the hash
+    order of ``block.edges``."""
+    adj: dict[str, list[tuple[str, Value]]] = {}
+    for u, v in sorted(tuple(sorted(e)) for e in block.edges):
+        w = net.weight(u, v)
+        w = w if exact else float(w)
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    return adj
+
+
 def _portal_resistances(
     net: PhyloNetwork, block: Block, portals: list[str], exact: bool
 ) -> dict[str, dict[str, Value]]:
     """Effective resistance between every two portals of one block.
 
-    The block's Laplacian is grounded at its first portal; solving for the
-    other portals' columns gives G, and R(p, q) = G_pp + G_qq - 2 G_pq,
-    with G zero on the ground.
+    The block is grown edge by edge in BFS order from its first portal,
+    with the resistance between every two nodes placed so far.  An edge
+    u-w to a new node w adds in series: R(w, y) = R(u, y) + r.  An edge
+    u-v between two placed nodes changes the Laplacian by rank one
+    (Sherman & Morrison 1950): with g(x) = R(x, u) - R(x, v), every
+    R(x, y) falls by (g(x) - g(y))^2 / (4 (r + R(u, v))).  A block of N
+    nodes and cyclomatic number c costs O((c + 1) N^2), the same on
+    Fractions and floats.
     """
+    adj = _block_adjacency(net, block, exact)
+    zero = Fraction(0) if exact else 0.0
+    slot = {portals[0]: 0}
+    # rows[a][b]: resistance between the nodes placed a-th and b-th; the
+    # nodes are placed in the order the BFS visits them
+    rows = [[zero]]
+    visit = [portals[0]]
+    for a, u in enumerate(visit):
+        for v, r in adj[u]:
+            b = slot.get(v)
+            if b is None:
+                slot[v] = len(rows)
+                row = [x + r for x in rows[a]]
+                for old, x in zip(rows, row):
+                    old.append(x)
+                row.append(zero)
+                rows.append(row)
+                visit.append(v)
+            elif b > a:  # when b < a, v was visited first and took this edge
+                k = 4 * (r + rows[a][b])
+                g = [x - y for x, y in zip(rows[a], rows[b])]
+                for x, gx in enumerate(g):
+                    row = rows[x]
+                    for y in range(x):
+                        row[y] = rows[y][x] = row[y] - (gx - g[y]) ** 2 / k
     out: dict[str, dict[str, Value]] = {p: {} for p in portals}
-    ground, others = portals[0], portals[1:]
-    idx = {v: k for k, v in enumerate(sorted(block.nodes - {ground}))}
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-    lap = [[zero] * len(idx) for _ in idx]
-    for u, v in sorted(tuple(sorted(e)) for e in block.edges):
-        w = net.weight(u, v)
-        c = one / (w if exact else float(w))
-        for a, b in ((u, v), (v, u)):
-            if a in idx:
-                lap[idx[a]][idx[a]] += c
-                if b in idx:
-                    lap[idx[a]][idx[b]] -= c
-    units = [[zero] * len(idx) for _ in others]
-    for col, p in zip(units, others):
-        col[idx[p]] = one
-    solve = linalg.solve_exact if exact else linalg.solve_float
-    g = [[col[idx[q]] for q in others] for col in solve(lap, units)]
-    for a, p in enumerate(others):
-        out[ground][p] = out[p][ground] = g[a][a]
-        for b, q in enumerate(others[:a]):
-            out[p][q] = out[q][p] = g[a][a] + g[b][b] - 2 * g[a][b]
+    for a, p in enumerate(portals):
+        row = rows[slot[p]]
+        for q in portals[:a]:
+            out[p][q] = out[q][p] = row[slot[q]]
     return out
 
 
@@ -159,9 +188,11 @@ def _series_sweep(
     cached block-cut tree gives the distances between its own portals: a
     bridge its weight, a cycle ``on_cycle(a, z)`` for two portals an arc a
     apart on a ring of length z, any other block
-    ``on_other(net, block, portals, exact)``.  A leaf pair's distance is
-    the sum of those along the tree path between the two leaves.  Values
-    are Fractions when every weight is and floats otherwise.
+    ``on_other(net, block, portals, exact)``, which grows the block edge
+    by edge (resistance) or searches it from each portal (min-path).  A
+    leaf pair's distance is the sum of those along the tree path between
+    the two leaves.  Values are Fractions when every weight is and floats
+    otherwise, from the same code.
     """
     decomp = block_decomposition(net)
     exact = net.is_exact
@@ -235,8 +266,8 @@ def resistance_vector(net: PhyloNetwork) -> DistanceVector:
     Resistance adds in series across a cut vertex (Klein & Randic 1993),
     so it comes from the block-cut-tree sweep: a bridge gives its weight,
     two portals an arc a apart on a cycle of length z give a (z - a) / z,
-    the two arcs in parallel, and any other block one grounded solve of
-    its own Laplacian.
+    the two arcs in parallel, and any other block is grown edge by edge,
+    each edge a series step or a rank-one update (_portal_resistances).
     """
     _check_positive(net)
     return _series_sweep(net, _ring_resistance, _portal_resistances)
@@ -341,12 +372,7 @@ def _portal_min_paths(
     """Shortest path between every two portals of one block, by a Dijkstra
     from each portal that stays inside the block: a path that leaves it
     through a cut vertex has to come back through the same one."""
-    adj: dict[str, list[tuple[str, Value]]] = {}
-    for u, v in sorted(tuple(sorted(e)) for e in block.edges):
-        w = net.weight(u, v)
-        w = w if exact else float(w)
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
+    adj = _block_adjacency(net, block, exact)
     zero = Fraction(0) if exact else 0.0
     out: dict[str, dict[str, Value]] = {p: {} for p in portals}
     for a, src in enumerate(portals[:-1]):
@@ -484,6 +510,13 @@ def _tolerance(d: DistanceVector, tol: float | None) -> Value:
     return 0 if d.is_exact else (FLOAT_TOL if tol is None else tol)
 
 
+def _check_order(d: DistanceVector, order: CircularOrder) -> None:
+    if order.n != d.n:
+        raise SizeMismatchError(f"order has {order.n} labels, vector has {d.n}")
+    if min(order.labels) < 1 or max(order.labels) > d.n:
+        raise SizeMismatchError(f"order {order} is not a permutation of 1..{d.n}")
+
+
 def is_kalmanson(
     d: DistanceVector, order: CircularOrder, tol: float | None = None
 ) -> KalmansonReport:
@@ -494,10 +527,7 @@ def is_kalmanson(
     equalities, never violations.  Comparison is exact for rational input
     and within an absolute tolerance otherwise.
     """
-    if order.n != d.n:
-        raise SizeMismatchError(f"order has {order.n} labels, vector has {d.n}")
-    if min(order.labels) < 1 or max(order.labels) > d.n:
-        raise SizeMismatchError(f"order {order} is not a permutation of 1..{d.n}")
+    _check_order(d, order)
     exact = d.is_exact
     rows, scale = _position_table(d, order)
     labels = order.labels
@@ -531,6 +561,22 @@ def _arcs_nonnegative(full: list[list[int]], labels: Sequence[int]) -> bool:
             if before[x] + first[y] < before[y] + first[x]:
                 return False
     return True
+
+
+def _violations(
+    d: DistanceVector, order: CircularOrder, tol: float | None
+) -> tuple[tuple[tuple[int, int, int, int], Value], ...]:
+    """The violations that is_kalmanson reports, empty when ``d`` passes.
+
+    On exact input the O(n^2) sign test of the arcs runs first, and the
+    O(n^4) quadruple scan only when it fails, to name the violations.
+    Float input is always scanned, within the tolerance.
+    """
+    if d.is_exact:
+        _check_order(d, order)
+        if _arcs_nonnegative(_label_table(d)[0], order.labels):
+            return ()
+    return is_kalmanson(d, order, tol).violations
 
 
 @dataclass(frozen=True)
@@ -695,14 +741,12 @@ def find_kalmanson_order(
         return OrderSearchResult(order, order, Fraction(0), 1)
     if mode == "heuristic":
         order = _neighbor_net_order(d)
-        if d.is_exact and _arcs_nonnegative(_label_table(d)[0], order.labels):
-            return OrderSearchResult(order, order, Fraction(0), 1)
-        report = is_kalmanson(d, order, tol)
-        if report.passed:
+        violations = _violations(d, order, tol)
+        if not violations:
             return OrderSearchResult(order, order, Fraction(0), 1)
         if n <= 9:
             return find_kalmanson_order(d, "exact", tol)
-        return OrderSearchResult(None, order, report.max_violation, 1)
+        return OrderSearchResult(None, order, max(v for _, v in violations), 1)
     if n > 9:
         raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
     full, _ = _label_table(d)
@@ -809,9 +853,11 @@ def load_distance_vector(path: str, exact: bool = False) -> DistanceVector:
 
 
 def distance_vector_to_text(d: DistanceVector, precision: int = 6) -> str:
+    # format_value's rule, with the float spec built once per vector
+    spec = f".{precision}g"
     lines = [f"n {d.n}"]
     lines += [
-        f"{i} {j} {format_value(v, precision)}"
+        f"{i} {j} {format(v, spec) if type(v) is float else format_value(v, precision)}"
         for (i, j), v in zip(pair_iter(d.n), d.values)
     ]
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from .metrics import (
     DistanceVector,
     _check_positive,
     _position_table,
+    _violations,
     find_kalmanson_order,
     is_kalmanson,
     min_path_vector,
@@ -78,11 +79,12 @@ def circular_decomposition(
     NotKalmanson (with the first violating quadruple) when the inequality
     fails for this order, and NegativeSplitWeight when a trivial split
     weighs less than zero (less than minus the tolerance for float input).
+    Exact input passes the O(n^2) sign test of the arcs before any
+    quadruple scan, which runs only to name a violation.
     """
-    report = is_kalmanson(d, order, tol)
-    if not report.passed:
-        quad, amount = report.violations[0]
-        raise NotKalmansonError(quad, amount)
+    violations = _violations(d, order, tol)
+    if violations:
+        raise NotKalmansonError(*violations[0])
     rows, scale = _position_table(d, order)
     labels = order.labels
     n = d.n

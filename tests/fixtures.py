@@ -4,8 +4,10 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
-from phylocircuit import linalg
+import numpy as np
+
 from phylocircuit.errors import NotOneNestedError
 from phylocircuit.metrics import (
     DistanceVector,
@@ -150,6 +152,60 @@ def two_leaf_edge(w=F(5)) -> PhyloNetwork:
     return validate({1: "x1", 2: "x2"}, [("x1", "x2", w)])
 
 
+def _solve_exact(
+    matrix: list[list[Fraction]], rhs: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Solve A X = B exactly, ``rhs`` holding the columns of B: clear the
+    denominators, run Bareiss elimination (each division is exact over the
+    integers), then back-substitute in rationals."""
+    m = len(matrix)
+    r = len(rhs)
+    denoms = [x.denominator for row in matrix for x in row]
+    denoms += [x.denominator for col in rhs for x in col]
+    scale = lcm(*denoms) if denoms else 1
+    a = [
+        [int(matrix[i][j] * scale) for j in range(m)]
+        + [int(rhs[c][i] * scale) for c in range(r)]
+        for i in range(m)
+    ]
+    width = m + r
+    prev = 1
+    for k in range(m):
+        piv = next((i for i in range(k, m) if a[i][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix: zero pivot column")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+        for i in range(k + 1, m):
+            aik = a[i][k]
+            akk = a[k][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, width):
+                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = a[k][k]
+    columns = []
+    for c in range(r):
+        x = [Fraction(0)] * m
+        for i in range(m - 1, -1, -1):
+            s = Fraction(a[i][m + c])
+            for j in range(i + 1, m):
+                s -= a[i][j] * x[j]
+            x[i] = s / a[i][i]
+        columns.append(x)
+    return columns
+
+
+def _solve_float(
+    matrix: list[list[float]], rhs: list[list[float]]
+) -> list[list[float]]:
+    """Solve A X = B in floats by numpy's LAPACK solver, ``rhs`` holding
+    the columns of B."""
+    a = np.asarray(matrix, dtype=float)
+    x = np.linalg.solve(a, np.asarray(rhs, dtype=float).T)
+    return [list(map(float, x[:, c])) for c in range(x.shape[1])]
+
+
 def _dense_inverse_columns(net: PhyloNetwork, targets) -> dict:
     """Columns of the inverse of (Laplacian + J/m) over all m nodes of the
     network, for the target nodes."""
@@ -172,7 +228,7 @@ def _dense_inverse_columns(net: PhyloNetwork, targets) -> dict:
         e = [zero] * m
         e[idx[t]] = Fraction(1) if exact else 1.0
         cols.append(e)
-    solve = linalg.solve_exact if exact else linalg.solve_float
+    solve = _solve_exact if exact else _solve_float
     sols = solve(gamma, cols)
     return {t: {v: sols[c][idx[v]] for v in nodes} for c, t in enumerate(targets)}
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phylocircuit import enum2, linalg, metrics, netgraph, polytope
+from phylocircuit import enum2, metrics, netgraph, polytope
 from phylocircuit.cli import main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, network_to_text
@@ -22,6 +22,8 @@ from fixtures import (
     square_with_pendants,
     star,
     two_cycles_with_bridge,
+    with_chord,
+    with_leaf_chord,
 )
 
 F = Fraction
@@ -166,6 +168,42 @@ def test_float_invert_independent_of_hash_seed(tmp_path):
     outs = {
         _run_cli_process("--precision", "17", "invert", str(path),
                          PYTHONHASHSEED=seed).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outs) == 1
+
+
+def _theta_file(tmp_path, scale=None) -> str:
+    """A level-2 network written to a file: a seeded level-1 network with a
+    leaf chord and one plain chord, its weights as floats times ``scale``
+    when that is given."""
+    rng = random.Random(12)
+    net = with_chord(with_leaf_chord(random_one_nested(12, rng), rng), rng)
+    assert netgraph.classify(net).level == 2
+    if scale is not None:
+        scaled = [(a, b, float(w) * scale) for a, b, w in net.edge_items]
+        net = PhyloNetwork.build(net.leaves, scaled, strict=True)
+    path = tmp_path / "theta.net"
+    path.write_text(network_to_text(net, precision=17))
+    return str(path)
+
+
+def test_dist_never_imports_numpy(tmp_path):
+    # theta blocks grow edge by edge in plain Python; numpy serves only the
+    # tests' dense-solve oracle
+    done = _run_cli_process("dist", _theta_file(tmp_path), flags=["-X", "importtime"])
+    assert done.stdout.startswith("n 13\n")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "phylocircuit.metrics" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+def test_float_theta_dist_independent_of_hash_seed(tmp_path):
+    # block.nodes and block.edges are sets, which iterate in hash order;
+    # no float sum of a theta block may follow it
+    path = _theta_file(tmp_path, scale=1.37)
+    outs = {
+        _run_cli_process("--precision", "17", "dist", path, PYTHONHASHSEED=seed).stdout
         for seed in ("0", "1")
     }
     assert len(outs) == 1
@@ -514,7 +552,6 @@ def test_commands_never_solve_for_resistance(monkeypatch, tmp_path, capsys):
     # rw reads a 1-nested network's splits off the circuit; the resistance
     # solve and its decomposition are the tests' oracle only
     _forbid(monkeypatch, metrics.resistance_vector)
-    _forbid(monkeypatch, linalg.solve_exact)
     net_file = tmp_path / "two-cycles.net"
     net_file.write_text(network_to_text(two_cycles_with_bridge()))
     code, rw_out, _ = run(capsys, "rw", str(net_file))

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylocircuit import enum2, linalg, metrics
+from phylocircuit import enum2, metrics
 from phylocircuit.errors import (
     SizeMismatchError,
     TooLargeForExactError,
@@ -219,17 +220,37 @@ def test_resistance_equals_dense_solve_on_seeded_level1():
             _assert_same_fractions(net, split_metric(resistance_split_system_direct(net)))
 
 
+def _more_chords(seed: int, count: int) -> list[PhyloNetwork]:
+    """Seeded level-1 networks given a leaf chord (a leaf on each path of
+    the theta) or two chords: blocks that the closed forms do not cover."""
+    rng = random.Random(seed)
+    nets: list[PhyloNetwork] = []
+    while len(nets) < count:
+        base = random_one_nested(rng.randint(5, 16), rng, binary=len(nets) % 2 == 0)
+        leafy = with_leaf_chord(base, rng)
+        if leafy is not None:
+            twice = with_chord(with_chord(base, rng), rng)
+            nets += [leafy] + ([twice] if twice is not None else [])
+    return nets
+
+
 def test_resistance_equals_dense_solve_on_chorded_scan_networks():
     levels = set()
     for net in scan_networks(seed=61, count=30):
         levels.add(classify(net).level)
         _assert_same_fractions(net, resistance_by_dense_solve(net))
     assert {1, 2} <= levels
+    thetas = 0
+    for net in _more_chords(seed=62, count=20):
+        thetas += len(block_decomposition(net).of_kind(THETA))
+        _assert_same_fractions(net, resistance_by_dense_solve(net))
+    assert thetas > 20
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1.37, 1e4])
 def test_float_resistance_agrees_with_dense_solve(scale):
     nets = _resistance_fixtures() + list(scan_networks(seed=67, count=8))
+    nets += _more_chords(seed=68, count=8)
     for net in nets:
         want = [float(v) * scale for v in resistance_by_dense_solve(net).values]
         got = resistance_vector(_as_float(net, scale))
@@ -248,48 +269,55 @@ def test_float_resistance_kalmanson_at_weight_scale_1e4(n):
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_resistance_solves_block_by_block(monkeypatch, exact):
-    orders = []
-
-    def recording(solve):
-        def wrapped(matrix, rhs):
-            orders.append(len(matrix))
-            return solve(matrix, rhs)
-
-        return wrapped
-
-    monkeypatch.setattr(linalg, "solve_exact", recording(linalg.solve_exact))
-    monkeypatch.setattr(linalg, "solve_float", recording(linalg.solve_float))
+def test_resistance_solves_block_by_block(exact):
+    # the library solves no linear system: bridges and cycles are closed
+    # forms, theta blocks grow edge by edge, and the dense solve over
+    # every node is the tests' oracle only
+    assert importlib.util.find_spec("phylocircuit.linalg") is None
+    # the exact dense solve takes 8 s at n = 64
     rng = random.Random(64)
-    net = random_one_nested(64, rng)
+    net = random_one_nested(24 if exact else 64, rng)
     chorded = with_chord(with_chord(net, rng), rng)
-    if not exact:
-        net, chorded = _as_float(net, 1.0), _as_float(chorded, 1.0)
-    # bridges and cycles are closed forms: a level-1 network solves nothing
-    resistance_vector(net)
-    assert orders == []
-    # each theta block is one solve of its own Laplacian grounded at one
-    # portal, of order one less than the block's node count
-    resistance_vector(chorded)
     thetas = block_decomposition(chorded).of_kind(THETA)
     assert classify(chorded).level == 2 and len(thetas) == 2
-    assert sorted(orders) == sorted(len(b.nodes) - 1 for b in thetas)
+    for case in (net, chorded):
+        if exact:
+            _assert_same_fractions(case, resistance_by_dense_solve(case))
+        else:
+            case = _as_float(case, 1.0)
+            want = resistance_by_dense_solve(case).values
+            got = resistance_vector(case).values
+            assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+
+
+def _ring_chords(k: int, rng: random.Random) -> list[PhyloNetwork]:
+    """``ring_with_pendants(k)`` with random weights, then the same ring
+    with one chord (a theta block) and with two crossing chords."""
+    cw = [F(rng.randint(1, 10), rng.randint(1, 4)) for _ in range(k)]
+    pw = [F(rng.randint(1, 10), rng.randint(1, 4)) for _ in range(k)]
+    net = ring_with_pendants(k, cw, pw)
+    nets = [net]
+    for ends in ([(1, k // 2 + 1)], [(1, k // 2 + 1), (2, k // 2 + 2)]):
+        if k >= 6:
+            chords = [(f"c{a}", f"c{b}", F(rng.randint(1, 10))) for a, b in ends]
+            edges = [*net.edge_items, *chords]
+            nets.append(PhyloNetwork.build(net.leaves, edges, strict=True))
+    return nets
 
 
 def test_resistance_equals_dense_solve_on_rings():
-    # one cycle block holding every leaf, in its closed form
+    # one cycle block holding every leaf, in its closed form, and the same
+    # ring with chords, one block grown edge by edge
     rng = random.Random(128)
-    for k in (3, 4, 5, 7, 12, 24, 32, 48, 64):
-        cw = [F(rng.randint(1, 10), rng.randint(1, 4)) for _ in range(k)]
-        pw = [F(rng.randint(1, 10), rng.randint(1, 4)) for _ in range(k)]
-        net = ring_with_pendants(k, cw, pw)
-        # the exact dense solve takes seconds beyond k = 32
-        if k <= 32:
-            _assert_same_fractions(net, resistance_by_dense_solve(net))
-        floats = _as_float(net, 1.37)
-        want = resistance_by_dense_solve(floats).values
-        got = resistance_vector(floats).values
-        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+    for k in (3, 4, 5, 7, 12, 24, 32, 48, 64, 128):
+        for net in _ring_chords(k, rng):
+            # the exact dense solve takes seconds beyond k = 32
+            if k <= 32:
+                _assert_same_fractions(net, resistance_by_dense_solve(net))
+            floats = _as_float(net, 1.37)
+            want = resistance_by_dense_solve(floats).values
+            got = resistance_vector(floats).values
+            assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +517,15 @@ def test_small_n_vacuous():
 
 
 def test_size_mismatch():
-    d = DistanceVector(4, tuple(F(1) for _ in range(6)))
-    with pytest.raises(SizeMismatchError):
-        is_kalmanson(d, CircularOrder((1, 2, 3)))
+    # all ties pass on every order of the right labels, and exact
+    # decomposition checks the order before its arc-sign test
+    for one in (F(1), 1.0):
+        d = DistanceVector(4, (one,) * 6)
+        for labels in ((1, 2, 3), (1, 2, 3, 5), (0, 1, 2, 3)):
+            with pytest.raises(SizeMismatchError):
+                is_kalmanson(d, CircularOrder(labels))
+            with pytest.raises(SizeMismatchError):
+                circular_decomposition(d, CircularOrder(labels))
 
 
 def test_exact_search_cap():
