@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="enumerate network classes")
     p.add_argument("--level", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="internal bridges (level 1 only)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("jc", help="expected mutations from matching sites")
@@ -610,6 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "count" and args.level == 2 and args.k is not None:
+        parser.error("argument --k: not allowed with --level 2")
     try:
         return args.func(args)
     except PhyloCircuitError as exc:

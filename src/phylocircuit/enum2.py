@@ -6,16 +6,18 @@ two new nodes (the distance bound keeps every induced cycle at length 4
 or more).  Each cycle may carry at most one chord and at least one chord
 is present overall.  The count is validated against 6, 120, 2790 for
 n = 4, 5, 6, including the published per-skeleton breakdown.
+
+Bases are grouped into unlabeled skeletons by a canonical code of their
+graph (see ``_shape_code``).  Skeleton i is the i-th class to appear in
+the order of the chordable bases, so its index is fixed by its first
+base.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import networkx as nx
 
 from .errors import BadChordError, NoCycleError, OutOfRangeError
 from .netgraph import (
@@ -103,38 +105,44 @@ def enumerate_binary_two_nested(n: int) -> list[PhyloNetwork]:
     return out
 
 
-def _unlabeled_graph(net: PhyloNetwork) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(net.nodes)
-    g.add_edges_from((u, v) for u, v, _ in net.edge_items)
-    return g
+def _shape_code(net: PhyloNetwork) -> str:
+    """Canonical code of the unlabeled graph of a level <= 1 network.
+
+    Rooted at a leaf, a node reads as the codes of the blocks hanging
+    below it, sorted, in parentheses.  A bridge reads as ``b`` and its far
+    node; a cycle as its other nodes in ring order from the entry node, in
+    brackets, whichever of the two walks reads smaller.  Isomorphisms map
+    leaves to leaves, so the least reading over all leaf roots is equal
+    for two networks exactly when their graphs are isomorphic (Aho,
+    Hopcroft & Ullman 1974).
+    """
+    decomp = classify(net).blocks
+    blocks, blocks_at = decomp.blocks, decomp.blocks_at
+
+    def read(v: str, entry: int | None) -> str:
+        parts = []
+        for bi in blocks_at[v]:
+            if bi == entry:
+                continue
+            if blocks[bi].kind == CYCLE:
+                walk = cycle_node_sequence(blocks[bi], start=v)[1:]
+                codes = [read(u, bi) for u in walk]
+                parts.append("[" + min("".join(codes), "".join(codes[::-1])) + "]")
+            else:
+                (u,) = blocks[bi].nodes - {v}
+                parts.append("b" + read(u, bi))
+        return "(" + "".join(sorted(parts)) + ")"
+
+    return min(read(v, None) for v in net.leaf_of_node)
 
 
 def _unlabeled_classes(nets: list[PhyloNetwork]) -> list[list[int]]:
-    """Group indexes by unlabeled graph isomorphism."""
-    graphs = [_unlabeled_graph(x) for x in nets]
-    # the hashes only bucket candidates for nx.is_isomorphic, so the notice
-    # that networkx 3.5 changed them for unattributed graphs is moot here
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="The hashes produced", category=UserWarning
-        )
-        hashes = [nx.weisfeiler_lehman_graph_hash(g) for g in graphs]
-    buckets: dict[str, list[int]] = {}
-    for i, h in enumerate(hashes):
-        buckets.setdefault(h, []).append(i)
-    classes: list[list[int]] = []
-    for bucket in buckets.values():
-        reps: list[list[int]] = []
-        for i in bucket:
-            for group in reps:
-                if nx.is_isomorphic(graphs[group[0]], graphs[i]):
-                    group.append(i)
-                    break
-            else:
-                reps.append([i])
-        classes.extend(reps)
-    return classes
+    """Group indexes by unlabeled graph isomorphism, each class in index
+    order and the classes in order of their first member."""
+    classes: dict[str, list[int]] = {}
+    for i, net in enumerate(nets):
+        classes.setdefault(_shape_code(net), []).append(i)
+    return list(classes.values())
 
 
 def skeleton_census(n: int) -> int:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -189,13 +190,33 @@ def _theta_file(tmp_path, scale=None) -> str:
 
 
 def test_dist_never_imports_numpy(tmp_path):
-    # theta blocks grow edge by edge in plain Python; numpy serves only the
-    # tests' dense-solve oracle
-    done = _run_cli_process("dist", _theta_file(tmp_path), flags=["-X", "importtime"])
-    assert done.stdout.startswith("n 13\n")
-    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
-    assert "phylocircuit.metrics" in imported
-    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    # theta blocks grow edge by edge and skeletons group by a canonical
+    # code, in plain Python; numpy and networkx serve only the tests'
+    # oracles.  validate imports every module the CLI does.
+    path = _theta_file(tmp_path)
+    for command, head in (("dist", "n 13\n"), ("validate", "valid network: 13 leaves")):
+        done = _run_cli_process(command, path, flags=["-X", "importtime"])
+        assert done.stdout.startswith(head)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert {"phylocircuit.metrics", "phylocircuit.enum2"} <= set(imported)
+        assert not [m for m in imported if m.split(".")[0] in ("numpy", "networkx")]
+
+
+def test_library_imports_only_the_standard_library():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    for module in sorted((root / "src" / "phylocircuit").glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (module.name, name)
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 def test_float_theta_dist_independent_of_hash_seed(tmp_path):
@@ -454,6 +475,52 @@ def test_count_level2_breakdown(capsys):
     assert code == 0
     assert "total: 120" in out
     assert "skeletons: 2" in out
+
+
+# Skeleton indices are part of the output of count --level 2; these literals
+# hold them, and the rest of the output, byte for byte.
+_COUNT2_TEXT = {
+    4: "skeleton 0: 6\ntotal: 6\nskeletons: 1\n",
+    5: "skeleton 0: 60\nskeleton 1: 60\ntotal: 120\nskeletons: 2\n",
+    6: (
+        "skeleton 1: 900\nskeleton 2: 720\nskeleton 0: 540\nskeleton 3: 360\n"
+        "skeleton 4: 180\nskeleton 5: 90\ntotal: 2790\nskeletons: 6\n"
+    ),
+}
+_COUNT2_JSON = {
+    4: '{\n  "rows": [\n    {\n      "count": 6,\n      "skeleton": 0\n    }\n  ],\n'
+       '  "skeletons": 1,\n  "total": 6\n}\n',
+    5: '{\n  "rows": [\n    {\n      "count": 60,\n      "skeleton": 0\n    },\n'
+       '    {\n      "count": 60,\n      "skeleton": 1\n    }\n  ],\n'
+       '  "skeletons": 2,\n  "total": 120\n}\n',
+    6: '{\n  "rows": [\n'
+       '    {\n      "count": 900,\n      "skeleton": 1\n    },\n'
+       '    {\n      "count": 720,\n      "skeleton": 2\n    },\n'
+       '    {\n      "count": 540,\n      "skeleton": 0\n    },\n'
+       '    {\n      "count": 360,\n      "skeleton": 3\n    },\n'
+       '    {\n      "count": 180,\n      "skeleton": 4\n    },\n'
+       '    {\n      "count": 90,\n      "skeleton": 5\n    }\n  ],\n'
+       '  "skeletons": 6,\n  "total": 2790\n}\n',
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_count_level2_golden(capsys, n):
+    assert run(capsys, "count", "--level", "2", "--n", str(n)) == (0, _COUNT2_TEXT[n], "")
+    assert run(capsys, "--json", "count", "--level", "2", "--n", str(n)) == (
+        0, _COUNT2_JSON[n], ""
+    )
+
+
+def test_count_level2_rejects_k(capsys):
+    # --k counts the internal bridges of level-1 networks; at level 2 it
+    # has no meaning
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--level", "2", "--n", "6", "--k", "1"])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --k: not allowed with --level 2" in out.err
 
 
 def test_jc_commands(capsys):

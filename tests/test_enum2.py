@@ -1,8 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from phylocircuit.enum2 import (
+    _chordable_bases,
+    _shape_code,
+    _unlabeled_classes,
     add_heavy_chord,
     enumerate_binary_two_nested,
     skeleton_census,
@@ -10,7 +16,8 @@ from phylocircuit.enum2 import (
 )
 from phylocircuit.errors import BadChordError, NoCycleError, OutOfRangeError
 from phylocircuit.metrics import min_path_vector, resistance_vector
-from phylocircuit.netgraph import THETA, classify, is_binary
+from phylocircuit.netgraph import THETA, PhyloNetwork, classify, is_binary
+from phylocircuit.randomnet import random_one_nested
 from phylocircuit.reconstruct import min_path_split_system
 
 from fixtures import quartet_tree, ring_with_pendants, square_with_pendants
@@ -49,6 +56,71 @@ def test_skeleton_census():
 def test_census_counts_breakdown_rows():
     for n in (4, 5, 6):
         assert skeleton_census(n) == len(two_nested_breakdown(n).rows)
+
+
+# ---------------------------------------------------------------------------
+# skeleton grouping, against networkx's isomorphism test
+
+
+def _graph(net: PhyloNetwork) -> nx.Graph:
+    g = nx.Graph()
+    g.add_edges_from((u, v) for u, v, _ in net.edge_items)
+    return g
+
+
+def _relabeled(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork:
+    """The same graph with shuffled node names and leaf labels."""
+    names = [f"q{i}" for i in range(len(net.nodes))]
+    rng.shuffle(names)
+    rename = dict(zip(net.nodes, names))
+    labels = list(net.leaves)
+    rng.shuffle(labels)
+    leaves = {lab: rename[node] for lab, node in zip(labels, net.leaves.values())}
+    edges = [(rename[u], rename[v], w) for u, v, w in net.edge_items]
+    return PhyloNetwork.build(leaves, edges, strict=True)
+
+
+def _seeded_networks() -> list[PhyloNetwork]:
+    """Binary and non-binary level-1 networks: many at n = 4..7, so that
+    some are isomorphic, and a few up to n = 16."""
+    return [
+        random_one_nested(4 + s % (4 if s < 24 else 13), random.Random(s), binary=s % 2 == 0)
+        for s in range(48)
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_unlabeled_classes_match_isomorphism(n):
+    bases = _chordable_bases(n)
+    graphs = [_graph(b) for b in bases]
+    want: list[list[int]] = []
+    for i, g in enumerate(graphs):
+        for group in want:
+            if nx.is_isomorphic(graphs[group[0]], g):
+                group.append(i)
+                break
+        else:
+            want.append([i])
+    assert _unlabeled_classes(bases) == want
+
+
+def test_shape_code_ignores_names_and_labels():
+    rng = random.Random(13)
+    for net in _seeded_networks():
+        code = _shape_code(net)
+        for _ in range(3):
+            assert _shape_code(_relabeled(net, rng)) == code
+
+
+def test_shape_codes_equal_exactly_when_isomorphic():
+    nets = _seeded_networks()
+    codes = [_shape_code(net) for net in nets]
+    graphs = [_graph(net) for net in nets]
+    same = 0
+    for i, j in itertools.combinations(range(len(nets)), 2):
+        assert (codes[i] == codes[j]) == nx.is_isomorphic(graphs[i], graphs[j]), (i, j)
+        same += codes[i] == codes[j]
+    assert 0 < same < len(nets) * (len(nets) - 1) // 2
 
 
 def test_enumerated_networks_classify_level_two():
