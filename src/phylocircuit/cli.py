@@ -344,7 +344,7 @@ def cmd_count(args) -> int:
         _emit(args, lines, obj)
         return 0
     breakdown = enum2.two_nested_breakdown(args.n)
-    skeletons = enum2.skeleton_census(args.n)
+    skeletons = len(breakdown.rows)  # skeleton_census(n) would enumerate again
     lines = [
         f"skeleton {idx}: {count}" for idx, count in breakdown.rows
     ] + [

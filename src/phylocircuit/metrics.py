@@ -62,6 +62,8 @@ class DistanceVector:
     values: tuple[Value, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise SizeMismatchError(f"a distance vector needs a leaf, got n={self.n}")
         expect = self.n * (self.n - 1) // 2
         if len(self.values) != expect:
             raise SizeMismatchError(
@@ -462,16 +464,6 @@ def _label_table(d: DistanceVector) -> tuple[list[list[Value | int]], int]:
     return full, scale
 
 
-def _position_table(
-    d: DistanceVector, order: CircularOrder
-) -> tuple[list[list[Value | int]], int]:
-    """Distances between the labels at each pair of positions of ``order``:
-    ``rows[p][q]`` is d(labels[p], labels[q]), scaled as in _label_table."""
-    full, scale = _label_table(d)
-    labels = order.labels
-    return [[full[i][j] for j in labels] for i in labels], scale
-
-
 def _scan(rows: list[list], eps: Value) -> tuple[list[tuple], int]:
     """The circular inequality on every quadruple of positions a < b < c < e.
 
@@ -507,6 +499,12 @@ def _scan(rows: list[list], eps: Value) -> tuple[list[tuple], int]:
 
 
 def _tolerance(d: DistanceVector, tol: float | None) -> Value:
+    """The absolute tolerance of a check: 0 for exact ``d``, else ``tol``
+    (in the units of the distances) or FLOAT_TOL.  A NaN tolerance would
+    pass every comparison and a negative one would turn ties into
+    violations, so ``tol`` must be finite and nonnegative."""
+    if tol is not None and not 0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
     return 0 if d.is_exact else (FLOAT_TOL if tol is None else tol)
 
 
@@ -527,11 +525,12 @@ def is_kalmanson(
     equalities, never violations.  Comparison is exact for rational input
     and within an absolute tolerance otherwise.
     """
+    eps = _tolerance(d, tol)
     _check_order(d, order)
     exact = d.is_exact
-    rows, scale = _position_table(d, order)
+    full, scale = _label_table(d)
     labels = order.labels
-    found, equalities = _scan(rows, _tolerance(d, tol))
+    found, equalities = _scan([[full[i][j] for j in labels] for i in labels], eps)
     violations = tuple(
         (
             (labels[a], labels[b], labels[c], labels[e]),
@@ -561,22 +560,6 @@ def _arcs_nonnegative(full: list[list[int]], labels: Sequence[int]) -> bool:
             if before[x] + first[y] < before[y] + first[x]:
                 return False
     return True
-
-
-def _violations(
-    d: DistanceVector, order: CircularOrder, tol: float | None
-) -> tuple[tuple[tuple[int, int, int, int], Value], ...]:
-    """The violations that is_kalmanson reports, empty when ``d`` passes.
-
-    On exact input the O(n^2) sign test of the arcs runs first, and the
-    O(n^4) quadruple scan only when it fails, to name the violations.
-    Float input is always scanned, within the tolerance.
-    """
-    if d.is_exact:
-        _check_order(d, order)
-        if _arcs_nonnegative(_label_table(d)[0], order.labels):
-            return ()
-    return is_kalmanson(d, order, tol).violations
 
 
 @dataclass(frozen=True)
@@ -735,28 +718,30 @@ def find_kalmanson_order(
         raise ValidationError(
             f"unknown search mode {mode!r}; expected 'exact' or 'heuristic'"
         )
+    eps = _tolerance(d, tol)
     n = d.n
     if n <= 3:
         order = CircularOrder(tuple(range(1, n + 1)))
         return OrderSearchResult(order, order, Fraction(0), 1)
     if mode == "heuristic":
         order = _neighbor_net_order(d)
-        violations = _violations(d, order, tol)
-        if not violations:
+        report = None
+        if not (d.is_exact and _arcs_nonnegative(_label_table(d)[0], order.labels)):
+            report = is_kalmanson(d, order, tol)
+        if report is None or report.passed:
             return OrderSearchResult(order, order, Fraction(0), 1)
         if n <= 9:
             return find_kalmanson_order(d, "exact", tol)
-        return OrderSearchResult(None, order, max(v for _, v in violations), 1)
+        return OrderSearchResult(None, order, report.max_violation, 1)
     if n > 9:
         raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
-    full, _ = _label_table(d)
+    full, scale = _label_table(d)
     if d.is_exact and _arcs_nonnegative(full, _neighbor_net_order(d).labels):
         for checked, labels in enumerate(_canonical_labels(n), start=1):
             if _arcs_nonnegative(full, labels):
                 order = CircularOrder(labels)
                 return OrderSearchResult(order, order, Fraction(0), checked)
     # no order passes on exact input; float input is checked order by order
-    eps = _tolerance(d, tol)
     best_labels, best_excess = None, None
     checked = 0
     for labels in _canonical_labels(n):
@@ -768,9 +753,9 @@ def find_kalmanson_order(
         worst = max(hit[4] for hit in violations)
         if best_excess is None or worst < best_excess:
             best_labels, best_excess = labels, worst
-    best_order = CircularOrder(best_labels)
-    report = is_kalmanson(d, best_order, tol)
-    return OrderSearchResult(None, best_order, report.max_violation, checked)
+    if d.is_exact:
+        best_excess = Fraction(best_excess, scale)
+    return OrderSearchResult(None, CircularOrder(best_labels), best_excess, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 A distance vector passing the circular inequality for some order
 decomposes uniquely into weighted splits with both sides contiguous in
-that order; the weight of each arc split is the standard isolation
-quantity computed from the four distances at its boundary.  For a
+that order; the weight of each arc split is its isolation index, computed
+from the four distances at its boundary.  The indexes are the check too:
+every side of the circular inequality is a sum of nontrivial indexes
+(Christopher, Farach & Trick 1996), and the n(n-1)/2 splits of an order
+are a basis (Bandelt & Dress 1992), so exact input has residual 0.  For a
 1-nested network the decomposition of its resistance vector is read
 directly off the circuit instead (bridges contribute their own weight, a
 cycle pair with weights a and x contributes a*x/z for cycle total z); the
@@ -26,9 +29,10 @@ from .errors import (
 )
 from .metrics import (
     DistanceVector,
+    _check_order,
     _check_positive,
-    _position_table,
-    _violations,
+    _label_table,
+    _tolerance,
     find_kalmanson_order,
     is_kalmanson,
     min_path_vector,
@@ -42,7 +46,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import FLOAT_TOL, Value
+from .rational import Value
 from .splits import (
     CircularSplitSystem,
     Split,
@@ -75,43 +79,52 @@ def circular_decomposition(
 
     The split isolating the consecutive arc x_i..x_j gets weight
     (d(x_{i-1},x_j) + d(x_i,x_{j+1}) - d(x_{i-1},x_{j+1}) - d(x_i,x_j)) / 2,
-    its isolation index.  Zero-weight splits are dropped.  Raises
-    NotKalmanson (with the first violating quadruple) when the inequality
-    fails for this order, and NegativeSplitWeight when a trivial split
-    weighs less than zero (less than minus the tolerance for float input).
-    Exact input passes the O(n^2) sign test of the arcs before any
-    quadruple scan, which runs only to name a violation.
+    its isolation index.  Zero-weight splits are dropped.  On exact input
+    the arcs are the check: a negative nontrivial index is a violated
+    circular inequality, and only then is the quadruple scan run, to name
+    the first violation; float input is scanned first, within the
+    tolerance.  Raises NotKalmanson (with that first violating quadruple)
+    when the inequality fails, else NegativeSplitWeight when a trivial
+    split weighs less than zero (less than minus the tolerance for
+    float).  The splits of one order form a basis, so the exact residual
+    is 0; only float input, which drops splits below DROP_BELOW, has one.
     """
-    violations = _violations(d, order, tol)
-    if violations:
-        raise NotKalmansonError(*violations[0])
-    rows, scale = _position_table(d, order)
+    eps = _tolerance(d, tol)
+    _check_order(d, order)
+    exact = d.is_exact
+    if not exact:
+        violations = is_kalmanson(d, order, tol).violations
+        if violations:
+            raise NotKalmansonError(*violations[0])
+    full, scale = _label_table(d)
     labels = order.labels
     n = d.n
-    exact = d.is_exact
-    eps = 0 if exact else (FLOAT_TOL if tol is None else tol)
     floor = 0 if exact else DROP_BELOW
     kept: dict[Split, Value] = {}
+    negative = None
     # each split once, from the side p..q that misses the last position
     for p in range(n - 1):
-        row_before, row_first = rows[p - 1], rows[p]
+        before, first = full[labels[p - 1]], full[labels[p]]
         for q in range(p, n - 1):
-            index = (
-                row_before[q]
-                + row_first[q + 1]
-                - row_before[q + 1]
-                - row_first[q]
-            )
+            x, y = labels[q], labels[q + 1]
+            index = before[x] + first[y] - before[y] - first[x]
             w = Fraction(index, 2 * scale) if exact else 0.5 * index
-            if w < -eps and (q == p or q - p == n - 2):
-                raise NegativeSplitWeightError(Split(labels[p : q + 1], n), w)
-            if w > floor:
+            if w < -eps:
+                if q == p or q - p == n - 2:
+                    negative = negative or (Split(labels[p : q + 1], n), w)
+                elif exact:
+                    raise NotKalmansonError(*is_kalmanson(d, order).violations[0])
+            elif w > floor:
                 kept[Split(labels[p : q + 1], n)] = w
+    if negative:
+        raise NegativeSplitWeightError(*negative)
     system = CircularSplitSystem.of_order(n, kept, order)
-    deviations = [
-        abs(a - b) for a, b in zip(split_metric(system).values, d.values)
-    ]
-    residual = max(deviations, default=Fraction(0))
+    residual = Fraction(0)
+    if not exact:
+        residual = max(
+            (abs(a - b) for a, b in zip(split_metric(system).values, d.values)),
+            default=residual,
+        )
     return DecompositionResult(system=system, residual=residual)
 
 
@@ -169,13 +182,11 @@ def min_path_split_system(net: PhyloNetwork) -> CircularSplitSystem:
         # alternating leaf paths around an outer-planar drawing cross, so
         # the vector passes on every consistent order, the canonical one too
         return circular_decomposition(d, canonical_order(net)).system
+    # a miss leaves the least violating order, on which the decomposition
+    # raises NotKalmanson with that order's first violation
     mode = "exact" if net.n <= 9 else "heuristic"
-    result = find_kalmanson_order(d, mode)
-    if not result.found:
-        report = is_kalmanson(d, result.best_order)
-        quad, amount = report.violations[0]
-        raise NotKalmansonError(quad, amount)
-    return circular_decomposition(d, result.order).system
+    order = find_kalmanson_order(d, mode).best_order
+    return circular_decomposition(d, order).system
 
 
 # ---------------------------------------------------------------------------

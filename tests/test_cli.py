@@ -132,15 +132,45 @@ def test_split_given_twice_exits_one(tmp_path, capsys):
     assert err == "error: ValidationError: line 3: split {1}|{2,3,4} repeats line 2\n"
 
 
-def _run_cli_process(*argv, flags=(), **env):
+def _run_cli_process(*argv, flags=(), check=True, **env):
     """Run ``python -m phylocircuit.cli`` in a child process on this src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *flags, "-m", "phylocircuit.cli", *argv],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=check,
         env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+_DEGENERATE_DISTANCES = {
+    "empty": "",
+    "n-zero": "n 0\n",
+    "square-zero": "0\n",
+    "one-leaf": "n 1\n",
+    "header-only": "n 4\n",
+    "missing-pair": "n 3\n1 2 1\n1 3 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_DISTANCES))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kalmanson"],
+        ["kalmanson", "--order", "1,2,3,4"],
+        ["kalmanson", "--search", "heuristic"],
+        ["decompose", "--order", "1"],
+        ["bme-min", "--n", "4", "--k", "0"],
+    ],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_degenerate_distance_file_gives_no_traceback(tmp_path, name, argv):
+    path = tmp_path / f"{name}.dist"
+    path.write_text(_DEGENERATE_DISTANCES[name])
+    done = _run_cli_process(argv[0], str(path), *argv[1:], check=False)
+    assert done.returncode in (0, 1, 2)
+    assert "Traceback" not in done.stderr
 
 
 def test_invert_never_imports_scipy(tmp_path):
@@ -253,6 +283,21 @@ def test_decompose_negative_trivial_weight_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "NegativeSplitWeightError" in err and "-4" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["kalmanson", "--order", "1,3,2,4"], ["kalmanson"], ["decompose", "--order", "1,3,2,4"]],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_bad_tolerance_exits_one(tmp_path, capsys, argv, tolerance):
+    # the vector fails the order 1,3,2,4 by 8; a NaN tolerance let it pass
+    path = tmp_path / "square.dist"
+    path.write_text("n 4\n1 2 1.0\n1 3 5.0\n1 4 5.0\n2 3 5.0\n2 4 5.0\n3 4 1.0\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], f"--tolerance={tolerance}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValidationError: tolerance must be finite and nonnegative")
 
 
 def test_kalmanson_search_rejects_nan_distance(tmp_path, capsys):
@@ -510,6 +555,20 @@ def test_count_level2_golden(capsys, n):
     assert run(capsys, "--json", "count", "--level", "2", "--n", str(n)) == (
         0, _COUNT2_JSON[n], ""
     )
+
+
+def test_count_level2_enumerates_bases_once(monkeypatch, capsys):
+    # the skeleton census is the number of breakdown rows
+    calls = []
+    original = enum2._chordable_bases
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(enum2, "_chordable_bases", counted)
+    assert run(capsys, "count", "--level", "2", "--n", "5") == (0, _COUNT2_TEXT[5], "")
+    assert calls == [5]
 
 
 def test_count_level2_rejects_k(capsys):

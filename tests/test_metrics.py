@@ -528,6 +528,41 @@ def test_size_mismatch():
                 circular_decomposition(d, CircularOrder(labels))
 
 
+def test_distance_vector_needs_a_leaf():
+    for n in (0, -1):
+        with pytest.raises(SizeMismatchError, match="needs a leaf"):
+            DistanceVector(n, ())
+    for text in ("n 0\n", "0\n"):
+        with pytest.raises(SizeMismatchError, match="needs a leaf"):
+            parse_distance_vector(text)
+    assert DistanceVector(1, ()).values == ()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN tolerance passes every comparison and a negative one turns
+    # ties into violations; both are refused before any check, on exact
+    # input too, and at n <= 3, where the search has nothing to check
+    for exact in (DistanceVector(3, (F(1), F(2), F(3))), resistance_vector(quartet_tree())):
+        for d in (exact, exact.as_floats()):
+            order = CircularOrder(tuple(range(1, d.n + 1)))
+            for check in (
+                lambda: is_kalmanson(d, order, tol),
+                lambda: find_kalmanson_order(d, "exact", tol),
+                lambda: find_kalmanson_order(d, "heuristic", tol),
+                lambda: circular_decomposition(d, order, tol),
+            ):
+                with pytest.raises(ValidationError, match="tolerance must be"):
+                    check()
+
+
+def test_zero_tolerance_is_allowed():
+    d = resistance_vector(quartet_tree()).as_floats()
+    order = CircularOrder((1, 2, 3, 4))
+    assert is_kalmanson(d, order, 0.0).passed
+    assert circular_decomposition(d, order, 0).residual <= FLOAT_TOL
+
+
 def test_exact_search_cap():
     d = DistanceVector(10, tuple(F(1) for _ in range(45)))
     with pytest.raises(TooLargeForExactError):
@@ -742,7 +777,9 @@ def test_exact_search_matches_oracle_without_an_order():
         checked += 1
 
 
-def test_exhaustive_search_builds_one_report(monkeypatch):
+def test_exhaustive_search_builds_no_report(monkeypatch):
+    # the least maximum violation comes from the scan itself, in the
+    # vector's units, with no report on the best order afterwards
     calls = []
     original = metrics.is_kalmanson
 
@@ -755,7 +792,10 @@ def test_exhaustive_search_builds_one_report(monkeypatch):
     for vector in (d, d.as_floats()):
         result = find_kalmanson_order(vector, "exact")
         assert not result.found and result.orders_checked == 60
-    assert len(calls) == 2
+        best = original(vector, result.best_order)
+        assert result.best_violation == best.max_violation
+        assert type(result.best_violation) is type(best.max_violation)
+    assert calls == []
 
 
 def test_sign_test_matches_scan():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from phylocircuit import metrics, reconstruct
 from phylocircuit.errors import (
     NegativeSplitWeightError,
     NotInvertibleError,
@@ -210,6 +211,76 @@ def test_negative_trivial_weight_raises():
         circular_decomposition(d, order)
     assert info.value.split == trivial_split(4, 4)
     assert info.value.weight == -4
+
+
+def test_exact_decomposition_runs_no_scan_and_no_residual(monkeypatch):
+    # the arcs are the check and the residual is 0 by the basis theorem,
+    # so a passing exact vector is neither scanned nor re-summed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module in (reconstruct, metrics):
+        for name in ("is_kalmanson", "split_metric"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = random.Random(71)
+    for n in (4, 9, 24):
+        net = random_one_nested(n, rng)
+        for d in (resistance_vector(net), min_path_vector(net)):
+            result = circular_decomposition(d, canonical_order(net))
+            assert result.residual == 0 and type(result.residual) is Fraction
+    # a level-2 network's min-path splits, on the order the search finds
+    from phylocircuit.enum2 import add_heavy_chord
+
+    chorded = add_heavy_chord(square_with_pendants(), 0, ("c1", "c3"), F(1000))
+    assert min_path_split_system(chorded).splits
+
+
+def _arc_sum_vector(weights, n):
+    """The exact vector of circular splits on the order 1..n, the arc
+    {p..q} weighing ``weights.get((p, q), 1)``."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    d = dict.fromkeys(pairs, F(0))
+    for p in range(1, n):
+        for q in range(p, n):
+            w = F(weights.get((p, q), 1))
+            for i, j in pairs:
+                if (p <= i <= q) != (p <= j <= q):
+                    d[(i, j)] += w
+    return DistanceVector(n, tuple(d[pair] for pair in pairs))
+
+
+def test_not_kalmanson_beats_an_earlier_negative_trivial_split():
+    # the arc loop meets leaf 1's negative trivial split before the
+    # negative arc {2, 3}; the inequality failure is still the error, and
+    # it names the scan's first violation
+    order = CircularOrder((1, 2, 3, 4, 5))
+    d = _arc_sum_vector({(1, 1): -3, (2, 3): F(-1, 2)}, 5)
+    report = is_kalmanson(d, order)
+    assert not report.passed
+    with pytest.raises(NotKalmansonError) as info:
+        circular_decomposition(d, order)
+    assert (info.value.quadruple, info.value.amount) == report.violations[0]
+    assert str(info.value) == str(NotKalmansonError(*report.violations[0]))
+    # without the negative arc the trivial split is the error
+    with pytest.raises(NegativeSplitWeightError) as info:
+        circular_decomposition(_arc_sum_vector({(1, 1): -3}, 5), order)
+    assert (info.value.split, info.value.weight) == (trivial_split(1, 5), -3)
+
+
+def test_exact_splits_reproduce_the_vector():
+    # the n(n-1)/2 splits of an order are a basis, so the kept splits sum
+    # back to d exactly, which is why exact decomposition reports residual
+    # 0 without computing it
+    checked = 0
+    for n in (*range(4, 17), 24, 32, 48, 64):
+        for binary in (False, True):
+            net = random_one_nested(n, random.Random(1000 * n + binary), binary=binary)
+            for d in (resistance_vector(net), min_path_vector(net)):
+                dec = circular_decomposition(d, canonical_order(net))
+                assert split_metric(dec.system).values == d.values
+                checked += 1
+    assert checked == 4 * 17
 
 
 def test_float_noise_on_zero_trivial_weight_is_dropped():
