@@ -566,9 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bme-min", help="minimize a vector over polytope vertices")
     p.add_argument("distances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--n", type=int, required=True,
+                   help="leaves of the polytope, 4..7; must match the vector")
+    p.add_argument("--k", type=int, required=True,
+                   help="internal bridges of its vertices, 0..n-3")
+    p.add_argument("--exact", action="store_true",
+                   help="read decimal distances as exact rationals, not floats")
     p.set_defaults(func=cmd_bme_min)
 
     p = sub.add_parser("verify-face", help="check the refinement-face property")
@@ -577,9 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_face)
 
     p = sub.add_parser("count", help="enumerate network classes")
-    p.add_argument("--level", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="internal bridges (level 1 only)")
+    p.add_argument("--level", type=int, choices=(1, 2), required=True,
+                   help="1: binary triangle-free 1-nested networks;"
+                   " 2: their strictly 2-nested chordings")
+    p.add_argument("--n", type=int, required=True,
+                   help="leaves: 4..7 at level 1, 4..6 at level 2")
+    p.add_argument("--k", type=int, default=None,
+                   help="internal bridges, 0..n-3 (level 1 only; default: every k)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("jc", help="expected mutations from matching sites")

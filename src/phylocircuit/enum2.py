@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadChordError, NoCycleError, OutOfRangeError
 from .netgraph import (
@@ -27,7 +26,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .polytope import enumerate_binary_one_nested
+from .polytope import UNIT, enumerate_binary_one_nested
 from .rational import Value
 
 
@@ -59,7 +58,7 @@ def _with_chords(net: PhyloNetwork, placements) -> PhyloNetwork:
             new_edges.append((u, mid, half))
             new_edges.append((mid, v, w - half))
             pairs.append(mid)
-        new_edges.append((pairs[0], pairs[1], Fraction(1)))
+        new_edges.append((pairs[0], pairs[1], UNIT))
     for key, w in edges.items():
         if key not in removed:
             u, v = sorted(key)
@@ -114,12 +113,17 @@ def _shape_code(net: PhyloNetwork) -> str:
     brackets, whichever of the two walks reads smaller.  Isomorphisms map
     leaves to leaves, so the least reading over all leaf roots is equal
     for two networks exactly when their graphs are isomorphic (Aho,
-    Hopcroft & Ullman 1974).
+    Hopcroft & Ullman 1974).  The part beyond a node, entered from one of
+    its blocks, reads the same from every root, so each is read once.
     """
     decomp = classify(net).blocks
     blocks, blocks_at = decomp.blocks, decomp.blocks_at
+    memo: dict[tuple[str, int | None], str] = {}
 
     def read(v: str, entry: int | None) -> str:
+        code = memo.get((v, entry))
+        if code is not None:
+            return code
         parts = []
         for bi in blocks_at[v]:
             if bi == entry:
@@ -131,7 +135,8 @@ def _shape_code(net: PhyloNetwork) -> str:
             else:
                 (u,) = blocks[bi].nodes - {v}
                 parts.append("b" + read(u, bi))
-        return "(" + "".join(sorted(parts)) + ")"
+        code = memo[v, entry] = "(" + "".join(sorted(parts)) + ")"
+        return code
 
     return min(read(v, None) for v in net.leaf_of_node)
 

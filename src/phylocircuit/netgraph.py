@@ -120,18 +120,22 @@ class PhyloNetwork:
             u, v = str(u), str(v)
             if u == v:
                 raise MultiEdgeError(f"self-loop at {u}")
-            key = edge_key(u, v)
-            if key in seen:
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
                 raise MultiEdgeError(f"duplicate edge {u}-{v}")
-            seen.add(key)
+            seen.add(pair)
             if isinstance(w, int):
                 w = Fraction(w)
-            if isinstance(w, float) and not math.isfinite(w):
-                raise ValidationError(f"edge {u}-{v} has non-finite weight {w}")
-            if w < 0:
+            if type(w) is Fraction:
+                negative = w.numerator < 0  # Fraction's own < is far slower
+            else:
+                if isinstance(w, float) and not math.isfinite(w):
+                    raise ValidationError(f"edge {u}-{v} has non-finite weight {w}")
+                negative = w < 0
+            if negative:
                 raise NegativeWeightError(f"edge {u}-{v} has weight {w}")
-            norm.append((min(u, v), max(u, v), w))
-        norm.sort(key=lambda t: (t[0], t[1]))
+            norm.append((*pair, w))
+        norm.sort()  # the pairs are distinct, so weights are never compared
         leaf_items = tuple(sorted((int(k), str(v)) for k, v in leaves.items()))
         net = cls(leaf_items=leaf_items, edge_items=tuple(norm))
         net._check(strict)
@@ -143,7 +147,7 @@ class PhyloNetwork:
         leaf_nodes = {node for _, node in self.leaf_items}
         if len(leaf_nodes) != len(self.leaf_items):
             raise BadLeafLabelError("two labels share a node")
-        if strict and (not labels or labels != list(range(1, len(labels) + 1)) or len(labels) < 2):
+        if strict and (labels != list(range(1, len(labels) + 1)) or len(labels) < 2):
             raise BadLeafLabelError(f"labels must be 1..n with n >= 2, got {labels}")
         for _, node in self.leaf_items:
             if node not in adj:
@@ -152,12 +156,11 @@ class PhyloNetwork:
                 raise BadLeafDegreeError(f"labeled node {node} has degree {len(adj[node])}")
         if strict:
             for node, nbrs in adj.items():
-                if node in leaf_nodes:
-                    continue
-                if len(nbrs) == 1:
-                    raise BadLeafDegreeError(f"degree-1 node {node} has no label")
-                if len(nbrs) == 2:
-                    raise InternalDegreeTooLowError(f"node {node} has degree 2")
+                if len(nbrs) < 3 and node not in leaf_nodes:
+                    if len(nbrs) == 1:
+                        raise BadLeafDegreeError(f"degree-1 node {node} has no label")
+                    if len(nbrs) == 2:
+                        raise InternalDegreeTooLowError(f"node {node} has degree 2")
         # connectivity
         if adj:
             start = next(iter(adj))
@@ -181,10 +184,17 @@ class PhyloNetwork:
         if cached is None:
             cached = {}
             for u, v, w in self.edge_items:
-                cached.setdefault(u, {})[v] = w
-                cached.setdefault(v, {})[u] = w
+                if u in cached:
+                    cached[u][v] = w
+                else:
+                    cached[u] = {v: w}
+                if v in cached:
+                    cached[v][u] = w
+                else:
+                    cached[v] = {u: w}
             for _, node in self.leaf_items:
-                cached.setdefault(node, {})
+                if node not in cached:
+                    cached[node] = {}
             self.__dict__["_adjacency"] = cached
         return cached
 
@@ -286,22 +296,27 @@ class Classification:
         return "higher" if self.level is None else str(self.level)
 
 
-def _biconnected(net: PhyloNetwork) -> tuple[list[frozenset], frozenset]:
-    """Iterative Hopcroft-Tarjan: returns (edge sets of blocks, cut vertices)."""
+def _biconnected(net: PhyloNetwork) -> tuple[list[tuple[tuple, frozenset]], frozenset]:
+    """Iterative Hopcroft-Tarjan: returns (least edge and edge set of each
+    block, cut vertices).
+
+    The DFS follows adjacency order; the blocks and cut vertices of a graph
+    do not depend on the order of the search.
+    """
     adj = net.adjacency
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
     parent: dict[str, str | None] = {}
     cuts: set[str] = set()
-    components: list[frozenset] = []
+    components: list[tuple[tuple, frozenset]] = []
     counter = itertools.count()
     edge_stack: list[tuple[str, str]] = []
 
-    for root in net.nodes:
+    for root in adj:
         if root in disc:
             continue
         parent[root] = None
-        stack = [(root, iter(net.neighbors(root)))]
+        stack = [(root, iter(adj[root]))]
         disc[root] = low[root] = next(counter)
         root_children = 0
         while stack:
@@ -314,7 +329,7 @@ def _biconnected(net: PhyloNetwork) -> tuple[list[frozenset], frozenset]:
                         root_children += 1
                     edge_stack.append((v, w))
                     disc[w] = low[w] = next(counter)
-                    stack.append((w, iter(net.neighbors(w))))
+                    stack.append((w, iter(adj[w])))
                     advanced = True
                     break
                 elif w != parent[v] and disc[w] < disc[v]:
@@ -329,50 +344,53 @@ def _biconnected(net: PhyloNetwork) -> tuple[list[frozenset], frozenset]:
                 if low[v] >= disc[u]:
                     # pop the block rooted at tree edge (u, v)
                     comp = []
-                    while edge_stack:
+                    least = (u, v) if u < v else (v, u)
+                    while True:
                         e = edge_stack.pop()
-                        comp.append(edge_key(*e))
+                        comp.append(frozenset(e))
                         if e == (u, v):
                             break
-                    components.append(frozenset(comp))
+                        a, b = e
+                        pair = (a, b) if a < b else (b, a)
+                        if pair < least:
+                            least = pair
+                    components.append((least, frozenset(comp)))
                     if parent[u] is not None or root_children > 1:
                         cuts.add(u)
         # isolated nodes produce no blocks
     return components, frozenset(cuts)
 
 
-def _classify_block(net: PhyloNetwork, edges: frozenset) -> Block:
-    nodes = frozenset(x for e in edges for x in e)
-    deg: dict[str, int] = {v: 0 for v in nodes}
-    for e in edges:
-        for x in e:
-            deg[x] += 1
-    if len(edges) == 1:
+def _classify_block(edges: frozenset) -> Block:
+    deg: dict[str, int] = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    nodes = frozenset(deg)
+    m, n = len(edges), len(nodes)
+    if m == 1:
         kind = BRIDGE
-    elif all(d == 2 for d in deg.values()) and len(edges) == len(nodes):
+    elif m == n and all(d == 2 for d in deg.values()):
         kind = CYCLE
-    elif (
-        len(edges) == len(nodes) + 1
-        and sorted(deg.values()).count(3) == 2
-        and sorted(deg.values()).count(2) == len(nodes) - 2
-    ):
-        kind = THETA
+    elif m == n + 1:
+        counts = list(deg.values())
+        kind = THETA if counts.count(3) == 2 and counts.count(2) == n - 2 else OTHER
     else:
         kind = OTHER
     return Block(kind=kind, nodes=nodes, edges=edges)
 
 
 def block_decomposition(net: PhyloNetwork) -> BlockDecomposition:
-    """Blocks and cut vertices, computed once per network and cached."""
+    """Blocks and cut vertices, computed once per network and cached.
+
+    Blocks are ordered by their least edge (as a sorted node pair); blocks
+    share no edge, so this is the order of their sorted edge lists.
+    """
     cached = net.__dict__.get("_blocks")
     if cached is None:
         comps, cuts = _biconnected(net)
-        blocks = tuple(
-            sorted(
-                (_classify_block(net, c) for c in comps),
-                key=lambda b: sorted(tuple(sorted(e)) for e in b.edges),
-            )
-        )
+        comps.sort(key=lambda c: c[0])
+        blocks = tuple(_classify_block(edges) for _, edges in comps)
         blocks_at: dict[str, list[int]] = {}
         for bi, b in enumerate(blocks):
             for v in b.nodes:
@@ -409,26 +427,34 @@ def block_path(net: PhyloNetwork, i: int, j: int) -> list[Block]:
 def _has_triangle(net: PhyloNetwork) -> bool:
     adj = net.adjacency
     for u, v, _ in net.edge_items:
-        if set(adj[u]) & set(adj[v]):
+        if not adj[u].keys().isdisjoint(adj[v]):
             return True
     return False
 
 
 def classify(net: PhyloNetwork) -> Classification:
-    """Nesting level (0 tree, 1, 2, or higher) plus triangle-freeness."""
-    decomp = block_decomposition(net)
-    kinds = {b.kind for b in decomp.blocks}
-    if kinds <= {BRIDGE}:
-        level = 0
-    elif kinds <= {BRIDGE, CYCLE}:
-        level = 1
-    elif kinds <= {BRIDGE, CYCLE, THETA}:
-        level = 2
-    else:
-        level = None
-    return Classification(
-        level=level, triangle_free=not _has_triangle(net), blocks=decomp
-    )
+    """Nesting level (0 tree, 1, 2, or higher) plus triangle-freeness.
+
+    Computed once per network and cached, like the block decomposition
+    it carries.
+    """
+    cached = net.__dict__.get("_class")
+    if cached is None:
+        decomp = block_decomposition(net)
+        kinds = {b.kind for b in decomp.blocks}
+        if kinds <= {BRIDGE}:
+            level = 0
+        elif kinds <= {BRIDGE, CYCLE}:
+            level = 1
+        elif kinds <= {BRIDGE, CYCLE, THETA}:
+            level = 2
+        else:
+            level = None
+        cached = Classification(
+            level=level, triangle_free=not _has_triangle(net), blocks=decomp
+        )
+        net.__dict__["_class"] = cached
+    return cached
 
 
 @dataclass(frozen=True)
@@ -471,20 +497,19 @@ def is_binary(net: PhyloNetwork) -> bool:
 def cycle_node_sequence(block: Block, start: str | None = None) -> list[str]:
     """Nodes of a cycle block in ring order, optionally starting at a node."""
     adj: dict[str, list[str]] = {}
-    for e in block.edges:
-        u, v = sorted(e)
+    for u, v in block.edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     first = start if start is not None else min(adj)
-    seq = [first]
-    prev = None
+    # the first step goes to the smaller neighbour; every later one to the
+    # ring neighbour that is not the node just left
+    seq = [first, min(adj[first])]
     while True:
-        nxt = [x for x in sorted(adj[seq[-1]]) if x != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-        if seq[-1] == first:
-            seq.pop()
+        a, b = adj[seq[-1]]
+        nxt = b if a == seq[-2] else a
+        if nxt == first:
             return seq
+        seq.append(nxt)
 
 
 def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
@@ -739,6 +764,7 @@ _TEXT_HEADER = "# phylocircuit network"
 def parse_network_text(text: str) -> PhyloNetwork:
     """Line format: ``leaf <label> <node>`` and ``edge <u> <v> <weight>``."""
     leaves: dict[int, str] = {}
+    leaf_lines: dict[int, int] = {}
     edges: list[tuple[str, str, Value]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -747,7 +773,13 @@ def parse_network_text(text: str) -> PhyloNetwork:
         parts = line.split()
         with line_errors(lineno, raw):
             if parts[0] == "leaf" and len(parts) == 3:
-                leaves[int(parts[1])] = parts[2]
+                label = int(parts[1])
+                if label in leaves:
+                    raise ValidationError(
+                        f"line {lineno}: leaf label {label} repeats line {leaf_lines[label]}"
+                    )
+                leaves[label] = parts[2]
+                leaf_lines[label] = lineno
             elif parts[0] == "edge" and len(parts) == 4:
                 edges.append((parts[1], parts[2], parse_value(parts[3])))
             else:
@@ -755,10 +787,21 @@ def parse_network_text(text: str) -> PhyloNetwork:
     return validate(leaves, edges)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent
+    overwrite by its last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"network JSON repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_network_json(text: str) -> PhyloNetwork:
     """JSON object form: ``{"leaves": {"1": "a"}, "edges": [["a","b","1/2"]]}``."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"line {exc.lineno}: malformed JSON, {exc.msg}"
@@ -772,7 +815,12 @@ def parse_network_json(text: str) -> PhyloNetwork:
             "network JSON needs a 'leaves' object and an 'edges' list"
         )
     try:
-        leaves = {int(k): str(v) for k, v in obj["leaves"].items()}
+        leaves: dict[int, str] = {}
+        for k, v in obj["leaves"].items():
+            label = int(k)
+            if label in leaves:
+                raise ValidationError(f"leaf label {label} is given twice")
+            leaves[label] = str(v)
         edges = []
         for u, v, w in obj["edges"]:
             value = parse_value(str(w)) if not isinstance(w, float) else float(w)

@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import NotOneNestedError, OutOfRangeError, SizeMismatchError
@@ -219,6 +220,11 @@ def _expand_tree(edges: list, internal: list):
         yield new_edges
 
 
+#: the weight of every enumerated edge; Fractions are immutable, so all of
+#: them share this one
+UNIT = Fraction(1)
+
+
 def enumerate_binary_one_nested(n: int, k: int) -> list[PhyloNetwork]:
     """All binary triangle-free 1-nested networks, n leaves, k internal
     bridges, up to label-respecting isomorphism."""
@@ -236,7 +242,7 @@ def enumerate_binary_one_nested(n: int, k: int) -> list[PhyloNetwork]:
         if internal_edges != k:
             continue
         for expanded in _expand_tree(edges, internal):
-            weighted = [(u, v, Fraction(1)) for u, v in expanded]
+            weighted = [(u, v, UNIT) for u, v in expanded]
             out.append(PhyloNetwork.build(leaves, weighted, strict=True))
     return out
 
@@ -268,16 +274,23 @@ def minimize_over_vertices(d: DistanceVector, n: int, k: int) -> MinimizationRes
     """Exhaustive argmin of x . d over the BME(n, k) vertex set.
 
     Ties are reported in full (a face, not an error).  Comparisons are
-    exact for rational d, within a relative tolerance otherwise.
+    exact for rational d, within a relative tolerance otherwise.  A
+    rational d is scaled once to integers over the lcm of its
+    denominators, so every dot product is an int.
     """
     if d.n != n:
         raise SizeMismatchError(f"distance vector has n={d.n}, expected {n}")
     catalog = vertex_catalog(n, k)
-    values = [x.dot(d) for _, x in catalog]
-    best = min(values)
     if d.is_exact:
-        hits = [i for i, v in enumerate(values) if v == best]
+        scale = lcm(*(v.denominator for v in d.values))
+        ints = [v.numerator * (scale // v.denominator) for v in d.values]
+        dots = [sum(map(mul, x.entries, ints)) for _, x in catalog]
+        low = min(dots)
+        best = Fraction(low, scale)
+        hits = [i for i, v in enumerate(dots) if v == low]
     else:
+        values = [x.dot(d) for _, x in catalog]
+        best = min(values)
         cut = float(best) + _TIE_TOL * max(1.0, abs(float(best)))
         hits = [i for i, v in enumerate(values) if float(v) <= cut]
     return MinimizationResult(

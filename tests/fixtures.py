@@ -18,6 +18,10 @@ from phylocircuit.metrics import (
 from phylocircuit.netgraph import (
     BRIDGE,
     CYCLE,
+    OTHER,
+    THETA,
+    Block,
+    BlockDecomposition,
     CircularOrder,
     PhyloNetwork,
     canonical_order,
@@ -281,6 +285,157 @@ def decomposed_resistance_splits(net: PhyloNetwork):
     along the canonical order: the oracle for the direct reading."""
     d = resistance_vector(net)
     return circular_decomposition(d, canonical_order(net)).system
+
+
+def biconnected_by_sorted_dfs(net: PhyloNetwork) -> tuple[list[frozenset], frozenset]:
+    """Iterative Hopcroft-Tarjan over sorted nodes and sorted neighbour
+    lists: the oracle for ``netgraph._biconnected``, which follows
+    adjacency order.  Returns (edge sets of blocks, cut vertices)."""
+    disc: dict[str, int] = {}
+    low: dict[str, int] = {}
+    parent: dict[str, str | None] = {}
+    cuts: set[str] = set()
+    components: list[frozenset] = []
+    counter = itertools.count()
+    edge_stack: list[tuple[str, str]] = []
+    for root in net.nodes:
+        if root in disc:
+            continue
+        parent[root] = None
+        stack = [(root, iter(net.neighbors(root)))]
+        disc[root] = low[root] = next(counter)
+        root_children = 0
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w not in disc:
+                    parent[w] = v
+                    if v == root:
+                        root_children += 1
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = next(counter)
+                    stack.append((w, iter(net.neighbors(w))))
+                    advanced = True
+                    break
+                elif w != parent[v] and disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    comp = []
+                    while edge_stack:
+                        e = edge_stack.pop()
+                        comp.append(edge_key(*e))
+                        if e == (u, v):
+                            break
+                    components.append(frozenset(comp))
+                    if parent[u] is not None or root_children > 1:
+                        cuts.add(u)
+    return components, frozenset(cuts)
+
+
+def _block_by_degree_lists(edges: frozenset) -> Block:
+    nodes = frozenset(x for e in edges for x in e)
+    deg: dict[str, int] = {v: 0 for v in nodes}
+    for e in edges:
+        for x in e:
+            deg[x] += 1
+    if len(edges) == 1:
+        kind = BRIDGE
+    elif all(d == 2 for d in deg.values()) and len(edges) == len(nodes):
+        kind = CYCLE
+    elif (
+        len(edges) == len(nodes) + 1
+        and sorted(deg.values()).count(3) == 2
+        and sorted(deg.values()).count(2) == len(nodes) - 2
+    ):
+        kind = THETA
+    else:
+        kind = OTHER
+    return Block(kind=kind, nodes=nodes, edges=edges)
+
+
+def blocks_by_edge_lists(net: PhyloNetwork) -> BlockDecomposition:
+    """Blocks of the sorted-order search, classified by sorted degree lists
+    and ordered by their whole sorted edge lists: the oracle for
+    ``netgraph.block_decomposition``, which orders them by least edge."""
+    comps, cuts = biconnected_by_sorted_dfs(net)
+    blocks = tuple(
+        sorted(
+            (_block_by_degree_lists(c) for c in comps),
+            key=lambda b: sorted(tuple(sorted(e)) for e in b.edges),
+        )
+    )
+    blocks_at: dict[str, list[int]] = {}
+    for bi, b in enumerate(blocks):
+        for v in b.nodes:
+            blocks_at.setdefault(v, []).append(bi)
+    return BlockDecomposition(blocks, cuts, blocks_at)
+
+
+def ring_walk_sorting_each_step(block: Block, start: str | None = None) -> list[str]:
+    """Nodes of a cycle block in ring order, choosing the least unvisited
+    neighbour at every step: the oracle for ``cycle_node_sequence``."""
+    adj: dict[str, list[str]] = {}
+    for e in block.edges:
+        u, v = sorted(e)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    first = start if start is not None else min(adj)
+    seq = [first]
+    prev = None
+    while True:
+        nxt = [x for x in sorted(adj[seq[-1]]) if x != prev]
+        prev = seq[-1]
+        seq.append(nxt[0])
+        if seq[-1] == first:
+            seq.pop()
+            return seq
+
+
+def shape_code_reading_every_root(net: PhyloNetwork) -> str:
+    """The canonical shape code, every part read again from every leaf
+    root: the oracle for ``enum2._shape_code``, which reads each part once."""
+    decomp = classify(net).blocks
+    blocks, blocks_at = decomp.blocks, decomp.blocks_at
+
+    def read(v: str, entry: int | None) -> str:
+        parts = []
+        for bi in blocks_at[v]:
+            if bi == entry:
+                continue
+            if blocks[bi].kind == CYCLE:
+                walk = ring_walk_sorting_each_step(blocks[bi], start=v)[1:]
+                codes = [read(u, bi) for u in walk]
+                parts.append("[" + min("".join(codes), "".join(codes[::-1])) + "]")
+            else:
+                (u,) = blocks[bi].nodes - {v}
+                parts.append("b" + read(u, bi))
+        return "(" + "".join(sorted(parts)) + ")"
+
+    return min(read(v, None) for v in net.leaf_of_node)
+
+
+def block_oracle_networks() -> list[PhyloNetwork]:
+    """Seeded level-1 networks at n = 4..64, binary and not, the level-2
+    networks made from them by a chord or a leaf chord, and K3,3 and K5
+    with pendant leaves."""
+    nets = []
+    for s, n in enumerate([*range(4, 28), *range(28, 65, 4)]):
+        rng = random.Random(7000 + s)
+        net = random_one_nested(n, rng, binary=s % 2 == 0)
+        nets.append(net)
+        for grow in (with_chord, with_leaf_chord):
+            grown = grow(net, rng)
+            if grown is not None:
+                nets.append(grown)
+    return nets + [k33_with_leaves(), k5_with_leaves()]
 
 
 def _split_from_cut(net: PhyloNetwork, removed: frozenset) -> Split | None:

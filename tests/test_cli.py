@@ -173,6 +173,69 @@ def test_degenerate_distance_file_gives_no_traceback(tmp_path, name, argv):
     assert "Traceback" not in done.stderr
 
 
+def _enumeration_inputs(tmp_path) -> dict[str, str]:
+    """Files for the enumeration commands: a 3-leaf star, an 8-leaf
+    network, a 6-leaf level-2 theta and a 6-leaf distance vector."""
+    rng = random.Random(0)
+    theta = with_chord(random_one_nested(6, rng, binary=True), rng)
+    assert netgraph.classify(theta).level == 2
+    texts = {
+        "star3": network_to_text(star(3)),
+        "n8": network_to_text(random_one_nested(8, random.Random(8), binary=True)),
+        "theta": network_to_text(theta),
+        "dist6": distance_vector_to_text(
+            resistance_vector(random_one_nested(6, random.Random(6), binary=True))
+        ),
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--level", level, *extra]
+        for level in ("1", "2")
+        for extra in (["--n", "3"], ["--n", "8"], ["--n", "6", "--k", "-1"],
+                      ["--n", "6", "--k", "9"])
+    ]
+    + [["bme-min", "dist6", "--n", "6", "--k", k] for k in ("-1", "9")]
+    + [["bme-min", "dist6", "--n", "8", "--k", "0"]]
+    + [["xvector", net] for net in ("star3", "n8", "theta")]
+    + [["verify-face", net, "--metric", metric]
+       for net in ("star3", "n8", "theta") for metric in ("resistance", "minpath")],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_enumeration_commands_give_no_traceback(tmp_path, argv):
+    paths = _enumeration_inputs(tmp_path)
+    done = _run_cli_process(*(paths.get(a, a) for a in argv), check=False)
+    assert done.returncode in (0, 1, 2)
+    assert "Traceback" not in done.stderr
+
+
+def test_repeated_leaf_label_text_exits_one(tmp_path, capsys):
+    # the second line replaced the first: "labeled node x9 has degree 0"
+    bad = tmp_path / "dup.net"
+    bad.write_text("leaf 1 x1\nleaf 2 x2\nleaf 1 x9\nedge x1 x2 1\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: ValidationError: line 3: leaf label 1 repeats line 1\n"
+
+
+def test_repeated_leaf_label_json_exits_one(tmp_path, capsys):
+    # json.loads kept the last "1", with the same misleading degree error
+    bad = tmp_path / "dup.json"
+    bad.write_text('{"leaves": {"1": "x1", "2": "x2", "1": "x9"},'
+                   ' "edges": [["x1", "x2", "1"]]}')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: ValidationError: network JSON repeats the key '1'\n"
+
+
 def test_invert_never_imports_scipy(tmp_path):
     # both node-share pairs of this network's 4-cycle are free, so invert
     # picks shares; -X importtime lists each module the command imports

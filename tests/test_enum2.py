@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -16,11 +17,16 @@ from phylocircuit.enum2 import (
 )
 from phylocircuit.errors import BadChordError, NoCycleError, OutOfRangeError
 from phylocircuit.metrics import min_path_vector, resistance_vector
-from phylocircuit.netgraph import THETA, PhyloNetwork, classify, is_binary
+from phylocircuit.netgraph import THETA, PhyloNetwork, classify, is_binary, network_to_text
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.reconstruct import min_path_split_system
 
-from fixtures import quartet_tree, ring_with_pendants, square_with_pendants
+from fixtures import (
+    quartet_tree,
+    ring_with_pendants,
+    shape_code_reading_every_root,
+    square_with_pendants,
+)
 
 F = Fraction
 
@@ -121,6 +127,27 @@ def test_shape_codes_equal_exactly_when_isomorphic():
         assert (codes[i] == codes[j]) == nx.is_isomorphic(graphs[i], graphs[j]), (i, j)
         same += codes[i] == codes[j]
     assert 0 < same < len(nets) * (len(nets) - 1) // 2
+
+
+def test_shape_code_matches_reading_every_root():
+    nets = _seeded_networks() + [b for n in (4, 5, 6) for b in _chordable_bases(n)]
+    for net in nets:
+        assert _shape_code(net) == shape_code_reading_every_root(net)
+
+
+def test_two_nested_enumeration_text_golden():
+    # a digest of every network's text pins the enumeration's order, node
+    # names and weights
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(4, 7):
+        for net in enumerate_binary_two_nested(n):
+            digest.update(network_to_text(net).encode())
+            count += 1
+    assert count == 6 + 120 + 2790
+    assert digest.hexdigest() == (
+        "d416fbab8fdd96c87ec844f7acb9399f83ba1033cf62a10aac4153788b0828f5"
+    )
 
 
 def test_enumerated_networks_classify_level_two():

@@ -18,14 +18,17 @@ from phylocircuit.errors import (
 from phylocircuit.netgraph import (
     BRIDGE,
     CYCLE,
+    OTHER,
     THETA,
     CircularOrder,
+    PhyloNetwork,
     block_decomposition,
     block_path,
     bridges,
     canonical_order,
     classify,
     consistent_orders,
+    cycle_node_sequence,
     is_binary,
     parse_network,
     smooth_degree_two,
@@ -35,9 +38,13 @@ from phylocircuit.netgraph import (
 from phylocircuit.randomnet import random_one_nested
 
 from fixtures import (
+    biconnected_by_sorted_dfs,
+    block_oracle_networks,
+    blocks_by_edge_lists,
     k33_with_leaves,
     quartet_tree,
     resistance_between_nodes,
+    ring_walk_sorting_each_step,
     ring_with_pendants,
     square_with_pendants,
     star,
@@ -92,6 +99,50 @@ def test_validate_rejects_disconnected():
 def test_validate_rejects_negative_weight():
     with pytest.raises(NegativeWeightError):
         validate({1: "x1", 2: "x2"}, [("x1", "x2", F(-1))])
+
+
+_PAIR = {1: "x1", 2: "x2"}
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ([("a", "a", F(1)), ("x1", "x2", F(1))], MultiEdgeError, "self-loop at a"),
+        ([("x1", "x2", F(-1)), ("x2", "x2", F(1))], NegativeWeightError,
+         "edge x1-x2 has weight -1"),
+        ([("x2", "x2", F(-1))], MultiEdgeError, "self-loop at x2"),
+        ([("x1", "x2", F(1)), ("x1", "x2", F(2))], MultiEdgeError, "duplicate edge x1-x2"),
+        ([("x1", "x2", F(1)), ("x2", "x1", F(-2))], MultiEdgeError, "duplicate edge x2-x1"),
+        ([("x2", "x1", -3)], NegativeWeightError, "edge x2-x1 has weight -3"),
+        ([("x1", "x2", F(-1, 2))], NegativeWeightError, "edge x1-x2 has weight -1/2"),
+        ([("x1", "x2", -0.25)], NegativeWeightError, "edge x1-x2 has weight -0.25"),
+        ([("x1", "x2", float("nan"))], ValidationError, "edge x1-x2 has non-finite weight nan"),
+        ([("x1", "x2", float("inf"))], ValidationError, "edge x1-x2 has non-finite weight inf"),
+        ([("x1", "x2", float("-inf"))], ValidationError,
+         "edge x1-x2 has non-finite weight -inf"),
+    ],
+    ids=["self-loop", "negative-before-loop", "loop-before-weight", "duplicate",
+         "duplicate-reversed", "negative-int", "negative-fraction", "negative-float",
+         "nan", "inf", "minus-inf"],
+)
+def test_build_error_table(edges, error, message):
+    # each edge is checked in turn: loop, duplicate, finiteness, sign
+    with pytest.raises(error) as info:
+        PhyloNetwork.build(_PAIR, edges)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "zero",
+    [0, -0, F(0), -F(0), 0.0, -0.0],
+    ids=["int", "minus-int", "fraction", "minus-fraction", "float", "minus-float"],
+)
+def test_build_accepts_zero_of_either_sign(zero):
+    net = PhyloNetwork.build(_PAIR, [("x2", "x1", zero)])
+    (u, v, w), = net.edge_items
+    assert (u, v, w) == ("x1", "x2", 0)
+    assert isinstance(w, float) == isinstance(zero, float)
 
 
 def test_validate_rejects_labeled_internal_node():
@@ -264,6 +315,44 @@ def test_block_decomposition_is_cached():
     assert block_decomposition(net) is block_decomposition(net)
 
 
+def test_classify_is_cached():
+    net = two_cycles_with_bridge()
+    assert classify(net) is classify(net)
+    assert classify(net).blocks is block_decomposition(net)
+
+
+@pytest.fixture(scope="module")
+def oracle_networks():
+    return block_oracle_networks()
+
+
+def test_blocks_match_sorted_search_oracle(oracle_networks):
+    kinds = set()
+    for net in oracle_networks:
+        got, want = block_decomposition(net), blocks_by_edge_lists(net)
+        # Block equality covers kind, nodes and edges, block by block
+        assert got.blocks == want.blocks
+        assert got.cut_vertices == want.cut_vertices
+        assert got.blocks_at == want.blocks_at
+        comps, cuts = biconnected_by_sorted_dfs(net)
+        assert {b.edges for b in got.blocks} == set(comps)
+        assert got.cut_vertices == cuts
+        kinds |= {b.kind for b in got.blocks}
+    assert kinds == {BRIDGE, CYCLE, THETA, OTHER}
+
+
+def test_ring_walks_match_oracle_from_every_start(oracle_networks):
+    walks = 0
+    for net in oracle_networks:
+        for block in block_decomposition(net).of_kind(CYCLE):
+            assert cycle_node_sequence(block) == ring_walk_sorting_each_step(block)
+            for v in block.nodes:
+                ring = cycle_node_sequence(block, start=v)
+                assert ring == ring_walk_sorting_each_step(block, start=v)
+                walks += 1
+    assert walks > 1000
+
+
 def test_block_path_runs_from_first_leaf_to_second():
     net = two_cycles_with_bridge()
     path = block_path(net, 1, 6)  # hexagon leaf to quad leaf
@@ -374,6 +463,38 @@ def test_parse_decimal_weight_is_float():
     )
     assert isinstance(net.weight("x1", "x2"), float)
     assert not net.is_exact
+
+
+def test_parse_repeated_leaf_label_names_both_lines():
+    # the second line used to replace the first, then x9 failed as degree 0
+    text = "leaf 1 x1\nleaf 2 x2\nedge x1 x2 1\nleaf 01 x9\n"
+    with pytest.raises(ValidationError) as info:
+        parse_network(text)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "line 4: leaf label 1 repeats line 1"
+
+
+@pytest.mark.parametrize(
+    "leaves, message",
+    [
+        ('{"1": "x1", "2": "x2", "1": "x9"}', "network JSON repeats the key '1'"),
+        ('{"1": "x1", "2": "x2", "01": "x9"}', "leaf label 1 is given twice"),
+    ],
+    ids=["same-key", "same-label"],
+)
+def test_parse_json_repeated_leaf_label(leaves, message):
+    text = '{"leaves": %s, "edges": [["x1", "x2", "1"]]}' % leaves
+    with pytest.raises(ValidationError) as info:
+        parse_network(text)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
+def test_parse_json_repeated_top_level_key():
+    text = ('{"leaves": {"1": "x1", "2": "x2"}, "edges": [["x1", "x2", "1"]],'
+            ' "edges": [["x1", "x2", "2"]]}')
+    with pytest.raises(ValidationError, match="repeats the key 'edges'"):
+        parse_network(text)
 
 
 def test_parse_bad_leaf_label_names_line():

@@ -1,11 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from phylocircuit.errors import NotOneNestedError, OutOfRangeError
-from phylocircuit.metrics import resistance_vector
-from phylocircuit.netgraph import PhyloNetwork, bridges, classify, is_binary
+from phylocircuit.metrics import DistanceVector, min_path_vector, resistance_vector
+from phylocircuit.netgraph import (
+    PhyloNetwork,
+    bridges,
+    classify,
+    is_binary,
+    network_to_text,
+)
 from phylocircuit.polytope import (
     bme_vertices,
     closed_form_count,
@@ -142,6 +149,22 @@ def test_enumeration_counts_seven_leaves():
         assert len(nets) == closed_form_count(7, k)
 
 
+def test_enumeration_text_golden():
+    # a digest of every network's text pins the enumeration's order, node
+    # names and weights
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(4, 8):
+        for k in range(n - 2):
+            for net in enumerate_binary_one_nested(n, k):
+                digest.update(network_to_text(net).encode())
+                count += 1
+    assert count == 13458
+    assert digest.hexdigest() == (
+        "ee701a9365b7fde3bcda79212b2f199e5f1d6f6f0ca7d46d91fdc851335d4544"
+    )
+
+
 def test_enumerated_networks_are_valid():
     for net in enumerate_binary_one_nested(5, 1):
         cls = classify(net)
@@ -168,6 +191,44 @@ def test_vertices_distinct():
 
 # ---------------------------------------------------------------------------
 # minimization
+
+
+def _minimum_by_fraction_dots(d, n, k):
+    """The minimization as ``XVector.dot`` sums it, one vertex at a time."""
+    catalog = vertex_catalog(n, k)
+    values = [x.dot(d) for _, x in catalog]
+    best = min(values)
+    hits = tuple(i for i, v in enumerate(values) if v == best)
+    return best, hits, catalog
+
+
+def _seeded_exact_vectors(n: int, k: int, count: int):
+    rng = random.Random(900 + k)
+    for t in range(count):
+        net = random_one_nested(n, rng, binary=True)
+        net = PhyloNetwork.build(
+            net.leaves,
+            [(u, v, F(rng.randint(1, 40), rng.randint(1, 12))) for u, v, _ in net.edge_items],
+        )
+        yield resistance_vector(net) if t % 2 else min_path_vector(net)
+    # integer vectors tie more often; one with a large common denominator
+    yield DistanceVector(n, tuple(F(rng.randint(1, 3)) for _ in range(n * (n - 1) // 2)))
+    yield DistanceVector(
+        n, tuple(F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(n * (n - 1) // 2))
+    )
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_exact_minimum_equals_fraction_dot_minimum(k):
+    n = 6
+    for d in _seeded_exact_vectors(n, k, 6):
+        best, hits, catalog = _minimum_by_fraction_dots(d, n, k)
+        result = minimize_over_vertices(d, n, k)
+        assert type(result.value) is Fraction
+        assert result.value == best
+        assert result.argmin == hits
+        assert result.networks == tuple(catalog[i][0] for i in hits)
+        assert result.vectors == tuple(catalog[i][1] for i in hits)
 
 
 def test_binary_network_minimizes_itself():
