@@ -153,7 +153,7 @@ def _unlabeled_classes(nets: list[PhyloNetwork]) -> list[list[int]]:
 def skeleton_census(n: int) -> int:
     """Unlabeled binary triangle-free 1-nested shapes carrying a cycle:
     one per row of :func:`two_nested_breakdown`."""
-    return len(_unlabeled_classes(_chordable_bases(n)))
+    return len(two_nested_breakdown(n).rows)
 
 
 @dataclass(frozen=True)
@@ -163,22 +163,22 @@ class TwoNestedBreakdown:
 
 
 def two_nested_breakdown(n: int) -> TwoNestedBreakdown:
-    """Count per unlabeled chordable skeleton; totals match the census."""
+    """Count per unlabeled chordable skeleton; totals match the census.
+
+    A cycle of m edges takes no chord or one of its m(m-3)/2 slots at
+    cyclic distance 2..m-2, and at least one cycle takes a chord, so a
+    base has prod_c (m_c(m_c-3)/2 + 1) - 1 chordings.
+    """
     bases = _chordable_bases(n)
-    classes = _unlabeled_classes(bases)
     rows = []
-    for idx, group in enumerate(classes):
+    for idx, group in enumerate(_unlabeled_classes(bases)):
         count = 0
         for i in group:
-            cycles = classify(bases[i]).blocks.of_kind(CYCLE)
-            per_cycle = [
-                len(_valid_chord_slots(len(cycle_node_sequence(b)))) + 1
-                for b in cycles
-            ]
-            total_choices = 1
-            for c in per_cycle:
-                total_choices *= c
-            count += total_choices - 1  # drop the all-empty assignment
+            choices = 1
+            for block in classify(bases[i]).blocks.of_kind(CYCLE):
+                m = len(block.edges)
+                choices *= m * (m - 3) // 2 + 1
+            count += choices - 1
         rows.append((idx, count))
     rows.sort(key=lambda t: (-t[1], t[0]))
     return TwoNestedBreakdown(

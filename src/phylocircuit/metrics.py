@@ -41,7 +41,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import FLOAT_TOL, Value, format_value, parse_value
+from .rational import Value, format_value, parse_value, tolerance, values_close
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -500,12 +500,17 @@ def _scan(rows: list[list], eps: Value) -> tuple[list[tuple], int]:
 
 def _tolerance(d: DistanceVector, tol: float | None) -> Value:
     """The absolute tolerance of a check: 0 for exact ``d``, else ``tol``
-    (in the units of the distances) or FLOAT_TOL.  A NaN tolerance would
-    pass every comparison and a negative one would turn ties into
-    violations, so ``tol`` must be finite and nonnegative."""
+    (in the units of the distances) or ``rational.tolerance(d.values)``,
+    REL_TOL times the largest |distance|.  A NaN tolerance would pass every
+    comparison and a negative one would turn ties into violations, so
+    ``tol`` must be finite and nonnegative; a float ``d`` must be finite
+    even when ``tol`` is given."""
     if tol is not None and not 0 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
-    return 0 if d.is_exact else (FLOAT_TOL if tol is None else tol)
+    if d.is_exact:
+        return 0
+    default = tolerance(d.values)
+    return default if tol is None else tol
 
 
 def _check_order(d: DistanceVector, order: CircularOrder) -> None:
@@ -522,8 +527,9 @@ def is_kalmanson(
 
     For consecutive labels (i, j, k, l) around the order the condition is
     max(d_ij + d_kl, d_jk + d_il) <= d_ik + d_jl.  Ties count as
-    equalities, never violations.  Comparison is exact for rational input
-    and within an absolute tolerance otherwise.
+    equalities, never violations.  Comparison is exact for rational input;
+    float input is compared within REL_TOL times its largest |distance|,
+    or within an explicit absolute ``tol``.
     """
     eps = _tolerance(d, tol)
     _check_order(d, order)
@@ -585,10 +591,6 @@ def _canonical_labels(n: int) -> Iterator[tuple[int, ...]]:
     for perm in itertools.permutations(range(2, n + 1)):
         if n < 3 or perm[0] < perm[-1]:
             yield (1,) + perm
-
-
-def _canonical_orders(n: int) -> Iterator[CircularOrder]:
-    return map(CircularOrder, _canonical_labels(n))
 
 
 def _neighbor_net_order(d: DistanceVector) -> CircularOrder:
@@ -825,7 +827,7 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
         vals = []
         for i, j in pair_iter(n):
             a, b = entry(i, j), entry(j, i)
-            if not (a == b or abs(float(a) - float(b)) <= FLOAT_TOL):
+            if not values_close(a, b):
                 raise SizeMismatchError(f"asymmetric entries for ({i},{j})")
             vals.append(a)
         return DistanceVector(n, tuple(vals))

@@ -150,10 +150,9 @@ class PhyloNetwork:
         if strict and (labels != list(range(1, len(labels) + 1)) or len(labels) < 2):
             raise BadLeafLabelError(f"labels must be 1..n with n >= 2, got {labels}")
         for _, node in self.leaf_items:
-            if node not in adj:
-                raise ValidationError(f"leaf node {node} has no edges")
-            if strict and len(adj[node]) != 1:
-                raise BadLeafDegreeError(f"labeled node {node} has degree {len(adj[node])}")
+            degree = len(adj[node])  # adjacency lists every leaf node
+            if degree == 0 or (strict and degree != 1):
+                raise BadLeafDegreeError(f"labeled node {node} has degree {degree}")
         if strict:
             for node, nbrs in adj.items():
                 if len(nbrs) < 3 and node not in leaf_nodes:
@@ -234,15 +233,6 @@ class PhyloNetwork:
     @property
     def total_weight(self) -> Value:
         return sum((w for _, _, w in self.edge_items), Fraction(0))
-
-    # -- derived networks ----------------------------------------------
-
-    def without_edge(self, u: str, v: str, smooth: bool = True) -> "PhyloNetwork":
-        """Delete an edge; optionally merge the degree-2 junctions left behind."""
-        key = edge_key(u, v)
-        edges = [(a, b, w) for a, b, w in self.edge_items if edge_key(a, b) != key]
-        net = PhyloNetwork.build(self.leaves, edges, strict=False)
-        return smooth_degree_two(net) if smooth else net
 
     def __str__(self) -> str:
         return network_to_text(self)
@@ -714,45 +704,6 @@ def _star_to_triangle(net: PhyloNetwork, center: str) -> PhyloNetwork:
     add(a, c, p / r_b)
     leaves = net.leaves
     return PhyloNetwork.build(leaves, edges, strict=False)
-
-
-# ---------------------------------------------------------------------------
-# surgery helpers
-
-
-def smooth_degree_two(net: PhyloNetwork) -> PhyloNetwork:
-    """Merge series edges at unlabeled degree-2 nodes."""
-    adj = {v: dict(nbrs) for v, nbrs in net.adjacency.items()}
-    leaf_nodes = set(net.leaf_of_node)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in leaf_nodes or len(adj[v]) != 2:
-                continue
-            (a, wa), (b, wb) = sorted(adj[v].items())
-            if a == b:
-                continue
-            del adj[v]
-            del adj[a][v]
-            del adj[b][v]
-            if b in adj[a]:
-                # parallel with an existing edge: combine conductances
-                old = adj[a][b]
-                w = wa + wb
-                merged = old * w / (old + w)
-                adj[a][b] = merged
-                adj[b][a] = merged
-            else:
-                adj[a][b] = wa + wb
-                adj[b][a] = wa + wb
-            changed = True
-    edges = []
-    for u in adj:
-        for v, w in adj[u].items():
-            if u < v:
-                edges.append((u, v, w))
-    return PhyloNetwork.build(net.leaves, edges, strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .netgraph import (
     consistent_orders,
     edge_key,
 )
-from .rational import Value, values_close
+from .rational import Value, tolerance, values_close
 from .splits import displayed_splits
 from .reconstruct import min_path_split_system, resistance_split_system_direct
 from .splits import weighted_network_from_splits
@@ -266,17 +266,13 @@ class MinimizationResult:
     vectors: tuple[XVector, ...]
 
 
-#: relative gap under which float objective values tie at the minimum
-_TIE_TOL = 1e-9
-
-
 def minimize_over_vertices(d: DistanceVector, n: int, k: int) -> MinimizationResult:
     """Exhaustive argmin of x . d over the BME(n, k) vertex set.
 
     Ties are reported in full (a face, not an error).  Comparisons are
-    exact for rational d, within a relative tolerance otherwise.  A
-    rational d is scaled once to integers over the lcm of its
-    denominators, so every dot product is an int.
+    exact for rational d; a float value ties with the minimum when
+    ``values_close`` says so.  A rational d is scaled once to integers
+    over the lcm of its denominators, so every dot product is an int.
     """
     if d.n != n:
         raise SizeMismatchError(f"distance vector has n={d.n}, expected {n}")
@@ -289,10 +285,10 @@ def minimize_over_vertices(d: DistanceVector, n: int, k: int) -> MinimizationRes
         best = Fraction(low, scale)
         hits = [i for i, v in enumerate(dots) if v == low]
     else:
+        tolerance(d.values)  # a NaN or infinite distance has no minimum
         values = [x.dot(d) for _, x in catalog]
         best = min(values)
-        cut = float(best) + _TIE_TOL * max(1.0, abs(float(best)))
-        hits = [i for i, v in enumerate(values) if float(v) <= cut]
+        hits = [i for i, v in enumerate(values) if values_close(v, best)]
     return MinimizationResult(
         value=best,
         argmin=tuple(hits),
@@ -317,12 +313,11 @@ class FaceReport:
 
     @property
     def identity_holds(self) -> bool:
-        """Exact for rationals; for floats, whose two sides are rounded
-        along different routes, within 1e-9 of the larger side."""
+        """Exact for rationals; floats, whose two sides are rounded along
+        different routes, within REL_TOL of the larger side."""
         if self.identity_lhs is None:
             return True
-        lhs, rhs = self.identity_lhs, self.identity_rhs
-        return values_close(lhs, rhs, 1e-9 * max(abs(float(lhs)), abs(float(rhs))))
+        return values_close(self.identity_lhs, self.identity_rhs)
 
 
 def face_minimization_report(net: PhyloNetwork, metric: str = "resistance") -> FaceReport:

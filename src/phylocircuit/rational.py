@@ -4,17 +4,25 @@ Weights and distances are ``Fraction`` when every input was exact (integers
 or p/q literals) and ``float`` otherwise.  Decimal literals are treated as
 rounded measurements and parsed as floats unless ``exact=True`` forces a
 Fraction reading.
+
+Rationals compare exactly.  Floats compare within one relative tolerance,
+REL_TOL times the largest magnitude in play, so that no verdict depends on
+the units of the weights; this module is the only place that sets it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
+
+from .errors import ValidationError
 
 Value = Union[Fraction, float]
 
-#: default absolute tolerance for float-mode comparisons
-FLOAT_TOL = 1e-9
+#: floats that differ by at most this share of the largest |value| compared
+#: count as equal
+REL_TOL = 1e-9
 
 
 def parse_value(text: str, exact: bool = False) -> Value:
@@ -31,10 +39,24 @@ def parse_value(text: str, exact: bool = False) -> Value:
     return float(text)
 
 
-def values_close(a: Value, b: Value, tol: float = FLOAT_TOL) -> bool:
-    """Exact equality when both sides are rational, tolerance otherwise."""
+def tolerance(values: Iterable[Value]) -> float:
+    """REL_TOL times the largest |value|, the slack of a float comparison
+    among ``values``.  A NaN or infinite value would pass or fail every
+    comparison, so the first one raises ValidationError."""
+    values = tuple(values)
+    for k, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValidationError(f"non-finite value {v} at index {k}")
+    return REL_TOL * float(max(map(abs, values), default=0))
+
+
+def values_close(a: Value, b: Value, tol: float | None = None) -> bool:
+    """Exact equality when both sides are rational; otherwise |a - b| <= tol,
+    by default ``tolerance((a, b))``."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
+    if tol is None:
+        tol = tolerance((a, b))
     return abs(float(a) - float(b)) <= tol
 
 

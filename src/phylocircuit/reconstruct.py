@@ -46,7 +46,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import Value
+from .rational import Value, tolerance, values_close
 from .splits import (
     CircularSplitSystem,
     Split,
@@ -54,10 +54,6 @@ from .splits import (
     network_from_splits,
     split_metric,
 )
-
-
-#: float arc weights at or below this are rounding noise, not splits
-DROP_BELOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,9 @@ def circular_decomposition(
     when the inequality fails, else NegativeSplitWeight when a trivial
     split weighs less than zero (less than minus the tolerance for
     float).  The splits of one order form a basis, so the exact residual
-    is 0; only float input, which drops splits below DROP_BELOW, has one.
+    is 0.  Float input has one: it drops arc weights at or below
+    ``rational.tolerance(d.values)`` as rounding noise, a floor that an
+    explicit ``tol`` does not move.
     """
     eps = _tolerance(d, tol)
     _check_order(d, order)
@@ -99,7 +97,7 @@ def circular_decomposition(
     full, scale = _label_table(d)
     labels = order.labels
     n = d.n
-    floor = 0 if exact else DROP_BELOW
+    floor = 0 if exact else tolerance(d.values)
     kept: dict[Split, Value] = {}
     negative = None
     # each split once, from the side p..q that misses the last position
@@ -285,7 +283,7 @@ def _cycle_weights(m: int, products: dict) -> list[Value] | None:
                 sign[w] = -sign[v]
                 queue.append(w)
             elif sign[w] != sign[v]:
-                if not _close(ratio[w], p / ratio[v]):
+                if not values_close(ratio[w], p / ratio[v]):
                     raise NotInvertibleError(f"inconsistent split products at {split}")
             else:
                 # odd closure: X^(2*sign) = p / (ratio_v * ratio_w)
@@ -294,7 +292,7 @@ def _cycle_weights(m: int, products: dict) -> list[Value] | None:
                     cand = 1 / cand
                 if scale_sq is None:
                     scale_sq = cand
-                elif not _close(scale_sq, cand):
+                elif not values_close(scale_sq, cand):
                     raise NotInvertibleError(f"inconsistent split products at {split}")
     if scale_sq is None or None in ratio:
         return None
@@ -421,13 +419,6 @@ def _simplest_between(a: Fraction, b: Fraction | None) -> Fraction:
     )
 
 
-def _close(a: Value, b: Value, rel: float = 1e-6) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) <= rel * max(1.0, abs(fa), abs(fb))
-
-
 def invert_to_network(system: CircularSplitSystem) -> PhyloNetwork:
     """Positive-weighted network whose resistance splits equal the input.
 
@@ -441,6 +432,6 @@ def invert_to_network(system: CircularSplitSystem) -> PhyloNetwork:
         raise NotInvertibleError("rebuilt network displays different splits")
     got = {s: Fraction(0) if w is None else w for s, w in check.entries}
     for s, w in system.entries:
-        if not _close(got[s], w, rel=1e-9):
+        if not values_close(got[s], w):
             raise NotInvertibleError(f"weight mismatch on {s}")
     return net

@@ -42,7 +42,7 @@ from .netgraph import (
     edge_key,
     outward_reading,
 )
-from .rational import Value, format_value, parse_value, values_close
+from .rational import Value, format_value, parse_value, tolerance, values_close
 
 
 @dataclass(frozen=True)
@@ -446,11 +446,13 @@ def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
 
 def is_outer_path(system: CircularSplitSystem) -> bool:
     """True iff the weighted rebuild reproduces the split metric as its
-    minimum path metric."""
+    minimum path metric: equal for rationals, for floats within the
+    tolerance of the split metric's values."""
     rebuilt = weighted_network_from_splits(system)
     got = min_path_vector(rebuilt)
     want = split_metric(system)
-    return all(values_close(a, b) for a, b in zip(got.values, want.values))
+    tol = tolerance(want.values)
+    return all(values_close(a, b, tol) for a, b in zip(got.values, want.values))
 
 
 def is_faithfully_phylogenetic(system: CircularSplitSystem) -> bool:

@@ -11,6 +11,7 @@ import numpy as np
 from phylocircuit.errors import NotOneNestedError
 from phylocircuit.metrics import (
     DistanceVector,
+    _canonical_labels,
     min_path_vector,
     pair_iter,
     resistance_vector,
@@ -578,3 +579,52 @@ def scan_corpus(seed: int, count: int, n_range=(4, 16)):
         )
         yield d, CircularOrder(tuple(range(1, n + 1)))
         yield d, shuffled_order(n, rng)
+
+
+def canonical_orders(n: int):
+    """Every canonical circular order on n labels, lexicographically: the
+    orders the exhaustive search walks."""
+    return map(CircularOrder, _canonical_labels(n))
+
+
+def smooth_degree_two(net: PhyloNetwork) -> PhyloNetwork:
+    """Merge series edges at unlabeled degree-2 nodes."""
+    adj = {v: dict(nbrs) for v, nbrs in net.adjacency.items()}
+    leaf_nodes = set(net.leaf_of_node)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in leaf_nodes or len(adj[v]) != 2:
+                continue
+            (a, wa), (b, wb) = sorted(adj[v].items())
+            if a == b:
+                continue
+            del adj[v]
+            del adj[a][v]
+            del adj[b][v]
+            if b in adj[a]:
+                # parallel with an existing edge: combine conductances
+                old = adj[a][b]
+                w = wa + wb
+                merged = old * w / (old + w)
+                adj[a][b] = merged
+                adj[b][a] = merged
+            else:
+                adj[a][b] = wa + wb
+                adj[b][a] = wa + wb
+            changed = True
+    edges = []
+    for u in adj:
+        for v, w in adj[u].items():
+            if u < v:
+                edges.append((u, v, w))
+    return PhyloNetwork.build(net.leaves, edges, strict=False)
+
+
+def without_edge(net: PhyloNetwork, u: str, v: str, smooth: bool = True) -> PhyloNetwork:
+    """Delete an edge; optionally merge the degree-2 junctions left behind."""
+    key = edge_key(u, v)
+    edges = [(a, b, w) for a, b, w in net.edge_items if edge_key(a, b) != key]
+    net = PhyloNetwork.build(net.leaves, edges, strict=False)
+    return smooth_degree_two(net) if smooth else net

@@ -54,7 +54,12 @@ from phylocircuit.splits import (
     weighted_network_from_splits,
 )
 
-from fixtures import decomposed_resistance_splits, k33_with_leaves, square_with_pendants
+from fixtures import (
+    decomposed_resistance_splits,
+    k33_with_leaves,
+    square_with_pendants,
+    without_edge,
+)
 
 F = Fraction
 
@@ -305,7 +310,7 @@ def test_criterion_9_heavy_edge_and_heavy_chord():
         cycle_weights=[float(1e8), 1.0, 1.0, 1.0],
         pendant_weights=[1.0, 1.0, 1.0, 1.0],
     )
-    deleted = square_with_pendants().without_edge("c1", "c2")
+    deleted = without_edge(square_with_pendants(), "c1", "c2")
     sys_heavy = decomposed_resistance_splits(heavy)
     sys_del = decomposed_resistance_splits(deleted)
     for s, w in sys_del.entries:

@@ -10,6 +10,7 @@ from phylocircuit.enum2 import (
     _chordable_bases,
     _shape_code,
     _unlabeled_classes,
+    _valid_chord_slots,
     add_heavy_chord,
     enumerate_binary_two_nested,
     skeleton_census,
@@ -17,7 +18,15 @@ from phylocircuit.enum2 import (
 )
 from phylocircuit.errors import BadChordError, NoCycleError, OutOfRangeError
 from phylocircuit.metrics import min_path_vector, resistance_vector
-from phylocircuit.netgraph import THETA, PhyloNetwork, classify, is_binary, network_to_text
+from phylocircuit.netgraph import (
+    CYCLE,
+    THETA,
+    PhyloNetwork,
+    classify,
+    cycle_node_sequence,
+    is_binary,
+    network_to_text,
+)
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.reconstruct import min_path_split_system
 
@@ -62,6 +71,25 @@ def test_skeleton_census():
 def test_census_counts_breakdown_rows():
     for n in (4, 5, 6):
         assert skeleton_census(n) == len(two_nested_breakdown(n).rows)
+        assert skeleton_census(n) == len(_unlabeled_classes(_chordable_bases(n)))
+
+
+def test_breakdown_counts_match_chord_slot_walk():
+    # the closed form per base, prod over cycles of (m(m-3)/2 + 1) - 1,
+    # against walking each ring and listing its chord slots
+    for n in (4, 5, 6):
+        bases = _chordable_bases(n)
+        rows = []
+        for idx, group in enumerate(_unlabeled_classes(bases)):
+            count = 0
+            for i in group:
+                choices = 1
+                for block in classify(bases[i]).blocks.of_kind(CYCLE):
+                    choices *= len(_valid_chord_slots(len(cycle_node_sequence(block)))) + 1
+                count += choices - 1
+            rows.append((idx, count))
+        rows.sort(key=lambda t: (-t[1], t[0]))
+        assert two_nested_breakdown(n).rows == tuple(rows)
 
 
 # ---------------------------------------------------------------------------

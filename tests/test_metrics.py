@@ -40,7 +40,7 @@ from phylocircuit.netgraph import (
     wye_delta,
 )
 from phylocircuit.randomnet import random_one_nested
-from phylocircuit.rational import FLOAT_TOL
+from phylocircuit.rational import tolerance
 from phylocircuit.reconstruct import (
     circular_decomposition,
     resistance_split_system_direct,
@@ -65,6 +65,7 @@ from fixtures import (
     two_leaf_edge,
     with_chord,
     with_leaf_chord,
+    without_edge,
 )
 
 F = Fraction
@@ -560,7 +561,7 @@ def test_zero_tolerance_is_allowed():
     d = resistance_vector(quartet_tree()).as_floats()
     order = CircularOrder((1, 2, 3, 4))
     assert is_kalmanson(d, order, 0.0).passed
-    assert circular_decomposition(d, order, 0).residual <= FLOAT_TOL
+    assert circular_decomposition(d, order, 0).residual <= tolerance(d.values)
 
 
 def test_exact_search_cap():
@@ -625,7 +626,7 @@ def test_series_of_cycles_case_equality():
 
 def _kalmanson_oracle(d, order, tol=None):
     exact = d.is_exact
-    eps = Fraction(0) if exact else (FLOAT_TOL if tol is None else tol)
+    eps = Fraction(0) if exact else (tolerance(d.values) if tol is None else tol)
     labels = order.labels
     violations = []
     equalities = 0
@@ -881,7 +882,7 @@ def test_heavy_cycle_edge_approaches_deleted_network():
         cycle_weights=[float(1e8), 1.0, 1.0, 1.0],
         pendant_weights=[1.0, 1.0, 1.0, 1.0],
     )
-    deleted = square_with_pendants().without_edge("c1", "c2")
+    deleted = without_edge(square_with_pendants(), "c1", "c2")
     d_heavy = resistance_vector(heavy)
     d_del = resistance_vector(deleted)
     for a, b in zip(d_heavy.values, d_del.values):

@@ -31,7 +31,6 @@ from phylocircuit.netgraph import (
     cycle_node_sequence,
     is_binary,
     parse_network,
-    smooth_degree_two,
     validate,
     wye_delta,
 )
@@ -41,16 +40,19 @@ from fixtures import (
     biconnected_by_sorted_dfs,
     block_oracle_networks,
     blocks_by_edge_lists,
+    canonical_orders,
     k33_with_leaves,
     quartet_tree,
     resistance_between_nodes,
     ring_walk_sorting_each_step,
     ring_with_pendants,
+    smooth_degree_two,
     square_with_pendants,
     star,
     triangle_with_leaves,
     two_cycles_with_bridge,
     two_leaf_edge,
+    without_edge,
 )
 
 F = Fraction
@@ -143,6 +145,16 @@ def test_build_accepts_zero_of_either_sign(zero):
     (u, v, w), = net.edge_items
     assert (u, v, w) == ("x1", "x2", 0)
     assert isinstance(w, float) == isinstance(zero, float)
+
+
+def test_edgeless_leaf_is_a_degree_error_in_both_modes():
+    # non-strict mode accepted a lone edgeless leaf as a network and called
+    # an edgeless leaf among others disconnected
+    with pytest.raises(BadLeafDegreeError, match="labeled node a has degree 0"):
+        PhyloNetwork.build({1: "a"}, [], strict=False)
+    for strict in (True, False):
+        with pytest.raises(BadLeafDegreeError, match="labeled node x3 has degree 0"):
+            PhyloNetwork.build({1: "x1", 2: "x2", 3: "x3"}, [("x1", "x2", F(1))], strict=strict)
 
 
 def test_validate_rejects_labeled_internal_node():
@@ -272,14 +284,13 @@ def test_consistent_orders_match_split_contiguity_oracle():
     # independent characterization: an order is consistent iff every
     # displayed split has contiguous sides
     from phylocircuit.splits import displayed_splits, is_circular
-    from phylocircuit.metrics import _canonical_orders
 
     rng = random.Random(23)
     for _ in range(12):
         net = random_one_nested(rng.randint(4, 6), rng)
         sigma = displayed_splits(net)
         expected = {
-            o for o in _canonical_orders(net.n) if is_circular(sigma, o)
+            o for o in canonical_orders(net.n) if is_circular(sigma, o)
         }
         assert consistent_orders(net) == expected
 
@@ -436,7 +447,7 @@ def test_is_binary():
 
 def test_smooth_degree_two_merges_series():
     net = square_with_pendants()
-    opened = net.without_edge("c1", "c2", smooth=False)
+    opened = without_edge(net, "c1", "c2", smooth=False)
     smoothed = smooth_degree_two(opened)
     assert classify(smoothed).level == 0
     assert smoothed.n == 4

@@ -27,7 +27,7 @@ from phylocircuit.netgraph import (
     wye_delta,
 )
 from phylocircuit.randomnet import random_one_nested
-from phylocircuit.rational import FLOAT_TOL
+from phylocircuit.rational import tolerance
 from phylocircuit.reconstruct import (
     DecompositionResult,
     circular_decomposition,
@@ -55,6 +55,7 @@ from fixtures import (
     shuffled_order,
     square_with_pendants,
     triangle_with_leaves,
+    without_edge,
 )
 
 F = Fraction
@@ -109,9 +110,10 @@ def test_decomposition_rejects_non_kalmanson():
     assert info.value.amount == F(2, 9)
 
 
-def _decomposition_oracle(d, order, tol=None, drop_below=1e-9):
+def _decomposition_oracle(d, order, tol=None):
     """The arc loop over d.value: every split with the weight of the first
-    arc met, and the result, which drops negative weights silently."""
+    arc met, and the result, which drops negative weights silently and,
+    for floats, weights at or below the tolerance of the distances."""
     report = is_kalmanson(d, order, tol)
     if not report.passed:
         quad, amount = report.violations[0]
@@ -136,7 +138,7 @@ def _decomposition_oracle(d, order, tol=None, drop_below=1e-9):
             split = Split(arc, n)
             if split not in weights:
                 weights[split] = w
-    floor = Fraction(0) if exact else drop_below
+    floor = Fraction(0) if exact else tolerance(d.values)
     kept = {s: w for s, w in weights.items() if w > floor}
     system = CircularSplitSystem.of_order(n, kept, order)
     deviations = [
@@ -182,7 +184,7 @@ def test_decomposition_matches_arc_oracle():
             assert info.value.amount == exc.amount
             outcomes["not kalmanson"] += 1
             continue
-        eps = 0 if d.is_exact else FLOAT_TOL
+        eps = 0 if d.is_exact else tolerance(d.values)
         negative = [
             (s, w) for s, w in weights.items() if s.is_trivial and w < -eps
         ]
@@ -601,7 +603,7 @@ def test_heavy_edge_split_weights_approach_deleted_network():
         cycle_weights=[float(1e8), 1.0, 1.0, 1.0],
         pendant_weights=[1.0, 1.0, 1.0, 1.0],
     )
-    deleted = square_with_pendants().without_edge("c1", "c2")
+    deleted = without_edge(square_with_pendants(), "c1", "c2")
     sys_heavy = decomposed_resistance_splits(heavy)
     sys_del = decomposed_resistance_splits(deleted)
     for s, w in sys_del.entries:
