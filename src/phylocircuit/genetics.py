@@ -15,8 +15,17 @@ import math
 from .errors import DomainError
 
 
+def _require_numbers(**args: float) -> None:
+    """Every comparison with NaN is false, so the bounds below would let it
+    through; name the first NaN argument instead."""
+    for name, value in args.items():
+        if math.isnan(value):
+            raise DomainError(f"{name} is NaN")
+
+
 def jukes_cantor_distance(c: float, m: float) -> float:
     """Expected mutations for c matching sites out of m; needs c > m/4."""
+    _require_numbers(c=c, m=m)
     if m <= 0:
         raise DomainError("sequence length must be positive")
     if c > m:
@@ -31,6 +40,7 @@ def jukes_cantor_distance(c: float, m: float) -> float:
 def kimura_distance(p: float, q: float) -> float:
     """Two-parameter distance from transition (p) and transversion (q)
     proportions; needs 1 - 2p - q > 0 and 1 - 2q > 0."""
+    _require_numbers(p=p, q=q)
     if p < 0 or q < 0:
         raise DomainError("proportions must be nonnegative")
     a = 1 - 2 * p - q
@@ -47,6 +57,7 @@ def jukes_cantor_parallel_sites(c1: float, m: float) -> float:
     c = m/4 + sqrt(3 (m c1 / 4 - (m/4)^2)).  Fixed points at both domain
     ends: c1 = m gives m, c1 = m/4 gives m/4.
     """
+    _require_numbers(c1=c1, m=m)
     if m <= 0:
         raise DomainError("sequence length must be positive")
     if c1 < m / 4 or c1 > m:

@@ -73,9 +73,6 @@ class CircularOrder:
     def n(self) -> int:
         return len(self.labels)
 
-    def position(self, label: int) -> int:
-        return self.labels.index(label)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.labels)
 

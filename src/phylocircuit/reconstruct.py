@@ -193,7 +193,7 @@ def min_path_split_system(net: PhyloNetwork) -> CircularSplitSystem:
 
 def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
     """Core of the inversion; assumes the rebuild displays system's splits."""
-    skeleton = network_from_splits(system.strip_weights())
+    skeleton = network_from_splits(system)
     catalog = display_catalog(skeleton)
     pair_split = {
         frozenset(disp[2:]): split

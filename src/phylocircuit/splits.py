@@ -6,10 +6,11 @@ the splits a 1-nested network displays, each an arc of its canonical
 order read off the outward walk from leaf 1; ``network_from_splits``
 rebuilds the unique 1-nested network from a circular system by grouping
 mutually crossing splits into cycles and lone splits into bridges, then
-hanging every class and leaf from the innermost class whose span holds it,
-in one stack sweep along the circular order.  Every node the sweep makes
-has degree at least 3, so nothing is smoothed.  The weighted variant gives
-each rebuilt edge the total weight of the splits it carries.
+hanging every class and leaf from the innermost open class as one sorted
+sweep along the circular order meets it, with positions read once per
+order.  Every node the sweep makes has degree at least 3, so nothing is
+smoothed.  The weighted variant gives each rebuilt edge the total weight of
+the splits it carries.
 """
 
 from __future__ import annotations
@@ -54,17 +55,17 @@ class Split:
 
     def __init__(self, one_side: Iterable[int], n: int):
         side = frozenset(one_side)
-        rest = frozenset(range(1, n + 1)) - side
+        rest = [x for x in range(1, n + 1) if x not in side]
         if not side or not rest:
             raise SizeMismatchError("both sides of a split must be nonempty")
-        if side | rest != frozenset(range(1, n + 1)):
+        if len(side) + len(rest) != n:  # side holds a label outside 1..n
             raise SizeMismatchError("split sides must partition 1..n")
         if 1 in side:
-            a, b = side, rest
+            a, b = sorted(side), rest
         else:
-            a, b = rest, side
-        object.__setattr__(self, "side_a", tuple(sorted(a)))
-        object.__setattr__(self, "side_b", tuple(sorted(b)))
+            a, b = rest, sorted(side)
+        object.__setattr__(self, "side_a", tuple(a))
+        object.__setattr__(self, "side_b", tuple(b))
 
     @property
     def n(self) -> int:
@@ -171,8 +172,9 @@ class CircularSplitSystem(WeightedSplitSystem):
 
     def __post_init__(self):
         _require_permutation(self.order, self.n)
+        at = _positions(self.order)
         for s, _ in self.entries:
-            if not _contiguous(s, self.order):
+            if not _contiguous(s, at):
                 raise NotCircularError(f"{s} not contiguous in {self.order}")
 
     @classmethod
@@ -190,21 +192,27 @@ def _require_permutation(order: CircularOrder, n: int) -> None:
         raise SizeMismatchError(f"order {order} is not a permutation of 1..{n}")
 
 
-def _interval(split: Split, order: CircularOrder) -> tuple[int, int]:
-    """1-based first and last positions of side_b, the side avoiding leaf 1."""
-    positions = sorted(order.position(x) + 1 for x in split.side_b)
-    return positions[0], positions[-1]
+def _positions(order: CircularOrder) -> dict[int, int]:
+    """1-based position of every label in the order."""
+    return {label: p for p, label in enumerate(order.labels, start=1)}
 
 
-def _contiguous(split: Split, order: CircularOrder) -> bool:
-    lo, hi = _interval(split, order)
+def _interval(split: Split, at: Mapping[int, int]) -> tuple[int, int]:
+    """First and last positions of side_b, the side avoiding leaf 1."""
+    positions = [at[x] for x in split.side_b]
+    return min(positions), max(positions)
+
+
+def _contiguous(split: Split, at: Mapping[int, int]) -> bool:
+    lo, hi = _interval(split, at)
     return hi - lo == len(split.side_b) - 1
 
 
 def is_circular(system: WeightedSplitSystem, order: CircularOrder) -> bool:
     """True iff both sides of every split are contiguous arcs of the order."""
     _require_permutation(order, system.n)
-    return all(_contiguous(s, order) for s, _ in system.entries)
+    at = _positions(order)
+    return all(_contiguous(s, at) for s, _ in system.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +296,10 @@ def crosses(s1: Split, s2: Split) -> bool:
 # rebuilding the network
 
 
-@dataclass
-class _Object:
-    """A crossing class: one split makes a bridge, more make a cycle.
-
-    ``gaps`` are the boundaries (gap g lies between positions g and g+1) at
-    which its splits start or end, so its span is ``gaps[0] + 1 .. gaps[-1]``;
-    ``children`` are the leaf positions and objects hanging from it, in
-    position order.
-    """
-
-    splits: list[Split]
-    gaps: list[int]
-    children: list = dataclasses.field(default_factory=list)
-
-
-def _crossing_classes(
-    splits: Sequence[Split], intervals: Mapping[Split, tuple[int, int]]
-) -> list[list[Split]]:
-    parent = list(range(len(splits)))
+def _crossing_classes(spans: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Indices of the spans grouped into classes of transitively crossing
+    arcs (overlapping, neither holding the other), each in index order."""
+    parent = list(range(len(spans)))
 
     def find(x):
         while parent[x] != x:
@@ -314,103 +307,84 @@ def _crossing_classes(
             x = parent[x]
         return x
 
-    for i, j in itertools.combinations(range(len(splits)), 2):
-        (lo1, hi1), (lo2, hi2) = intervals[splits[i]], intervals[splits[j]]
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        (lo1, hi1), (lo2, hi2) = spans[i], spans[j]
         overlap = not (hi1 < lo2 or hi2 < lo1)
         nested = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
         if overlap and not nested:
             parent[find(i)] = find(j)
-    groups: dict[int, list[Split]] = {}
-    for i, s in enumerate(splits):
-        groups.setdefault(find(i), []).append(s)
-    return [sorted(g, key=_sort_key) for g in groups.values()]
+    groups: dict[int, list[int]] = {}
+    for i in range(len(spans)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def _rebuild(
     system: CircularSplitSystem, weigh: Callable[[Iterable[Split]], Value]
 ) -> PhyloNetwork:
-    """Hang the crossing classes and leaves of a circular system in one
-    sweep and build its network; ``weigh`` turns the splits an edge carries,
-    in ``_sort_key`` order, into its weight."""
+    """Build the network of a circular system in one sweep over its leaves
+    and crossing classes, each hung from the innermost open class as the
+    sorted sweep meets it; ``weigh`` turns the splits an edge carries, in
+    ``_sort_key`` order, into its weight."""
     if not isinstance(system, CircularSplitSystem):
         raise PhyloCircuitError(
             "split file needs an order header to rebuild a network"
         )
     n, labels = system.n, system.order.labels
     present = system.splits
-    missing = [lab for lab in range(1, n + 1) if trivial_split(lab, n) not in present]
+    trivial = {lab: trivial_split(lab, n) for lab in range(1, n + 1)}
+    missing = [lab for lab, s in trivial.items() if s not in present]
     if missing:
         raise MissingTrivialSplitsError(f"missing trivial splits for {missing}")
     leaves = {lab: f"x{lab}" for lab in labels}
     if n == 2:
         return PhyloNetwork.build(leaves, [("x1", "x2", weigh(present))], strict=True)
-    intervals = {
-        s: _interval(s, system.order) for s, _ in system.entries if not s.is_trivial
-    }
-    # spans of crossing classes nest, and a bridge's span holds a cycle's
-    # equal one, so sorted by (left end, -right end, bridge, cycle, leaf)
-    # each item hangs from the innermost object still open
-    keyed: list[tuple[tuple[int, int, int], int | _Object]] = [
-        ((p, -p, 2), p) for p in range(1, n + 1)
+    at = _positions(system.order)
+    splits = sorted((s for s in present if not s.is_trivial), key=_sort_key)
+    spans = [_interval(s, at) for s in splits]
+    # a class's gaps are the boundaries (gap g lies between positions g and
+    # g+1) at which its splits start or end, so its span is
+    # gaps[0] + 1 .. gaps[-1]; spans of crossing classes nest, and a
+    # bridge's span holds a cycle's equal one, so sorted by (left end,
+    # -right end, bridge, cycle, leaf) the sweep is a preorder of the nesting
+    keyed: list[tuple[tuple[int, int, int], list[int], list[int]]] = [
+        ((p, -p, 2), [], []) for p in range(1, n + 1)
     ]
-    for group in _crossing_classes(sorted(intervals, key=_sort_key), intervals):
-        ends = (intervals[s] for s in group)
-        gaps = sorted({g for lo, hi in ends for g in (lo - 1, hi)})
-        if len(group) > 1 and len(gaps) < 4:
-            raise NotRealizableError(
-                f"crossing class on {len(gaps)} boundary gaps cannot form a"
-                " triangle-free cycle"
-            )
-        obj = _Object(group, gaps)
-        keyed.append(((gaps[0] + 1, -gaps[-1], int(len(group) > 1)), obj))
-    top: list[int | _Object] = []
-    stack: list[_Object] = []
-    for (lo, _, _), item in sorted(keyed, key=lambda kv: kv[0]):
-        while stack and stack[-1].gaps[-1] < lo:
-            stack.pop()
-        (stack[-1].children if stack else top).append(item)
-        if isinstance(item, _Object):
-            stack.append(item)
+    for group in _crossing_classes(spans):
+        gaps = sorted({g for i in group for g in (spans[i][0] - 1, spans[i][1])})
+        keyed.append(((gaps[0] + 1, -gaps[-1], int(len(group) > 1)), group, gaps))
 
     names = (f"v{k}" for k in itertools.count(1))
-    edges: list[tuple[str, str, Value]] = []
-
-    def hang(node: str, item: int | _Object) -> None:
-        if isinstance(item, int):
-            label = labels[item - 1]
-            edges.append((node, f"x{label}", weigh([trivial_split(label, n)])))
-        elif len(item.splits) == 1:
-            junction = next(names)
-            edges.append((node, junction, weigh(item.splits)))
-            for child in item.children:
-                hang(junction, child)
-        else:
-            gaps = item.gaps
-            ring = [node] + [next(names) for _ in gaps[1:]]
-            tags: dict[int, list[Split]] = {g: [] for g in gaps}
-            for s in item.splits:
-                lo, hi = intervals[s]
-                tags[lo - 1].append(s)
-                tags[hi].append(s)
-            # the ring edge at gaps[t] joins ring[t] and ring[t + 1]
-            for t, g in enumerate(gaps):
-                edges.append((ring[t], ring[(t + 1) % len(ring)], weigh(tags[g])))
-            for child in item.children:
-                lo, hi = (
-                    (child, child)
-                    if isinstance(child, int)
-                    else (child.gaps[0] + 1, child.gaps[-1])
-                )
-                t = bisect.bisect_left(gaps, lo)  # gaps[t - 1] < lo <= gaps[t]
-                if hi > gaps[t]:
-                    raise NotRealizableError(
-                        f"item {child} straddles the corners of a rebuilt cycle"
-                    )
-                hang(ring[t], child)
-
     root = next(names)
-    for item in top:
-        hang(root, item)
+    edges: list[tuple[str, str, Value]] = []
+    # open classes, innermost last: (gaps, ring) with the ring edge at
+    # gaps[t] joining ring[t] and ring[t + 1]; a bridge's ring is its two ends
+    stack: list[tuple[list[int], list[str]]] = []
+    for (lo, neg_hi, kind), group, gaps in sorted(keyed, key=lambda kv: kv[0]):
+        while stack and stack[-1][0][-1] < lo:
+            stack.pop()
+        node = root
+        if stack:
+            outer, ring = stack[-1]
+            t = bisect.bisect_left(outer, lo)  # outer[t - 1] < lo <= outer[t]
+            if -neg_hi > outer[t]:
+                raise NotRealizableError(
+                    f"positions {lo}..{-neg_hi} straddle the corners of a"
+                    " rebuilt cycle"
+                )
+            node = ring[t]
+        if kind == 2:
+            label = labels[lo - 1]
+            edges.append((node, f"x{label}", weigh([trivial[label]])))
+            continue
+        ring = [node] + [next(names) for _ in gaps[1:]]
+        tags: dict[int, list[Split]] = {g: [] for g in gaps}
+        for i in group:
+            tags[spans[i][0] - 1].append(splits[i])
+            tags[spans[i][1]].append(splits[i])
+        for t, g in enumerate(gaps if kind == 1 else gaps[:1]):
+            edges.append((ring[t], ring[(t + 1) % len(ring)], weigh(tags[g])))
+        stack.append((gaps, ring))
     return PhyloNetwork.build(leaves, edges, strict=True)
 
 
@@ -419,8 +393,10 @@ def network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
 
     Mutually crossing splits become cycles, lone nontrivial splits become
     bridges, trivial splits become pendant edges, each hung from the
-    innermost class whose span holds it; no junction is left with degree 2,
-    so no smoothing is needed.  All edges get unit weight.
+    innermost open class as one sweep, sorted by span along the order, meets
+    it; every position is read once from one map of the order.  No junction
+    is left with degree 2, so no smoothing is needed.  All edges get unit
+    weight, whatever weights the system carries.
     """
     return _rebuild(system, lambda tags: Fraction(1))
 
@@ -457,9 +433,8 @@ def is_outer_path(system: CircularSplitSystem) -> bool:
 
 def is_faithfully_phylogenetic(system: CircularSplitSystem) -> bool:
     """True iff the rebuilt network displays exactly these splits."""
-    base = system.strip_weights()
-    rebuilt = network_from_splits(base)
-    return displayed_splits(rebuilt).splits == base.splits
+    rebuilt = network_from_splits(system)
+    return displayed_splits(rebuilt).splits == system.splits
 
 
 # ---------------------------------------------------------------------------

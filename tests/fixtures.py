@@ -81,6 +81,31 @@ def ring_with_pendants(n: int, cycle_weights=None, pendant_weights=None) -> Phyl
     return validate({i: f"x{i}" for i in range(1, n + 1)}, edges)
 
 
+def caterpillar(n: int) -> PhyloNetwork:
+    """Tree whose n - 2 internal nodes form a path, one leaf on each and one
+    more at both ends: its nontrivial splits nest n - 3 deep."""
+    spine = [f"u{k}" for k in range(1, n - 1)]
+    hosts = [spine[0], *spine, spine[-1]]
+    edges = [(a, b, F(1 + k % 3)) for k, (a, b) in enumerate(zip(spine, spine[1:]))]
+    edges += [(hosts[i - 1], f"x{i}", F(i % 4 + 1, 2)) for i in range(1, n + 1)]
+    return validate({i: f"x{i}" for i in range(1, n + 1)}, edges)
+
+
+def square_chain(k: int) -> PhyloNetwork:
+    """k 4-cycles in a row joined by bridges between opposite corners; the
+    two free corners of each cycle carry leaves, and so do the first and
+    last cycle's ends, 2k + 2 leaves in all."""
+    edges, hosts = [], []
+    for i in range(k):
+        a, b, c, d = (f"{t}{i}" for t in "abcd")
+        edges += [(a, b, F(1)), (b, c, F(2)), (c, d, F(1, 2)), (d, a, F(3))]
+        if i:
+            edges.append((f"c{i - 1}", a, F(1 + i % 2)))
+        hosts += ([a] if i == 0 else []) + [b, d] + ([c] if i == k - 1 else [])
+    edges += [(h, f"x{i}", F(1)) for i, h in enumerate(hosts, start=1)]
+    return validate({i: f"x{i}" for i in range(1, len(hosts) + 1)}, edges)
+
+
 def k33_with_leaves() -> PhyloNetwork:
     """Complete bipartite 3+3 core, one unit pendant leaf per core node."""
     reds = ["r1", "r2", "r3"]

@@ -15,12 +15,14 @@ from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, network_to_text
 from phylocircuit.randomnet import random_one_nested
 from phylocircuit.reconstruct import resistance_split_system_direct
-from phylocircuit.splits import split_system_to_text
+from phylocircuit.splits import displayed_splits, split_system_to_text
 from fixtures import (
+    caterpillar,
     decomposed_resistance_splits,
     k33_with_leaves,
     quartet_tree,
     square_with_pendants,
+    square_chain,
     star,
     two_cycles_with_bridge,
     with_chord,
@@ -132,15 +134,55 @@ def test_split_given_twice_exits_one(tmp_path, capsys):
     assert err == "error: ValidationError: line 3: split {1}|{2,3,4} repeats line 2\n"
 
 
-def _run_cli_process(*argv, flags=(), check=True, **env):
-    """Run ``python -m phylocircuit.cli`` in a child process on this src."""
+def _run_cli_process(*argv, flags=(), check=True, timeout=120, **env):
+    """Run ``python -m phylocircuit.cli`` in a child process on this src;
+    a child still running after ``timeout`` seconds is killed and fails the
+    calling test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "phylocircuit.cli", *argv],
-        capture_output=True, text=True, check=check,
-        env=dict(os.environ, PYTHONPATH=path, **env),
-    )
+    try:
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "phylocircuit.cli", *argv],
+            capture_output=True, text=True, check=check, timeout=timeout,
+            env=dict(os.environ, PYTHONPATH=path, **env),
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"phylocircuit {' '.join(argv)} still running after {timeout} s")
+
+
+def test_hung_child_process_fails_its_test():
+    # -c ends the interpreter's options, so the child sleeps instead of
+    # running the CLI
+    with pytest.raises(pytest.fail.Exception, match="still running after 1 s"):
+        _run_cli_process("validate", flags=("-c", "import time; time.sleep(60)"),
+                         timeout=1)
+
+
+@pytest.fixture(scope="module")
+def deep_split_files(tmp_path_factory):
+    """Split files nested far deeper than the default recursion limit: a
+    1,200-leaf caterpillar and a chain of 700 4-cycles (1,402 leaves)."""
+    root = tmp_path_factory.mktemp("deep")
+    files = {}
+    for name, net in (("caterpillar", caterpillar(1200)), ("chain", square_chain(700))):
+        system = resistance_split_system_direct(net)
+        path = root / f"{name}.splits"
+        path.write_text(split_system_to_text(system))
+        files[name] = (str(path), system)
+    return files
+
+
+@pytest.mark.parametrize("name", ["caterpillar", "chain"])
+def test_exterior_and_invert_at_depth(deep_split_files, name):
+    path, system = deep_split_files[name]
+    done = _run_cli_process("exterior", path, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    rebuilt = netgraph.parse_network(done.stdout)
+    assert displayed_splits(rebuilt).splits >= system.splits
+    done = _run_cli_process("invert", path, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    back = netgraph.parse_network(done.stdout)
+    assert resistance_split_system_direct(back) == system
 
 
 _DEGENERATE_DISTANCES = {
@@ -652,6 +694,22 @@ def test_jc_commands(capsys):
     code, out, _ = run(capsys, "jc-parallel", "--m", "100", "--c1", "62.5")
     assert code == 0
     assert out.startswith("c: 78.03")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["jc", "--m", "nan", "--c", "1"], "m"),
+        (["jc", "--m", "100", "--c", "nan"], "c"),
+        (["jc-parallel", "--m", "nan", "--c1", "3"], "m"),
+        (["jc-parallel", "--m", "100", "--c1", "nan"], "c1"),
+    ],
+)
+def test_jc_nan_argument_exits_one(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: DomainError: {name} is NaN\n"
 
 
 def test_jc_curve_csv(capsys):

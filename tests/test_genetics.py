@@ -66,6 +66,36 @@ def test_kimura_domain():
         kimura_distance(0.1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "formula, args, name",
+    [
+        (jukes_cantor_distance, (math.nan, 100.0), "c"),
+        (jukes_cantor_distance, (26.0, math.nan), "m"),
+        (kimura_distance, (math.nan, 0.1), "p"),
+        (kimura_distance, (0.1, math.nan), "q"),
+        (jukes_cantor_parallel_sites, (math.nan, 100.0), "c1"),
+        (jukes_cantor_parallel_sites, (62.5, math.nan), "m"),
+    ],
+)
+def test_nan_argument_is_a_domain_error(formula, args, name):
+    with pytest.raises(DomainError, match=f"^{name} is NaN$"):
+        formula(*args)
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_infinite_arguments_are_domain_errors(inf):
+    for formula, args in (
+        (jukes_cantor_distance, (inf, 100.0)),
+        (jukes_cantor_distance, (26.0, inf)),
+        (kimura_distance, (inf, 0.1)),
+        (kimura_distance, (0.1, inf)),
+        (jukes_cantor_parallel_sites, (inf, 100.0)),
+        (jukes_cantor_parallel_sites, (62.5, inf)),
+    ):
+        with pytest.raises(DomainError):
+            formula(*args)
+
+
 def test_parallel_sites_endpoints_fixed():
     assert jukes_cantor_parallel_sites(100, 100) == pytest.approx(100.0)
     assert jukes_cantor_parallel_sites(25, 100) == pytest.approx(25.0)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,7 @@ from phylocircuit.splits import (
 )
 
 from fixtures import (
+    caterpillar,
     decomposed_resistance_splits,
     k33_with_leaves,
     quartet_tree,
@@ -707,6 +709,35 @@ def test_invert_exact_on_seeded_corpus():
         for binary in (True, False):
             net = random_one_nested(n, random.Random(7919 * n + 1), binary=binary)
             _assert_exact_inverse(resistance_split_system_direct(net))
+
+
+def test_exact_random_suite_up_to_64_leaves():
+    rng = random.Random(6464)
+    for k in range(40):
+        n = 4 + 60 * k // 39
+        net = random_one_nested(n, rng, binary=k % 2 == 0)
+        order = canonical_order(net)
+        d = resistance_vector(net)
+        assert is_kalmanson(d, order).passed
+        direct = resistance_split_system_direct(net)
+        assert circular_decomposition(d, order).system.same_weighted_splits(direct)
+        assert resistance_split_system_direct(invert_to_network(direct)) == direct
+
+
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def test_rebuild_and_invert_times_at_size():
+    # the caterpillar's splits nest 1,197 deep; the sweep hangs them
+    # without recursion, and reads every position from one map
+    system = resistance_split_system_direct(caterpillar(1200))
+    assert _seconds(weighted_network_from_splits, system) < 2.0
+    assert _seconds(invert_to_network, system) < 6.0
+    system = resistance_split_system_direct(random_one_nested(512, random.Random(512)))
+    assert min(_seconds(weighted_network_from_splits, system) for _ in range(3)) < 0.3
 
 
 def _assert_float_inverse(system):

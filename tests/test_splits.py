@@ -39,6 +39,7 @@ from fixtures import (
     quartet_tree,
     ring_with_pendants,
     scan_networks,
+    shuffled_order,
     square_with_pendants,
     star,
     triangle_with_leaves,
@@ -287,6 +288,33 @@ def test_rebuild_displays_superset_for_generic_circular_systems():
     assert sigma.splits >= system.splits
     assert sigma.splits > system.splits
     assert not is_faithfully_phylogenetic(system)
+
+
+def _random_circular_system(rng):
+    """Every trivial split plus up to 12 random nontrivial arcs of a shuffled
+    order on 4..12 leaves, all with positive weights."""
+    n = rng.randint(4, 12)
+    order = shuffled_order(n, rng)
+    labels = order.labels
+    weights = {trivial_split(lab, n): F(rng.randint(1, 9)) for lab in labels}
+    for _ in range(rng.randint(0, 12)):
+        # an arc of 2..n-2 positions that misses leaf 1's position 1
+        lo = rng.randint(2, n - 1)
+        hi = rng.randint(lo + 1, min(n, lo + n - 3))
+        weights[Split(labels[lo - 1 : hi], n)] = F(rng.randint(1, 9), rng.randint(1, 4))
+    return CircularSplitSystem.of_order(n, weights.items(), order)
+
+
+def test_rebuild_any_circular_system():
+    rng = random.Random(1701)
+    for _ in range(3000):
+        system = _random_circular_system(rng)
+        for rebuild in (network_from_splits, weighted_network_from_splits):
+            net = rebuild(system)
+            shape = classify(net)
+            assert shape.level is not None and shape.level <= 1
+            assert shape.triangle_free
+            assert displayed_splits(net).splits >= system.splits
 
 
 def test_rebuild_bridge_parallel_to_cycle():
