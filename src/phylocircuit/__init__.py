@@ -16,7 +16,6 @@ from .metrics import (  # noqa: F401
     find_kalmanson_order,
     is_kalmanson,
     min_path_vector,
-    resistance_by_reduction,
     resistance_vector,
 )
 from .netgraph import (  # noqa: F401
@@ -24,7 +23,6 @@ from .netgraph import (  # noqa: F401
     PhyloNetwork,
     bridges,
     classify,
-    consistent_orders,
     is_binary,
     load_network,
     parse_network,

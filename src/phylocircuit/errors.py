@@ -125,10 +125,6 @@ class MissingTrivialSplitsError(PhyloCircuitError):
     pass
 
 
-class NotRealizableError(PhyloCircuitError):
-    """The split system cannot be rebuilt as a triangle-free network."""
-
-
 class NotInvertibleError(PhyloCircuitError):
     """No positive edge weighting reproduces the weighted split system."""
 

@@ -32,6 +32,7 @@ from .errors import (
     NotADegreeThreeNodeError,
     NotATriangleError,
     NotOneNestedError,
+    SizeMismatchError,
     ValidationError,
     line_errors,
 )
@@ -392,9 +393,13 @@ def block_path(net: PhyloNetwork, i: int, j: int) -> list[Block]:
 
     Their edges are the union of all simple paths between the two leaves.
     """
+    leaves = net.leaves
+    for label in (i, j):
+        if label not in leaves:
+            raise SizeMismatchError(f"no leaf {label} in a network on 1..{net.n}")
     decomp = block_decomposition(net)
     blocks, blocks_at = decomp.blocks, decomp.blocks_at
-    start, goal = blocks_at[net.leaves[i]][0], blocks_at[net.leaves[j]][0]
+    start, goal = blocks_at[leaves[i]][0], blocks_at[leaves[j]][0]
     # search from j's end, so the links followed back from i run i to j
     toward_j: dict[int, int | None] = {goal: None}
     queue = deque([goal])

@@ -26,7 +26,12 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import NotOneNestedError, OutOfRangeError, SizeMismatchError
+from .errors import (
+    NotOneNestedError,
+    OutOfRangeError,
+    SizeMismatchError,
+    ValidationError,
+)
 from .metrics import (
     DistanceVector,
     min_path_vector,
@@ -331,7 +336,7 @@ def face_minimization_report(net: PhyloNetwork, metric: str = "resistance") -> F
     x(N) . d_resistance == x(N) . d_minpath(weighted rebuild).
     """
     if metric not in ("resistance", "minpath"):
-        raise ValueError(f"unknown metric {metric!r}")
+        raise ValidationError(f"unknown metric {metric!r}")
     n = net.n
     k = bridges(net).k
     if metric == "resistance":

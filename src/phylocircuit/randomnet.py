@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import OutOfRangeError
 from .netgraph import PhyloNetwork
 from .rational import Value
 
@@ -57,8 +58,10 @@ def random_one_nested(
 
     High-degree tree nodes are expanded into cycles (all of them when
     ``binary``, independently with ``cycle_prob`` otherwise).  Weights are
-    positive, exact rationals by default.
+    positive, exact rationals by default.  Raises OutOfRange for n < 2.
     """
+    if n < 2:
+        raise OutOfRangeError(f"a network needs at least 2 leaves, got n={n}")
     leaves, plain_edges, internal = _random_tree(n, rng)
     counter = [0]
 

@@ -152,7 +152,14 @@ def resistance_split_system_direct(net: PhyloNetwork) -> CircularSplitSystem:
     along a consistent order, without solving for that vector.  Raises
     NotOneNested above level 1, then ZeroWeightEdge for a zero weight.
     """
-    catalog = display_catalog(net)
+    totals = _display_totals(net, display_catalog(net))
+    positive = {s: w for s, w in totals.items() if w > 0}
+    return CircularSplitSystem.of_order(net.n, positive, canonical_order(net))
+
+
+def _display_totals(net: PhyloNetwork, catalog: dict) -> dict[Split, Value]:
+    """{split: sum of its display weights} for the catalog of a network
+    with ``net``'s nodes and edges, read with ``net``'s weights."""
     _check_positive(net)
     weights = net.edges
     if not net.is_exact:
@@ -167,9 +174,8 @@ def resistance_split_system_direct(net: PhyloNetwork) -> CircularSplitSystem:
                 acc += weights[disp[1]]
             else:
                 acc += _pair_share(weights, cycle_totals, *disp[1:])
-        if acc > 0:
-            totals[split] = acc
-    return CircularSplitSystem.of_order(net.n, totals, canonical_order(net))
+        totals[split] = acc
+    return totals
 
 
 def min_path_split_system(net: PhyloNetwork) -> CircularSplitSystem:
@@ -191,8 +197,8 @@ def min_path_split_system(net: PhyloNetwork) -> CircularSplitSystem:
 # inverting a weighted circular split system back to a network
 
 
-def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
-    """Core of the inversion; assumes the rebuild displays system's splits."""
+def _mul_inverse_weights(system: CircularSplitSystem) -> tuple[PhyloNetwork, dict]:
+    """Core of the inversion: the network and its skeleton's catalog."""
     skeleton = network_from_splits(system)
     catalog = display_catalog(skeleton)
     pair_split = {
@@ -255,7 +261,7 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> PhyloNetwork:
                 raise NotInvertibleError(f"nonpositive bridge weight for {split}")
             edge_weight[bridges[0]] = w
     edges = [(a, b, edge_weight[edge_key(a, b)]) for a, b, _ in skeleton.edge_items]
-    return PhyloNetwork.build(skeleton.leaves, edges, strict=True)
+    return PhyloNetwork.build(skeleton.leaves, edges, strict=True), catalog
 
 
 def _cycle_weights(m: int, products: dict) -> list[Value] | None:
@@ -424,13 +430,12 @@ def invert_to_network(system: CircularSplitSystem) -> PhyloNetwork:
 
     Raises NotInvertible when the products are inconsistent, when no cycle
     shares leave a bridge positive weight (naming the split), or when the
-    final direct check fails.
+    final check, read from the skeleton's display catalog, fails.
     """
-    net = _mul_inverse_weights(system)
-    check = resistance_split_system_direct(net)
-    if check.splits != system.splits:
+    net, catalog = _mul_inverse_weights(system)
+    if catalog.keys() != system.splits:
         raise NotInvertibleError("rebuilt network displays different splits")
-    got = {s: Fraction(0) if w is None else w for s, w in check.entries}
+    got = _display_totals(net, catalog)
     for s, w in system.entries:
         if not values_close(got[s], w):
             raise NotInvertibleError(f"weight mismatch on {s}")

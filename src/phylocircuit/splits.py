@@ -16,17 +16,15 @@ the splits it carries.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MissingTrivialSplitsError,
     NotCircularError,
-    NotRealizableError,
     PhyloCircuitError,
     SizeMismatchError,
     ValidationError,
@@ -148,14 +146,6 @@ class WeightedSplitSystem:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(w, (Fraction, type(None))) for _, w in self.entries)
-
-    def strip_weights(self) -> "WeightedSplitSystem":
-        stripped = tuple((s, None) for s, _ in self.entries)
-        return dataclasses.replace(self, entries=stripped)
-
-    def drop_zero_weights(self) -> "WeightedSplitSystem":
-        kept = tuple((s, w) for s, w in self.entries if w is None or w != 0)
-        return dataclasses.replace(self, entries=kept)
 
     def same_weighted_splits(self, other: "WeightedSplitSystem") -> bool:
         return self.n == other.n and self.entries == other.entries
@@ -320,18 +310,19 @@ def _crossing_classes(spans: Sequence[tuple[int, int]]) -> list[list[int]]:
 
 
 def _rebuild(
-    system: CircularSplitSystem, weigh: Callable[[Iterable[Split]], Value]
+    system: CircularSplitSystem,
+    present: Collection[Split],
+    weigh: Callable[[Iterable[Split]], Value],
 ) -> PhyloNetwork:
-    """Build the network of a circular system in one sweep over its leaves
-    and crossing classes, each hung from the innermost open class as the
-    sorted sweep meets it; ``weigh`` turns the splits an edge carries, in
-    ``_sort_key`` order, into its weight."""
+    """Build the network of the splits ``present`` of a circular system in
+    one sweep over its leaves and crossing classes, each hung from the
+    innermost open class as the sorted sweep meets it; ``weigh`` turns the
+    splits an edge carries, in ``_sort_key`` order, into its weight."""
     if not isinstance(system, CircularSplitSystem):
         raise PhyloCircuitError(
             "split file needs an order header to rebuild a network"
         )
     n, labels = system.n, system.order.labels
-    present = system.splits
     trivial = {lab: trivial_split(lab, n) for lab in range(1, n + 1)}
     missing = [lab for lab, s in trivial.items() if s not in present]
     if missing:
@@ -360,18 +351,14 @@ def _rebuild(
     # open classes, innermost last: (gaps, ring) with the ring edge at
     # gaps[t] joining ring[t] and ring[t + 1]; a bridge's ring is its two ends
     stack: list[tuple[list[int], list[str]]] = []
-    for (lo, neg_hi, kind), group, gaps in sorted(keyed, key=lambda kv: kv[0]):
+    for (lo, _, kind), group, gaps in sorted(keyed, key=lambda kv: kv[0]):
         while stack and stack[-1][0][-1] < lo:
             stack.pop()
         node = root
         if stack:
             outer, ring = stack[-1]
             t = bisect.bisect_left(outer, lo)  # outer[t - 1] < lo <= outer[t]
-            if -neg_hi > outer[t]:
-                raise NotRealizableError(
-                    f"positions {lo}..{-neg_hi} straddle the corners of a"
-                    " rebuilt cycle"
-                )
+            # no span passes outer[t]: it would hold this cycle and have sorted before it
             node = ring[t]
         if kind == 2:
             label = labels[lo - 1]
@@ -398,7 +385,7 @@ def network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
     is left with degree 2, so no smoothing is needed.  All edges get unit
     weight, whatever weights the system carries.
     """
-    return _rebuild(system, lambda tags: Fraction(1))
+    return _rebuild(system, system.splits, lambda tags: Fraction(1))
 
 
 def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
@@ -409,10 +396,9 @@ def weighted_network_from_splits(system: CircularSplitSystem) -> PhyloNetwork:
     must still have positive weight."""
     if not system.is_weighted:
         raise SizeMismatchError("weighted rebuild needs weights on every split")
-    system = system.drop_zero_weights()
-    weights = system.weights
+    weights = {s: w for s, w in system.entries if w != 0}
     return _rebuild(
-        system, lambda tags: sum((weights[s] for s in tags), Fraction(0))
+        system, weights.keys(), lambda tags: sum(map(weights.get, tags), Fraction(0))
     )
 
 

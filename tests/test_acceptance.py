@@ -148,7 +148,7 @@ def test_criterion_3_published_seven_leaf_reconstruction():
     assert target in result.system.splits
     weight = result.system.weight(target)
     assert abs(weight - 0.95) <= 0.02
-    skeleton = network_from_splits(result.system.strip_weights())
+    skeleton = network_from_splits(result.system)
     assert classify(skeleton).level == 1
     x = vertex_vector(skeleton)
     lhs = x.dot(d_res)
@@ -189,7 +189,7 @@ def test_criterion_5_split_recovery_on_corpus(corpus):
         direct = resistance_split_system_direct(net)
         assert via_metric.splits == sigma.splits
         assert via_metric.same_weighted_splits(direct)
-        rebuilt = network_from_splits(via_metric.strip_weights())
+        rebuilt = network_from_splits(via_metric)
         assert displayed_splits(rebuilt).splits == sigma.splits
     elapsed = time.monotonic() - start
     print(
@@ -217,7 +217,7 @@ def test_criterion_6_galois_identities(corpus):
         assert system.same_weighted_splits(again)
         # stripping weights before or after the rebuild commutes
         w_net = weighted_network_from_splits(system)
-        u_net = network_from_splits(system.strip_weights())
+        u_net = network_from_splits(system)
         assert {tuple(sorted(e)) for e in w_net.edges} == {
             tuple(sorted(e)) for e in u_net.edges
         }

@@ -481,6 +481,14 @@ def test_pairwise_circuit_adjacent_leaves_same_junction():
     assert len(sub.edge_items) == 2
 
 
+@pytest.mark.parametrize("fn", [pairwise_circuit, resistance_by_reduction])
+def test_pair_of_an_unknown_leaf_is_a_size_mismatch(fn):
+    net = two_cycles_with_bridge()
+    with pytest.raises(SizeMismatchError) as info:
+        fn(net, 1, 9)
+    assert str(info.value) == f"no leaf 9 in a network on 1..{net.n}"
+
+
 # ---------------------------------------------------------------------------
 # Kalmanson checks
 

@@ -13,6 +13,8 @@ from phylocircuit.errors import (
     NegativeWeightError,
     NotATriangleError,
     NotOneNestedError,
+    OutOfRangeError,
+    SizeMismatchError,
     ValidationError,
 )
 from phylocircuit.netgraph import (
@@ -369,6 +371,25 @@ def test_block_path_runs_from_first_leaf_to_second():
     path = block_path(net, 1, 6)  # hexagon leaf to quad leaf
     assert [b.kind for b in path] == [BRIDGE, CYCLE, BRIDGE, CYCLE, BRIDGE]
     assert net.leaves[1] in path[0].nodes and net.leaves[6] in path[-1].nodes
+
+
+@pytest.mark.parametrize("i, j, label", [(1, 9, 9), (0, 2, 0), (3, -1, -1)])
+def test_block_path_names_a_label_outside_the_leaves(i, j, label):
+    net = ring_with_pendants(6)
+    with pytest.raises(SizeMismatchError) as info:
+        block_path(net, i, j)
+    assert str(info.value) == f"no leaf {label} in a network on 1..6"
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_random_network_needs_two_leaves(n):
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(OutOfRangeError) as info:
+        random_one_nested(n, rng)
+    assert str(info.value) == f"a network needs at least 2 leaves, got n={n}"
+    assert rng.getstate() == state  # nothing drawn, so seeded streams hold
+    assert random_one_nested(2, rng).n == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from phylocircuit.errors import NotOneNestedError, OutOfRangeError
+from phylocircuit.errors import NotOneNestedError, OutOfRangeError, ValidationError
 from phylocircuit.metrics import DistanceVector, min_path_vector, resistance_vector
 from phylocircuit.netgraph import (
     PhyloNetwork,
@@ -303,6 +303,12 @@ def test_face_report_minpath_mode():
         assert report.argmin_matches_refinements
 
 
+def test_face_report_unknown_metric_is_a_validation_error():
+    with pytest.raises(ValidationError) as info:
+        face_minimization_report(quartet_tree(), "x")
+    assert str(info.value) == "unknown metric 'x'"
+
+
 def test_square_cycle_tie_face():
     # equalities produce a face of minimizers, reported in full
     net = square_with_pendants()
@@ -321,7 +327,7 @@ def test_rebuilt_class_of_binary_network_is_a_vertex():
     for _ in range(6):
         net = random_one_nested(rng.randint(4, 6), rng, binary=True)
         rebuilt = network_from_splits(
-            decomposed_resistance_splits(net).strip_weights()
+            decomposed_resistance_splits(net)
         )
         k = bridges(rebuilt).k
         assert vertex_vector(rebuilt) in bme_vertices(net.n, k)

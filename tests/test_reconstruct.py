@@ -371,7 +371,7 @@ def test_rebuild_of_decomposition_recovers_class():
     for _ in range(10):
         net = random_one_nested(rng.randint(4, 7), rng)
         sys = decomposed_resistance_splits(net)
-        rebuilt = network_from_splits(sys.strip_weights())
+        rebuilt = network_from_splits(sys)
         assert displayed_splits(rebuilt).splits == displayed_splits(net).splits
 
 
@@ -565,6 +565,50 @@ def test_invert_rejects_missing_weight():
     broken = CircularSplitSystem.of_order(5, smaller, sys.order)
     with pytest.raises(NotInvertibleError):
         invert_to_network(broken)
+
+
+def test_invert_final_check_catches_a_weight_mismatch(monkeypatch):
+    # a cycle weight off by one part in a million must fail the final check,
+    # which names the first split whose display weights disagree
+    system = resistance_split_system_direct(
+        ring_with_pendants(5, [F(1), F(2), F(3), F(4), F(5)])
+    )
+    solve = reconstruct._cycle_weights
+
+    def skewed(m, products):
+        weights = solve(m, products)
+        if weights is not None:
+            weights[0] *= 1 + F(1, 10**6)
+        return weights
+
+    monkeypatch.setattr(reconstruct, "_cycle_weights", skewed)
+    with pytest.raises(NotInvertibleError) as info:
+        invert_to_network(system)
+    assert str(info.value) == "weight mismatch on {1,2}|{3,4,5}"
+
+
+def test_invert_reads_one_display_catalog(monkeypatch):
+    # the final check reuses the skeleton's catalog instead of building one
+    # for the result, which has the same nodes and edges
+    networks = [
+        ring_with_pendants(5),
+        quartet_tree(),
+        random_one_nested(40, random.Random(40)),
+        random_one_nested(24, random.Random(24), binary=True),
+    ]
+    systems = [resistance_split_system_direct(net) for net in networks]
+    catalogs = []
+    build = reconstruct.display_catalog
+
+    def counted(net):
+        catalogs.append(net)
+        return build(net)
+
+    monkeypatch.setattr(reconstruct, "display_catalog", counted)
+    for system in systems:
+        catalogs.clear()
+        invert_to_network(system)
+        assert len(catalogs) == 1
 
 
 # ---------------------------------------------------------------------------

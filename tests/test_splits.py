@@ -305,10 +305,27 @@ def _random_circular_system(rng):
     return CircularSplitSystem.of_order(n, weights.items(), order)
 
 
+def _every_identity_system(n):
+    """Every trivial split plus each subset of the nontrivial arcs of the
+    identity order on n leaves: 2**(n(n-3)/2) systems."""
+    order = CircularOrder(tuple(range(1, n + 1)))
+    arcs = [
+        Split(range(lo, hi + 1), n)
+        for lo in range(2, n)
+        for hi in range(lo + 1, min(n, lo + n - 3) + 1)
+    ]
+    for mask in range(1 << len(arcs)):
+        chosen = [(s, F(k + 2, 3)) for k, s in enumerate(arcs) if mask >> k & 1]
+        yield CircularSplitSystem.of_order(n, full_trivial(n) + chosen, order)
+
+
 def test_rebuild_any_circular_system():
     rng = random.Random(1701)
-    for _ in range(3000):
-        system = _random_circular_system(rng)
+    systems = [_random_circular_system(rng) for _ in range(3000)]
+    for n in (4, 5, 6):
+        systems.extend(_every_identity_system(n))
+    assert len(systems) == 3000 + 4 + 32 + 512
+    for system in systems:
         for rebuild in (network_from_splits, weighted_network_from_splits):
             net = rebuild(system)
             shape = classify(net)
@@ -380,7 +397,7 @@ def test_weighted_rebuild_strips_to_plain_rebuild():
         weights = {s: F(rng.randint(1, 9), rng.choice((1, 2))) for s in base.splits}
         system = CircularSplitSystem.of_order(net.n, weights, order)
         w_net = weighted_network_from_splits(system)
-        u_net = network_from_splits(system.strip_weights())
+        u_net = network_from_splits(system)
         assert displayed_splits(w_net).splits == displayed_splits(u_net).splits
         assert {tuple(sorted(e)) for e in w_net.edges} == {
             tuple(sorted(e)) for e in u_net.edges
@@ -397,7 +414,7 @@ def test_unit_and_weighted_rebuilds_share_one_shape():
         )
         for system in (exact, floats):
             w_net = weighted_network_from_splits(system)
-            u_net = network_from_splits(system.strip_weights())
+            u_net = network_from_splits(system)
             assert w_net.leaf_items == u_net.leaf_items
             assert w_net.nodes == u_net.nodes
             assert [e[:2] for e in w_net.edge_items] == [e[:2] for e in u_net.edge_items]
@@ -525,7 +542,7 @@ def test_rebuild_superset_fuzz():
             (Split(set(range(lo, hi + 1)), n), F(1)) for lo, hi in chosen
         ]
         system = CircularSplitSystem.of_order(n, entries, order)
-        rebuilt = network_from_splits(system.strip_weights())
+        rebuilt = network_from_splits(system)
         assert displayed_splits(rebuilt).splits >= system.splits
 
 
