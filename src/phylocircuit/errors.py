@@ -38,6 +38,11 @@ class BadLeafLabelError(ValidationError):
     """Leaf labels are not exactly 1..n with n >= 2."""
 
 
+class BadOrderError(ValidationError, ValueError):
+    """A circular order repeats a label or lacks label 1.  Also a
+    ValueError, so a parser reports it as a malformed field of its line."""
+
+
 @contextmanager
 def line_errors(lineno: int, raw: str):
     """Report a malformed field of one input line as a ValidationError."""

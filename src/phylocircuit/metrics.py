@@ -82,14 +82,6 @@ class DistanceVector:
     def as_floats(self) -> "DistanceVector":
         return DistanceVector(self.n, tuple(float(v) for v in self.values))
 
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.values)
-
-    def dot(self, other: Sequence[Value]) -> Value:
-        if len(other) != len(self.values):
-            raise SizeMismatchError("length mismatch in dot product")
-        return sum((a * b for a, b in zip(self.values, other)), Fraction(0))
-
 
 # ---------------------------------------------------------------------------
 # distances by blocks

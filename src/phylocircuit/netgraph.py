@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     BadLeafDegreeError,
     BadLeafLabelError,
+    BadOrderError,
     DegenerateWeightsError,
     DisconnectedError,
     InternalDegreeTooLowError,
@@ -63,7 +64,7 @@ class CircularOrder:
     def __init__(self, labels: Sequence[int]):
         seq = tuple(labels)
         if len(set(seq)) != len(seq) or 1 not in seq:
-            raise ValueError(f"not a leaf permutation containing 1: {seq}")
+            raise BadOrderError(f"not a leaf permutation containing 1: {seq}")
         i = seq.index(1)
         seq = seq[i:] + seq[:i]
         if len(seq) >= 3 and seq[1] > seq[-1]:
@@ -508,63 +509,43 @@ def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
     """All circular leaf orders realizable by outer-planar drawings.
 
     An exponential enumeration, kept as an oracle (:func:`canonical_order`
-    builds the least order directly): every arrangement of the items at
-    each junction and direction around each cycle, read around the
-    exterior and deduplicated canonically.  Requires level <= 1.
+    builds the least order directly).  Read outward from leaf 1 over the
+    cached blocks: every permutation of the blocks hanging from a node,
+    each read beyond its far end (a bridge) or along both walks of its
+    ring (a cycle).  The tails are closed under reversal, so only those
+    whose first label is at most their last are kept.  Requires level <= 1.
     """
     cls = classify(net)
     if cls.level is None or cls.level > 1:
         raise NotOneNestedError(f"level {cls.level_name} network")
+    blocks, blocks_at = cls.blocks.blocks, cls.blocks.blocks_at
     leaf_of_node = net.leaf_of_node
-    if net.n == 2:
-        return frozenset({CircularOrder((1, 2))})
 
-    cycle_blocks = cls.blocks.of_kind(CYCLE)
-    cycles_at: dict[str, list[Block]] = {}
-    cycle_edges: set[frozenset] = set()
-    for b in cycle_blocks:
-        cycle_edges |= b.edges
-        for v in b.nodes:
-            cycles_at.setdefault(v, []).append(b)
+    def joined(parts) -> list[tuple[int, ...]]:
+        """Every reading of the parts in this order, one option each."""
+        flat = itertools.chain.from_iterable
+        return [tuple(flat(c)) for c in itertools.product(*parts)]
 
-    def items_at(v: str) -> list:
-        out: list = []
-        for u in net.neighbors(v):
-            e = edge_key(v, u)
-            if e not in cycle_edges:
-                out.append(("edge", u))
-        for b in cycles_at.get(v, []):
-            out.append(("cycle", b))
-        return out
-
-    def visit_vertex(v: str, excluded) -> set[tuple[int, ...]]:
+    def beyond(v: str, parent: int) -> list[tuple[int, ...]]:
         if v in leaf_of_node:
-            return {(leaf_of_node[v],)}
-        items = [it for it in items_at(v) if it != excluded]
-        results: set[tuple[int, ...]] = set()
-        per_item = [visit_item(v, it) for it in items]
-        for perm in itertools.permutations(range(len(items))):
-            for combo in itertools.product(*(per_item[i] for i in perm)):
-                results.add(tuple(x for part in combo for x in part))
-        return results
-
-    def visit_item(v: str, item) -> set[tuple[int, ...]]:
-        kind, payload = item
-        if kind == "edge":
-            return visit_vertex(payload, ("edge", v))
-        ring = cycle_node_sequence(payload, start=v)
-        rest = ring[1:]
-        results: set[tuple[int, ...]] = set()
-        for walk in (rest, list(reversed(rest))):
-            parts = [visit_vertex(u, ("cycle", payload)) for u in walk]
-            for combo in itertools.product(*parts):
-                results.add(tuple(x for part in combo for x in part))
-        return results
+            return [(leaf_of_node[v],)]
+        hanging = []
+        for bi in blocks_at[v]:
+            b = blocks[bi]
+            if bi == parent:
+                continue
+            if b.kind == CYCLE:
+                parts = [beyond(u, bi) for u in cycle_node_sequence(b, start=v)[1:]]
+                hanging.append(joined(parts) + joined(parts[::-1]))
+            else:
+                (u,) = b.nodes - {v}
+                hanging.append(beyond(u, bi))
+        return [t for perm in itertools.permutations(hanging) for t in joined(perm)]
 
     anchor = net.leaves[1]
     (v0,) = net.neighbors(anchor)
-    tails = visit_vertex(v0, ("edge", anchor))
-    return frozenset(CircularOrder((1,) + t) for t in tails)
+    tails = beyond(v0, blocks_at[anchor][0])
+    return frozenset(CircularOrder((1,) + t) for t in tails if t[0] <= t[-1])
 
 
 def outward_reading(net: PhyloNetwork) -> dict[str, tuple[int, ...]]:

@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import (
     NotOneNestedError,
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .metrics import (
     DistanceVector,
+    _canonical_labels,
     min_path_vector,
     pair_index,
     resistance_vector,
@@ -180,18 +180,6 @@ def _trees_with_internal_edges(n: int):
             stack.append((lab + 1, edges + [(host, node)], internal))
 
 
-def _cyclic_arrangements(items: Sequence[str]):
-    """Distinct necklaces of the items: first fixed, reflections merged."""
-    first, rest = items[0], list(items[1:])
-    seen = set()
-    for perm in itertools.permutations(rest):
-        if perm <= tuple(reversed(perm)):
-            arrangement = (first,) + perm
-            if arrangement not in seen:
-                seen.add(arrangement)
-                yield arrangement
-
-
 def _expand_tree(edges: list, internal: list):
     """Replace every node of degree >= 4 by a cycle, all possible ways.
 
@@ -206,7 +194,9 @@ def _expand_tree(edges: list, internal: list):
     if not to_expand:
         yield edges
         return
-    options = [list(_cyclic_arrangements(sorted(adjacency[v]))) for v in to_expand]
+    nbrs = {v: sorted(adjacency[v]) for v in to_expand}
+    # one arrangement per necklace: the first neighbour fixed, reflections merged
+    options = [list(_canonical_labels(len(nbrs[v]))) for v in to_expand]
     expanded_set = set(to_expand)
     for combo in itertools.product(*options):
         port: dict[tuple[str, str], str] = {}
@@ -214,8 +204,8 @@ def _expand_tree(edges: list, internal: list):
         for v, arrangement in zip(to_expand, combo):
             m = len(arrangement)
             ring = [f"{v}r{t}" for t in range(m)]
-            for t, nb in enumerate(arrangement):
-                port[(v, nb)] = ring[t]
+            for t, i in enumerate(arrangement):
+                port[(v, nbrs[v][i - 1])] = ring[t]
                 ring_edges.append((ring[t], ring[(t + 1) % m]))
         new_edges = list(ring_edges)
         for u, v in edges:

@@ -225,9 +225,7 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> tuple[PhyloNetwork, dic
         # a shared split also carries a bridge, whose weight takes the rest
         products: dict[tuple[int, int], tuple[Value, Split]] = {}
         for i, j in itertools.combinations(range(m), 2):
-            split = pair_split.get(frozenset((ring_edges[i], ring_edges[j])))
-            if split is None:
-                continue
+            split = pair_split[frozenset((ring_edges[i], ring_edges[j]))]
             if split not in known:
                 raise NotInvertibleError(f"missing weight for displayed {split}")
             if len(catalog[split]) == 1:

@@ -108,17 +108,16 @@ class WeightedSplitSystem:
         weights: Mapping[Split, Value | None] | Iterable[tuple[Split, Value | None]],
     ) -> "WeightedSplitSystem":
         items = weights.items() if isinstance(weights, Mapping) else weights
-        dedup: dict[Split, Value | None] = {}
+        by_split: dict[Split, Value | None] = {}
         for s, w in items:
             if s.n != n:
                 raise SizeMismatchError(f"split {s} is not over 1..{n}")
             if w is not None and w < 0:
                 raise SizeMismatchError(f"negative weight for {s}")
-            if s in dedup and dedup[s] is not None and w is not None:
-                dedup[s] = dedup[s] + w
-            else:
-                dedup[s] = w
-        ordered = tuple(sorted(dedup.items(), key=lambda kv: _sort_key(kv[0])))
+            if s in by_split:
+                raise ValidationError(f"split {s} is given twice")
+            by_split[s] = w
+        ordered = tuple(sorted(by_split.items(), key=lambda kv: _sort_key(kv[0])))
         return cls(n=n, entries=ordered)
 
     @classmethod

@@ -234,6 +234,12 @@ def test_adjacent_chord_rejected():
         add_heavy_chord(net, 0, ("c1", "c2"), F(100))
 
 
+@pytest.mark.parametrize("ends", [("c1", "c1"), ("c1", "x1")], ids=["equal", "off-cycle"])
+def test_chord_needs_two_distinct_cycle_nodes(ends):
+    with pytest.raises(BadChordError, match="are not distinct nodes of the cycle"):
+        add_heavy_chord(square_with_pendants(), 0, ends, F(100))
+
+
 def test_tree_input_has_no_cycle():
     with pytest.raises(NoCycleError):
         add_heavy_chord(quartet_tree(), 0, ("a", "b"), F(100))

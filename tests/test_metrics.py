@@ -957,6 +957,27 @@ def test_distance_rejects_bad_pair_line(text, message):
         parse_distance_vector(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 3\n1 2 1\n2 3 1\n", r"^missing pair \(1, 3\)$"),
+        ("3\n0 1 2\n1 0 3\n", "^square matrix shape mismatch$"),
+        ("3\n0 1 2\n1 0\n2 3 0\n", "^square matrix shape mismatch$"),
+        ("3\n0 1 2\n1 0 3\n2 4 0\n", r"^asymmetric entries for \(2,3\)$"),
+        ("size 3\n1 2 1\n", "^unrecognized distance format$"),
+    ],
+    ids=["missing-pair", "too-few-rows", "short-row", "asymmetric", "unknown-header"],
+)
+def test_distance_file_of_the_wrong_shape(text, message):
+    with pytest.raises(SizeMismatchError, match=message):
+        parse_distance_vector(text)
+
+
+def test_distance_vector_needs_one_entry_per_pair():
+    with pytest.raises(SizeMismatchError, match="^2 entries for n=3, expected 3$"):
+        DistanceVector(3, (F(1), F(2)))
+
+
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
 def test_pair_index_bijection(n, seed):

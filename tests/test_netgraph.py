@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from phylocircuit import netgraph
+from phylocircuit import netgraph, splits
 from phylocircuit.errors import (
     BadLeafDegreeError,
+    BadLeafLabelError,
     DegenerateWeightsError,
     DisconnectedError,
     InternalDegreeTooLowError,
@@ -159,6 +161,23 @@ def test_edgeless_leaf_is_a_degree_error_in_both_modes():
             PhyloNetwork.build({1: "x1", 2: "x2", 3: "x3"}, [("x1", "x2", F(1))], strict=strict)
 
 
+@pytest.mark.parametrize(
+    "leaves, edges, error, message",
+    [
+        ({1: "x1", 2: "x1"}, [("x1", "x2", F(1))], BadLeafLabelError, "two labels share a node"),
+        ({1: "x1", 3: "x2"}, [("x1", "x2", F(1))], BadLeafLabelError,
+         r"labels must be 1\.\.n with n >= 2, got \[1, 3\]"),
+        ({1: "x1", 2: "x2", 3: "x3"},
+         [("x1", "a", F(1)), ("x2", "a", F(1)), ("x3", "a", F(1)), ("a", "b", F(1))],
+         BadLeafDegreeError, "degree-1 node b has no label"),
+    ],
+    ids=["shared-node", "not-one-to-n", "unlabeled-end"],
+)
+def test_build_rejects_bad_leaves(leaves, edges, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        PhyloNetwork.build(leaves, edges)
+
+
 def test_validate_rejects_labeled_internal_node():
     with pytest.raises(BadLeafDegreeError):
         validate(
@@ -297,6 +316,41 @@ def test_consistent_orders_match_split_contiguity_oracle():
         assert consistent_orders(net) == expected
 
 
+def test_consistent_order_count_is_a_product_over_the_blocks():
+    # the tails after leaf 1 permute the blocks beyond each internal node
+    # and walk each ring either way; each order is counted with its mirror
+    rng = random.Random(25)
+    checked = 0
+    while checked < 200:
+        net = random_one_nested(rng.randint(3, 14), rng, binary=False)
+        if is_binary(net):
+            continue
+        decomp = classify(net).blocks
+        tails = 2 ** len(decomp.of_kind(CYCLE)) * math.prod(
+            math.factorial(len(decomp.blocks_at[v]) - 1)
+            for v in net.nodes
+            if v not in net.leaf_of_node
+        )
+        assert 2 * len(consistent_orders(net)) == tails
+        checked += 1
+
+
+def test_consistent_orders_use_no_canonical_reading(monkeypatch):
+    # the oracle must stay independent of the routines it is the oracle for
+    def forbidden(*args, **kwargs):
+        raise AssertionError("consistent_orders used a canonical reading")
+
+    for name in ("outward_reading", "canonical_order"):
+        monkeypatch.setattr(netgraph, name, forbidden)
+    monkeypatch.setattr(splits, "display_catalog", forbidden)
+    assert consistent_orders(quartet_tree()) == {
+        CircularOrder((1, 2, 3, 4)), CircularOrder((1, 2, 4, 3))
+    }
+    assert consistent_orders(square_with_pendants()) == {CircularOrder((1, 2, 3, 4))}
+    assert len(consistent_orders(two_cycles_with_bridge())) == 2
+    assert consistent_orders(two_leaf_edge()) == {CircularOrder((1, 2))}
+
+
 def _least_consistent_order(net):
     return min(consistent_orders(net), key=lambda o: o.labels)
 
@@ -419,6 +473,20 @@ def test_wye_delta_round_trip():
     center = [v for v in star_image.nodes if v.startswith("yd")][0]
     back = wye_delta(star_image, center)
     assert back.edges == net.edges
+
+
+def test_star_to_triangle_merges_a_parallel_edge():
+    # the center's neighbours a and b are already joined: the new a-b edge
+    # goes in parallel with the old one, so the result stays a simple graph
+    edges = [("h", "a", F(1)), ("h", "b", F(1)), ("h", "x3", F(1)),
+             ("a", "b", F(1)), ("a", "x1", F(1)), ("b", "x2", F(1))]
+    net = PhyloNetwork.build({1: "x1", 2: "x2", 3: "x3"}, edges, strict=False)
+    out = wye_delta(net, "h")
+    assert out.weight("a", "b") == F(3, 4)  # 1 in parallel with 3
+    assert out.weight("a", "x3") == out.weight("b", "x3") == 3
+    assert len(out.edge_items) == 5
+    pairs = [("x1", "x2"), ("x1", "x3"), ("x2", "x3")]
+    assert resistance_between_nodes(out, pairs) == resistance_between_nodes(net, pairs)
 
 
 def test_wye_delta_rejects_non_triangle():

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from phylocircuit.errors import NotOneNestedError, OutOfRangeError, ValidationError
+from phylocircuit.errors import (
+    NotOneNestedError,
+    OutOfRangeError,
+    SizeMismatchError,
+    ValidationError,
+)
 from phylocircuit.metrics import DistanceVector, min_path_vector, resistance_vector
 from phylocircuit.netgraph import (
     PhyloNetwork,
@@ -179,6 +184,8 @@ def test_enumeration_out_of_range():
         enumerate_binary_one_nested(8, 0)
     with pytest.raises(OutOfRangeError):
         enumerate_binary_one_nested(5, 3)
+    # the count itself has no networks to refuse, so it is zero
+    assert closed_form_count(5, -1) == closed_form_count(5, 3) == 0
 
 
 def test_vertices_distinct():
@@ -191,6 +198,14 @@ def test_vertices_distinct():
 
 # ---------------------------------------------------------------------------
 # minimization
+
+
+def test_vector_sizes_must_agree():
+    d = resistance_vector(star(5))
+    with pytest.raises(SizeMismatchError, match="^distance vector has n=5, expected 4$"):
+        minimize_over_vertices(d, 4, 1)
+    with pytest.raises(SizeMismatchError, match="^vector sizes differ$"):
+        vertex_vector(quartet_tree()).dot(d)
 
 
 def _minimum_by_fraction_dots(d, n, k):

@@ -222,6 +222,28 @@ def test_order_outside_one_to_n_is_size_mismatch(labels):
         is_circular(system, order)
 
 
+@pytest.mark.parametrize("labels", [(2, 3), (1, 1), (1, 2, 2)], ids=["no-1", "repeat", "repeat-2"])
+def test_bad_circular_order_is_a_validation_error(labels):
+    with pytest.raises(ValidationError, match="not a leaf permutation containing 1"):
+        CircularOrder(labels)
+    # the split parser still names the header line
+    text = f"n 3 order {','.join(map(str, labels))}\n"
+    with pytest.raises(ValidationError, match=r"^line 1: cannot parse 'n 3 order "):
+        parse_split_system(text)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(None, 2), (2, None), (1, 2)],
+    ids=["unknown-then-known", "known-then-unknown", "both-known"],
+)
+def test_repeated_split_is_refused(weights):
+    # the weight kept or summed depended on the order of the repeats
+    s = Split({1, 2}, 4)
+    with pytest.raises(ValidationError, match=r"^split \{1,2\}\|\{3,4\} is given twice$"):
+        WeightedSplitSystem.of(4, [(s, w) for w in weights])
+
+
 def test_circular_system_constructor_enforces_contiguity():
     with pytest.raises(NotCircularError):
         CircularSplitSystem.of_order(
