@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import enum2, genetics, metrics, netgraph, polytope, reconstruct, splits
+# Each command imports the rest of the library itself, so a start loads
+# only the modules that its command runs.
+from . import netgraph
 from .errors import PhyloCircuitError, ValidationError
 from .rational import format_value
-from .randomnet import random_one_nested
+
+if TYPE_CHECKING:
+    import random
 
 
 def _fmt(value, args) -> str:
@@ -103,6 +107,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    from . import metrics
+
     net = _load_net(args.network)
     if args.exact and not net.is_exact:
         edges = [
@@ -136,6 +142,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_kalmanson(args) -> int:
+    from . import metrics
+
     d = metrics.load_distance_vector(args.distances, exact=args.exact)
     if args.order:
         order = _order_from_arg(args.order)
@@ -206,6 +214,8 @@ def _system_json(system, args):
 
 
 def _emit_system(args, system, residual=None) -> int:
+    from . import splits
+
     text = splits.split_system_to_text(system, args.precision).rstrip("\n")
     lines = [text]
     if residual is not None:
@@ -218,6 +228,8 @@ def _emit_system(args, system, residual=None) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import metrics, reconstruct
+
     d = metrics.load_distance_vector(args.distances, exact=args.exact)
     order = _order_from_arg(args.order)
     result = reconstruct.circular_decomposition(d, order, tol=args.tolerance)
@@ -225,18 +237,24 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_rw(args) -> int:
+    from . import reconstruct
+
     net = _load_net(args.network)
     system = reconstruct.resistance_split_system_direct(net)
     return _emit_system(args, system)
 
 
 def cmd_sw(args) -> int:
+    from . import reconstruct
+
     net = _load_net(args.network)
     system = reconstruct.min_path_split_system(net)
     return _emit_system(args, system)
 
 
 def cmd_sigma(args) -> int:
+    from . import splits
+
     net = _load_net(args.network)
     system = splits.displayed_splits(net)
     order = netgraph.canonical_order(net)
@@ -252,6 +270,8 @@ def _emit_network(args, net) -> int:
 
 
 def cmd_exterior(args) -> int:
+    from . import splits
+
     system = splits.load_split_system(args.splits, exact=args.exact)
     if system.is_weighted:
         net = splits.weighted_network_from_splits(system)
@@ -261,12 +281,16 @@ def cmd_exterior(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from . import reconstruct, splits
+
     system = splits.load_split_system(args.splits, exact=args.exact)
     net = reconstruct.invert_to_network(system)
     return _emit_network(args, net)
 
 
 def cmd_xvector(args) -> int:
+    from . import metrics, polytope
+
     net = _load_net(args.network)
     x = polytope.vertex_vector(net)
     pairs = [
@@ -281,6 +305,8 @@ def cmd_xvector(args) -> int:
 
 
 def cmd_bme_min(args) -> int:
+    from . import metrics, polytope
+
     d = metrics.load_distance_vector(args.distances, exact=args.exact)
     result = polytope.minimize_over_vertices(d, args.n, args.k)
     ids = [f"bme-{args.n}-{args.k}-{i}" for i in result.argmin]
@@ -301,6 +327,8 @@ def cmd_bme_min(args) -> int:
 
 
 def cmd_verify_face(args) -> int:
+    from . import polytope
+
     net = _load_net(args.network)
     report = polytope.face_minimization_report(net, args.metric)
     ok = report.argmin_matches_refinements and report.identity_holds
@@ -326,6 +354,8 @@ def cmd_verify_face(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import enum2, polytope
+
     if args.level == 1:
         if args.k is not None:
             nets = polytope.enumerate_binary_one_nested(args.n, args.k)
@@ -367,6 +397,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_jc(args) -> int:
+    from . import genetics
+
     if args.c is None and not args.curve:
         print("error: jc needs --c or --curve", file=sys.stderr)
         return 2
@@ -383,6 +415,8 @@ def cmd_jc(args) -> int:
 
 
 def cmd_jc_parallel(args) -> int:
+    from . import genetics
+
     if args.c1 is None and not args.curve:
         print("error: jc-parallel needs --c1 or --curve", file=sys.stderr)
         return 2
@@ -400,6 +434,9 @@ def cmd_jc_parallel(args) -> int:
 
 
 def _scan_outer_planar(trials: int, rng: random.Random):
+    from . import metrics
+    from .randomnet import random_one_nested
+
     for t in range(trials):
         base = random_one_nested(rng.randint(4, 6), rng)
         cycles = netgraph.classify(base).blocks.of_kind(netgraph.CYCLE)
@@ -419,6 +456,9 @@ def _scan_outer_planar(trials: int, rng: random.Random):
 
 
 def _scan_faithful(trials: int, rng: random.Random):
+    from . import reconstruct, splits
+    from .randomnet import random_one_nested
+
     for t in range(trials):
         net = random_one_nested(rng.randint(4, 6), rng)
         base = splits.displayed_splits(net)
@@ -436,6 +476,9 @@ def _scan_faithful(trials: int, rng: random.Random):
 
 
 def _scan_two_nested(trials: int, rng: random.Random):
+    from . import metrics, reconstruct
+    from .randomnet import random_one_nested
+
     for t in range(trials):
         base = random_one_nested(rng.randint(4, 6), rng)
         cycles = netgraph.classify(base).blocks.of_kind(netgraph.CYCLE)
@@ -468,6 +511,8 @@ def _scan_two_nested(trials: int, rng: random.Random):
 
 
 def cmd_scan(args) -> int:
+    import random
+
     rng = random.Random(args.seed)
     scanners = {
         "outer-planar": _scan_outer_planar,

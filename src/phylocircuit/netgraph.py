@@ -505,6 +505,16 @@ def cycle_node_sequence(block: Block, start: str | None = None) -> list[str]:
         seq.append(nxt)
 
 
+def _leaf_one_neighbor(net: PhyloNetwork) -> str:
+    """The node next to leaf 1, where every outward reading starts.  A
+    non-strict network may give leaf 1 more than one neighbour."""
+    anchor = net.leaves[1]
+    nbrs = net.neighbors(anchor)
+    if len(nbrs) != 1:
+        raise BadLeafDegreeError(f"labeled node {anchor} has degree {len(nbrs)}")
+    return nbrs[0]
+
+
 def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
     """All circular leaf orders realizable by outer-planar drawings.
 
@@ -543,7 +553,7 @@ def consistent_orders(net: PhyloNetwork) -> frozenset[CircularOrder]:
         return [t for perm in itertools.permutations(hanging) for t in joined(perm)]
 
     anchor = net.leaves[1]
-    (v0,) = net.neighbors(anchor)
+    v0 = _leaf_one_neighbor(net)
     tails = beyond(v0, blocks_at[anchor][0])
     return frozenset(CircularOrder((1,) + t) for t in tails if t[0] <= t[-1])
 
@@ -566,7 +576,7 @@ def outward_reading(net: PhyloNetwork) -> dict[str, tuple[int, ...]]:
         raise NotOneNestedError(f"level {cls.level_name} network")
     blocks, leaf_of_node = cls.blocks, net.leaf_of_node
     anchor = net.leaves[1]
-    (v0,) = net.neighbors(anchor)
+    v0 = _leaf_one_neighbor(net)
     # Outward from leaf 1, every node lists the blocks hanging below it as
     # runs of nodes (ring order for a cycle); dict order is visit order.
     walks: dict[str, list[list[str]]] = {}
@@ -606,8 +616,7 @@ def canonical_order(net: PhyloNetwork) -> CircularOrder:
     Requires level <= 1.
     """
     reading = outward_reading(net)
-    (v0,) = net.neighbors(net.leaves[1])
-    return CircularOrder((1,) + reading[v0])
+    return CircularOrder((1,) + reading[_leaf_one_neighbor(net)])
 
 
 # ---------------------------------------------------------------------------

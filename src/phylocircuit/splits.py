@@ -24,6 +24,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MissingTrivialSplitsError,
+    NegativeWeightError,
     NotCircularError,
     PhyloCircuitError,
     SizeMismatchError,
@@ -113,7 +114,7 @@ class WeightedSplitSystem:
             if s.n != n:
                 raise SizeMismatchError(f"split {s} is not over 1..{n}")
             if w is not None and w < 0:
-                raise SizeMismatchError(f"negative weight for {s}")
+                raise NegativeWeightError(f"negative weight for {s}")
             if s in by_split:
                 raise ValidationError(f"split {s} is given twice")
             by_split[s] = w

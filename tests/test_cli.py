@@ -327,14 +327,40 @@ def _theta_file(tmp_path, scale=None) -> str:
 def test_dist_never_imports_numpy(tmp_path):
     # theta blocks grow edge by edge and skeletons group by a canonical
     # code, in plain Python; numpy and networkx serve only the tests'
-    # oracles.  validate imports every module the CLI does.
+    # oracles.  Each command imports only the modules it runs, so these
+    # commands together import every module but cli, which runs as __main__.
     path = _theta_file(tmp_path)
-    for command, head in (("dist", "n 13\n"), ("validate", "valid network: 13 leaves")):
-        done = _run_cli_process(command, path, flags=["-X", "importtime"])
-        assert done.stdout.startswith(head)
-        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
-        assert {"phylocircuit.metrics", "phylocircuit.enum2"} <= set(imported)
-        assert not [m for m in imported if m.split(".")[0] in ("numpy", "networkx")]
+    dist_file = tmp_path / "square.dist"
+    dist_file.write_text(distance_vector_to_text(resistance_vector(square_with_pendants())))
+    runs = {
+        "validate": (["validate", path], "valid network: 13 leaves"),
+        "dist": (["dist", path], "n 13\n"),
+        "kalmanson": (["kalmanson", str(dist_file), "--order", "1,2,3,4"], "order: "),
+        "count": (["count", "--level", "2", "--n", "4"], "skeleton 0: "),
+        "jc": (["jc", "--m", "100", "--c", "80"], "D: "),
+        "scan": (["scan", "--conjecture", "faithful", "--trials", "2"], "# conjecture"),
+    }
+    imported = {}
+    for command, (argv, head) in runs.items():
+        done = _run_cli_process(*argv, flags=["-X", "importtime"])
+        assert done.stdout.startswith(head), command
+        imported[command] = {
+            line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+        }
+        assert not [m for m in imported[command]
+                    if m.split(".")[0] in ("numpy", "networkx")], command
+    package = Path(__file__).resolve().parents[1] / "src" / "phylocircuit"
+    modules = {"phylocircuit"} | {
+        f"phylocircuit.{p.stem}" for p in package.glob("*.py")
+        if p.stem not in ("__init__", "cli")
+    }
+    assert set().union(*imported.values()) >= modules
+    ours = {command: mods & modules for command, mods in imported.items()}
+    assert ours["validate"] == {
+        "phylocircuit", "phylocircuit.errors", "phylocircuit.rational", "phylocircuit.netgraph",
+    }
+    for command in ("dist", "kalmanson"):
+        assert ours[command] == ours["validate"] | {"phylocircuit.metrics"}, command
 
 
 def test_library_imports_only_the_standard_library():

@@ -293,6 +293,22 @@ def test_consistent_orders_requires_one_nested():
         consistent_orders(k33_with_leaves())
 
 
+@pytest.mark.parametrize(
+    "reading", [consistent_orders, netgraph.outward_reading, canonical_order],
+    ids=["consistent_orders", "outward_reading", "canonical_order"],
+)
+def test_leaf_one_of_degree_two_is_a_bad_leaf_degree(reading):
+    # a non-strict triangle: leaf 1 has two neighbours, which each reading
+    # unpacked as one and raised a bare ValueError
+    net = PhyloNetwork.build(
+        {1: "x1", 2: "x2", 3: "x3"},
+        [("x1", "x2", 1), ("x2", "x3", 1), ("x1", "x3", 1)],
+        strict=False,
+    )
+    with pytest.raises(BadLeafDegreeError, match="^labeled node x1 has degree 2$"):
+        reading(net)
+
+
 def test_consistent_orders_binary_count_is_power_of_two():
     rng = random.Random(11)
     for _ in range(10):

@@ -539,6 +539,17 @@ def test_split_line_weight_and_repeat_name_the_line(line, message):
         parse_split_system(text)
 
 
+def test_negative_split_weight_is_a_validation_error():
+    # it was a SizeMismatchError, outside the ValidationError family
+    with pytest.raises(ValidationError, match=r"^negative weight for \{1,2\}\|\{3,4\}$"):
+        WeightedSplitSystem.of(4, {Split({1, 2}, 4): F(-1)})
+
+
+def test_split_over_other_leaves_is_refused():
+    with pytest.raises(SizeMismatchError, match=r"^split \{1,2\}\|\{3,4\} is not over 1..5$"):
+        WeightedSplitSystem.of(5, {Split({1, 2}, 4): F(1)})
+
+
 def test_split_system_empty_file():
     with pytest.raises(SizeMismatchError, match="empty"):
         parse_split_system("# nothing\n")
