@@ -199,9 +199,7 @@ def cmd_kalmanson(args) -> int:
 def _system_json(system, args):
     return {
         "n": system.n,
-        "order": list(system.order.labels)
-        if hasattr(system, "order")
-        else None,
+        "order": list(system.order.labels),
         "splits": [
             {
                 "side_a": list(s.side_a),
@@ -489,10 +487,9 @@ def _scan_two_nested(trials: int, rng: random.Random):
         ring = netgraph.cycle_node_sequence(block)
         m = len(ring)
         i = rng.randrange(m)
+        # 2 <= offset <= m-2, so ring[j] is no ring neighbour of ring[i]; a
+        # cycle block holds no other edge between its nodes
         j = (i + rng.randint(2, m - 2)) % m
-        if i == j or netgraph.edge_key(ring[i], ring[j]) in base.edges:
-            yield t, "skipped (degenerate chord)", base
-            continue
         w = Fraction(rng.randint(1, 30), rng.choice((1, 2)))
         edges = list(base.edge_items) + [(ring[i], ring[j], w)]
         net = netgraph.PhyloNetwork.build(base.leaves, edges, strict=True)

@@ -806,6 +806,10 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
         rows = list(itertools.islice(lines, max(n, 0)))
         if len(rows) != n or any(len(fields) != n for _, _, fields in rows):
             raise SizeMismatchError("square matrix shape mismatch")
+        extra = next(lines, None)
+        if extra is not None:
+            lineno, raw, _ = extra
+            raise ValidationError(f"line {lineno}: extra line after the matrix in {raw!r}")
 
         def entry(r: int, c: int) -> Value:
             lineno, raw, fields = rows[r - 1]

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadLeafDegreeError,
@@ -73,12 +73,6 @@ class CircularOrder:
 
     @property
     def n(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
         return len(self.labels)
 
     def __str__(self) -> str:
@@ -233,9 +227,6 @@ class PhyloNetwork:
     def total_weight(self) -> Value:
         return sum((w for _, _, w in self.edge_items), Fraction(0))
 
-    def __str__(self) -> str:
-        return network_to_text(self)
-
 
 # ---------------------------------------------------------------------------
 # validation entry point
@@ -258,9 +249,6 @@ class Block:
     kind: str
     nodes: frozenset
     edges: frozenset
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -641,12 +629,11 @@ def wye_delta(net: PhyloNetwork, site: Sequence[str] | str) -> PhyloNetwork:
     return _triangle_to_star(net, site)
 
 
-def _fresh_node(net: PhyloNetwork, prefix: str = "yd") -> str:
-    existing = set(net.adjacency)
+def _fresh_node(net: PhyloNetwork) -> str:
     i = 0
-    while f"{prefix}{i}" in existing:
+    while f"yd{i}" in net.adjacency:
         i += 1
-    return f"{prefix}{i}"
+    return f"yd{i}"
 
 
 def _triangle_to_star(net: PhyloNetwork, corners: tuple[str, str, str]) -> PhyloNetwork:

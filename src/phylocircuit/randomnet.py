@@ -7,14 +7,14 @@ from fractions import Fraction
 
 from .errors import OutOfRangeError
 from .netgraph import PhyloNetwork
-from .rational import Value
 
 
-def _random_tree(n: int, rng: random.Random, spread: float = 0.35):
+def _random_tree(n: int, rng: random.Random):
     """Random leaf-labeled tree, internal degrees >= 3.
 
     Grown by leaf insertion: subdividing an edge keeps nodes at degree 3,
-    attaching to an existing internal node raises its degree.
+    attaching to an existing internal node (with probability 0.35 once
+    there is one) raises its degree.
     """
     counter = [0]
 
@@ -28,7 +28,7 @@ def _random_tree(n: int, rng: random.Random, spread: float = 0.35):
     for lab in range(3, n + 1):
         node = f"x{lab}"
         leaves[lab] = node
-        if internal and rng.random() < spread:
+        if internal and rng.random() < 0.35:
             host = rng.choice(internal)
         else:
             k = rng.randrange(len(edges))
@@ -41,24 +41,18 @@ def _random_tree(n: int, rng: random.Random, spread: float = 0.35):
     return leaves, edges, internal
 
 
-def _random_weight(rng: random.Random, rationals: bool) -> Value:
-    if rationals:
-        return Fraction(rng.randint(1, 10), rng.choice((1, 1, 2, 3, 4)))
-    return Fraction(rng.randint(1, 10))
-
-
 def random_one_nested(
     n: int,
     rng: random.Random,
     binary: bool = False,
     cycle_prob: float = 0.8,
-    rational_weights: bool = True,
 ) -> PhyloNetwork:
     """Random weighted 1-nested network with n leaves.
 
     High-degree tree nodes are expanded into cycles (all of them when
     ``binary``, independently with ``cycle_prob`` otherwise).  Weights are
-    positive, exact rationals by default.  Raises OutOfRange for n < 2.
+    positive exact rationals p/q with p in 1..10 and q in 1..4.  Raises
+    OutOfRange for n < 2.
     """
     if n < 2:
         raise OutOfRangeError(f"a network needs at least 2 leaves, got n={n}")
@@ -83,24 +77,15 @@ def random_one_nested(
         for k, nb in enumerate(nbrs):
             edges.append((ring[k], nb))
             edges.append((ring[k], ring[(k + 1) % len(ring)]))
-    weighted = [(u, v, _random_weight(rng, rational_weights)) for u, v in edges]
+    weighted = [
+        (u, v, Fraction(rng.randint(1, 10), rng.choice((1, 1, 2, 3, 4))))
+        for u, v in edges
+    ]
     return PhyloNetwork.build(leaves, weighted, strict=True)
 
 
 def random_corpus(
-    count: int,
-    seed: int,
-    n_range: tuple[int, int] = (4, 8),
-    binary: bool = False,
-    rational_weights: bool = True,
+    count: int, seed: int, n_range: tuple[int, int] = (4, 8)
 ) -> list[PhyloNetwork]:
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(*n_range)
-        out.append(
-            random_one_nested(
-                n, rng, binary=binary, rational_weights=rational_weights
-            )
-        )
-    return out
+    return [random_one_nested(rng.randint(*n_range), rng) for _ in range(count)]

@@ -61,10 +61,6 @@ class DecompositionResult:
     system: CircularSplitSystem
     residual: Value
 
-    @property
-    def splits(self):
-        return self.system.splits
-
 
 def circular_decomposition(
     d: DistanceVector,
@@ -230,13 +226,15 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> tuple[PhyloNetwork, dic
                 raise NotInvertibleError(f"missing weight for displayed {split}")
             if len(catalog[split]) == 1:
                 products[(i, j)] = (known[split], split)
+        # two ring edges that are not ring neighbours have leaves of two ring
+        # nodes on each side, so theirs is their split's only display; for
+        # m >= 5 those pairs join every edge and close an odd walk, which
+        # pins the weights, so only a 4-cycle can be left free
         weights = _cycle_weights(m, products)
         if weights is not None:
             edge_weight.update(zip(ring_edges, weights))
-        elif m == 4 and (0, 2) in products and (1, 3) in products:
-            squares.append((ring_edges, products))
         else:
-            raise NotInvertibleError(f"the splits of a {m}-cycle leave it free")
+            squares.append((ring_edges, products))
     for (sq, p), share in _free_shares(squares, catalog, known, edge_weight).items():
         ring_edges, products = squares[sq]
         split = pair_split[frozenset((ring_edges[p - 1], ring_edges[p]))]
@@ -431,8 +429,6 @@ def invert_to_network(system: CircularSplitSystem) -> PhyloNetwork:
     final check, read from the skeleton's display catalog, fails.
     """
     net, catalog = _mul_inverse_weights(system)
-    if catalog.keys() != system.splits:
-        raise NotInvertibleError("rebuilt network displays different splits")
     got = _display_totals(net, catalog)
     for s, w in system.entries:
         if not values_close(got[s], w):

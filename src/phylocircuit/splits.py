@@ -140,10 +140,6 @@ class WeightedSplitSystem:
         return Fraction(0)
 
     @property
-    def weights(self) -> dict:
-        return dict(self.entries)
-
-    @property
     def is_exact(self) -> bool:
         return all(isinstance(w, (Fraction, type(None))) for _, w in self.entries)
 
@@ -454,8 +450,11 @@ def parse_split_system(text: str, exact: bool = False) -> WeightedSplitSystem:
     order = None
     with line_errors(head_no, head_raw):
         n = int(head[1])
-        if len(head) >= 4 and head[2] == "order" and head[3] != "-":
-            order = CircularOrder(tuple(int(x) for x in head[3].split(",")))
+        tail = head[2:]
+        if tail and (len(tail) != 2 or tail[0] != "order"):
+            raise ValueError("header is 'n <count>' or 'n <count> order <labels|->'")
+        if tail and tail[1] != "-":
+            order = CircularOrder(tuple(int(x) for x in tail[1].split(",")))
     entries = []
     first_line: dict[Split, int] = {}
     for lineno, raw, ln in lines[1:]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from phylocircuit import enum2, metrics, netgraph, polytope
-from phylocircuit.cli import main
+from phylocircuit.cli import cmd_validate, main
 from phylocircuit.metrics import distance_vector_to_text, resistance_vector
 from phylocircuit.netgraph import PhyloNetwork, network_to_text
 from phylocircuit.randomnet import random_one_nested
@@ -28,6 +28,7 @@ from fixtures import (
     with_chord,
     with_leaf_chord,
 )
+import unrun_lines
 
 F = Fraction
 
@@ -104,6 +105,15 @@ def test_split_file_without_order_exits_one(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("weight", ["0", "-"])
+def test_invert_needs_a_positive_weight_on_every_split(tmp_path, capsys, weight):
+    path = tmp_path / "zero.splits"
+    path.write_text("n 4 order 1,2,3,4\n" + _TRIVIAL_4 + f"{weight} | 1,2 | 3,4\n")
+    code, out, err = run(capsys, "invert", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: NotInvertibleError: weights must be positive\n"
+
+
 @pytest.mark.parametrize("command", ["exterior", "invert"])
 def test_split_file_order_label_above_n_exits_one(tmp_path, capsys, command):
     bad = tmp_path / "bad.splits"
@@ -156,6 +166,25 @@ def test_hung_child_process_fails_its_test():
     with pytest.raises(pytest.fail.Exception, match="still running after 1 s"):
         _run_cli_process("validate", flags=("-c", "import time; time.sleep(60)"),
                          timeout=1)
+
+
+def test_line_hook_records_a_child_process(tmp_path, square_file, monkeypatch):
+    # unrun_lines.py counts the lines CLI children run through this hook; a
+    # broken hook would report every line that only children run as unrun
+    out_dir = tmp_path / "lines"
+    out_dir.mkdir()
+    monkeypatch.delenv("PYTHONPATH", raising=False)  # unrun_lines.py may have set it
+    monkeypatch.setenv(unrun_lines.OUT_DIR_VARIABLE, str(out_dir))
+    plain = _run_cli_process("validate", square_file)
+    assert list(out_dir.iterdir()) == []  # the hook is not on the path
+    for name, value in unrun_lines.hook_env(str(out_dir)).items():
+        monkeypatch.setenv(name, value)
+    hooked = _run_cli_process("validate", square_file)
+    assert (hooked.stdout, hooked.stderr) == (plain.stdout, plain.stderr)
+    assert len(list(out_dir.iterdir())) == 1
+    code = cmd_validate.__code__
+    body = {line for _, _, line in code.co_lines() if line is not None}
+    assert body <= unrun_lines.child_lines(str(out_dir))[os.path.realpath(code.co_filename)]
 
 
 @pytest.fixture(scope="module")
@@ -591,6 +620,34 @@ def test_round_trip_dist_decompose_exterior(square_file, tmp_path, capsys):
     assert out.count("edge") == 8
 
 
+def test_dist_minpath(square_file, capsys):
+    assert run(capsys, "dist", square_file, "--metric", "minpath") == (
+        0, "n 4\n1 2 3\n1 3 4\n1 4 3\n2 3 3\n2 4 4\n3 4 3\n", ""
+    )
+
+
+def test_dist_exact_reads_decimal_weights_as_rationals(tmp_path, capsys):
+    path = tmp_path / "decimal.net"
+    path.write_text("leaf 1 x1\nleaf 2 x2\nleaf 3 x3\n"
+                    "edge x1 h 0.5\nedge x2 h 1.25\nedge x3 h 2\n")
+    assert run(capsys, "dist", str(path)) == (0, "n 3\n1 2 1.75\n1 3 2.5\n2 3 3.25\n", "")
+    assert run(capsys, "dist", str(path), "--exact") == (
+        0, "n 3\n1 2 7/4\n1 3 5/2\n2 3 13/4\n", ""
+    )
+
+
+def test_exterior_of_an_unweighted_split_file_weighs_every_edge_one(tmp_path, capsys):
+    path = tmp_path / "square.splits"
+    path.write_text("n 4 order 1,2,3,4\n- | 1 | 2,3,4\n- | 1,3,4 | 2\n- | 1,2,4 | 3\n"
+                    "- | 1,2,3 | 4\n- | 1,2 | 3,4\n- | 1,4 | 2,3\n")
+    code, out, err = run(capsys, "exterior", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5:] == [
+        "edge v1 v2 1", "edge v1 v4 1", "edge v1 x1 1", "edge v2 v3 1",
+        "edge v2 x2 1", "edge v3 v4 1", "edge v3 x3 1", "edge v4 x4 1",
+    ]
+
+
 def test_rw_sigma_sw_commands(square_file, capsys):
     code, out, _ = run(capsys, "rw", square_file)
     assert code == 0
@@ -644,6 +701,14 @@ def test_count_level1(capsys):
     assert code == 0
     assert "count: 30" in out
     assert "closed_form: 30" in out
+
+
+def test_count_level1_every_k(capsys):
+    assert run(capsys, "count", "--level", "1", "--n", "5") == (
+        0, "k=0: 12\nk=1: 30\nk=2: 15\ntotal: 57\n", ""
+    )
+    code, out, _ = run(capsys, "--json", "count", "--level", "1", "--n", "5")
+    assert json.loads(out) == {"per_k": {"0": 12, "1": 30, "2": 15}, "total": 57}
 
 
 def test_count_level2_breakdown(capsys):
@@ -746,6 +811,15 @@ def test_jc_curve_csv(capsys):
     assert len(lines) == 6
 
 
+def test_jc_parallel_curve_csv(capsys):
+    assert run(capsys, "jc-parallel", "--m", "100", "--curve", "4") == (
+        0,
+        "c1,c\n25.000000,25.000000\n43.750000,62.500000\n62.500000,78.033009\n"
+        "81.250000,89.951905\n100.000000,100.000000\n",
+        "",
+    )
+
+
 def test_scan_deterministic(capsys):
     code, out1, _ = run(capsys, "scan", "--conjecture", "outer-planar", "--trials", "4", "--seed", "11")
     assert code == 0
@@ -760,9 +834,28 @@ def test_scan_faithful(capsys):
     assert "resistance-realizable" in out
 
 
+def test_scan_faithful_reports_a_system_it_cannot_invert(capsys):
+    code, out, _ = run(capsys, "scan", "--conjecture", "faithful", "--trials", "4", "--seed", "0")
+    assert code == 0
+    assert out.splitlines()[4:] == [
+        "trial 3: NOT-INVERTIBLE (no cycle shares leave a positive bridge weight"
+        " for {1,4,5}|{2,3})",
+        "# NOT-INVERTIBLE: 1",
+        "# resistance-realizable: 3",
+    ]
+
+
 def test_scan_two_nested(capsys):
     code, out, _ = run(capsys, "scan", "--conjecture", "two-nested", "--trials", "4", "--seed", "7")
     assert code == 0
+
+
+def test_scan_two_nested_reports_a_missing_witness(capsys):
+    code, out, _ = run(capsys, "scan", "--conjecture", "two-nested", "--trials", "13", "--seed", "6")
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "trial 12: kalmanson, no witness recovered", "# kalmanson: 6", "# skipped: 7",
+    ]
 
 
 def test_exterior_json_output(square_file, tmp_path, capsys):
@@ -780,6 +873,9 @@ def test_jc_missing_argument_is_usage_error(capsys):
     code, _, err = run(capsys, "jc", "--m", "100")
     assert code == 2
     assert "needs --c" in err
+    assert run(capsys, "jc-parallel", "--m", "100") == (
+        2, "", "error: jc-parallel needs --c1 or --curve\n"
+    )
 
 
 def _forbid(monkeypatch, original):

@@ -441,6 +441,15 @@ def test_min_path_allows_zero_weights():
     assert d.value(2, 6) == F(1, 2)  # the far way round, over two zeros
 
 
+@pytest.mark.parametrize("metric", [resistance_vector, min_path_vector])
+def test_unlabeled_pendant_block_adds_nothing(metric):
+    # a non-strict network may end in an unlabeled node p; its bridge has
+    # one portal, h, and joins no pair of leaves
+    edges = [("x1", "h", F(1)), ("x2", "h", F(2)), ("h", "p", F(5))]
+    net = PhyloNetwork.build({1: "x1", 2: "x2"}, edges, strict=False)
+    assert metric(net).values == (F(3),)
+
+
 def test_min_path_mixed_weights_are_all_floats():
     # a rational weight next to a decimal one makes every distance a float,
     # as resistance does; the whole-network Dijkstra gave 3/2 beside 1.25
@@ -487,6 +496,12 @@ def test_pair_of_an_unknown_leaf_is_a_size_mismatch(fn):
     with pytest.raises(SizeMismatchError) as info:
         fn(net, 1, 9)
     assert str(info.value) == f"no leaf 9 in a network on 1..{net.n}"
+
+
+@pytest.mark.parametrize("fn", [pairwise_circuit, resistance_by_reduction])
+def test_pair_of_one_leaf_is_a_size_mismatch(fn):
+    with pytest.raises(SizeMismatchError, match="^distinct leaves required$"):
+        fn(two_cycles_with_bridge(), 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +938,7 @@ def test_distance_square_matrix_format():
     text = "3\n0 1 2\n1 0 3\n2 3 0\n"
     d = parse_distance_vector(text, exact=True)
     assert d.values == (F(1), F(2), F(3))
+    assert parse_distance_vector(text + "\n# end\n", exact=True) == d
 
 
 def test_distance_line_with_two_fields_names_line():
@@ -949,8 +965,14 @@ def test_distance_rejects_non_finite_value(text):
         ("n 3\n1 2 1\n2 2 9\n1 3 1\n2 3 1\n", "line 3: self pair"),
         ("n 3\n1 2 1\n1 3 1\n2 3 1\n2 1 4\n", "line 5: repeated pair"),
         ("3\n0 1 2\n1 5 3\n2 3 0\n", "line 3: nonzero diagonal"),
+        # the rows after the first n were ignored
+        ("3\n0 1 2\n1 0 3\n2 3 0\nfoo bar baz\n7 7\n",
+         "^line 5: extra line after the matrix in 'foo bar baz'$"),
+        ("3\n0 1 2\n1 0 3\n2 3 0\n# fourth row\n3 4 5\n",
+         "^line 6: extra line after the matrix in '3 4 5'$"),
     ],
-    ids=["label-outside", "self-pair", "repeated-pair", "square-diagonal"],
+    ids=["label-outside", "self-pair", "repeated-pair", "square-diagonal",
+         "square-extra-line", "square-extra-row"],
 )
 def test_distance_rejects_bad_pair_line(text, message):
     with pytest.raises(ValidationError, match=message):
@@ -965,8 +987,10 @@ def test_distance_rejects_bad_pair_line(text, message):
         ("3\n0 1 2\n1 0\n2 3 0\n", "^square matrix shape mismatch$"),
         ("3\n0 1 2\n1 0 3\n2 4 0\n", r"^asymmetric entries for \(2,3\)$"),
         ("size 3\n1 2 1\n", "^unrecognized distance format$"),
+        ("# no data\n\n", "^empty distance file$"),
     ],
-    ids=["missing-pair", "too-few-rows", "short-row", "asymmetric", "unknown-header"],
+    ids=["missing-pair", "too-few-rows", "short-row", "asymmetric", "unknown-header",
+         "empty"],
 )
 def test_distance_file_of_the_wrong_shape(text, message):
     with pytest.raises(SizeMismatchError, match=message):

@@ -13,6 +13,7 @@ from phylocircuit.errors import (
     InternalDegreeTooLowError,
     MultiEdgeError,
     NegativeWeightError,
+    NotADegreeThreeNodeError,
     NotATriangleError,
     NotOneNestedError,
     OutOfRangeError,
@@ -510,6 +511,42 @@ def test_wye_delta_rejects_non_triangle():
         wye_delta(quartet_tree(), ("a", "b", "x1"))
 
 
+def test_wye_delta_site_of_one_node_is_its_center():
+    assert wye_delta(star(3), ("hub",)) == wye_delta(star(3), "hub")
+
+
+@pytest.mark.parametrize("site", [(), ("t1", "t2"), ("t1", "t2", "t3", "x1")])
+def test_wye_delta_site_of_two_or_four_nodes_is_refused(site):
+    net = triangle_with_leaves()
+    with pytest.raises(NotATriangleError, match="^site must be 3 nodes or 1 node, got "):
+        wye_delta(net, site)
+
+
+def test_triangle_to_star_center_avoids_existing_names():
+    # the triangle's own corner is named yd0, so the new center is yd1
+    edges = [("yd0", "t2", F(3)), ("t2", "t3", F(3)), ("t3", "yd0", F(3)),
+             ("x1", "yd0", F(1)), ("x2", "t2", F(1)), ("x3", "t3", F(1))]
+    net = PhyloNetwork.build({1: "x1", 2: "x2", 3: "x3"}, edges, strict=False)
+    out = wye_delta(net, ("yd0", "t2", "t3"))
+    assert out.weight("yd0", "yd1") == out.weight("t2", "yd1") == 1
+
+
+def test_star_to_triangle_needs_an_unlabeled_degree_three_node():
+    path = PhyloNetwork.build(
+        {1: "x1", 2: "x2"}, [("x1", "a", F(1)), ("a", "x2", F(1))], strict=False
+    )
+    for net, center in ((star(3), "x1"), (path, "a"), (path, "b")):
+        with pytest.raises(NotADegreeThreeNodeError,
+                           match=f"^{center} is not an unlabeled degree-3 node$"):
+            wye_delta(net, center)
+
+
+def test_star_to_triangle_refuses_a_zero_arm():
+    net = star(3, [F(1), F(0), F(2)])
+    with pytest.raises(DegenerateWeightsError, match="^zero arm weight$"):
+        wye_delta(net, "hub")
+
+
 def test_wye_delta_rejects_zero_total():
     net = PhyloNetwork_with_zero_triangle()
     with pytest.raises(DegenerateWeightsError):
@@ -616,6 +653,12 @@ def test_parse_json_repeated_top_level_key():
 def test_parse_bad_leaf_label_names_line():
     with pytest.raises(ValidationError, match="line 2"):
         parse_network("leaf 2 x2\nleaf one x1\nedge x1 x2 1\n")
+
+
+@pytest.mark.parametrize("line", ["node x1", "leaf 1 x1 x9", "edge x1 x2"])
+def test_parse_unknown_line_names_it(line):
+    with pytest.raises(ValidationError, match=f"^line 2: cannot parse '{line}'$"):
+        parse_network(f"leaf 2 x2\n{line}\nleaf 1 x1\nedge x1 x2 1\n")
 
 
 @pytest.mark.parametrize(

@@ -567,6 +567,63 @@ def test_invert_rejects_missing_weight():
         invert_to_network(broken)
 
 
+def _with_weight(system, split, weight):
+    weights = dict(system.entries)
+    weights[split] = weight
+    return CircularSplitSystem.of_order(system.n, weights, system.order)
+
+
+def test_invert_refuses_a_bridge_left_without_weight():
+    # the two pairs of ring edges at x1's ring node show {1}|{2,3,4,5} with
+    # share 1/5; a total of 1/100 leaves its pendant edge -19/100
+    system = resistance_split_system_direct(ring_with_pendants(5))
+    with pytest.raises(NotInvertibleError) as info:
+        invert_to_network(_with_weight(system, trivial_split(1, 5), F(1, 100)))
+    assert str(info.value) == "nonpositive bridge weight for {1}|{2,3,4,5}"
+
+
+@pytest.mark.parametrize(
+    "doubled, named",
+    [
+        # the walk from ring edge 0 meets the doubled product on an even
+        # closure, then on a second odd closure
+        (Split({3, 4}, 6), "{1,2,5,6}|{3,4}"),
+        (Split({5, 6}, 6), "{1,2,3,4}|{5,6}"),
+    ],
+    ids=["even-closure", "odd-closure"],
+)
+def test_invert_refuses_inconsistent_cycle_products(doubled, named):
+    # a 6-cycle's 9 pairs of ring edges that are not neighbours
+    # overdetermine its 6 weights; doubling one pair's split weight breaks
+    # a closed walk
+    system = resistance_split_system_direct(ring_with_pendants(6))
+    doubled_weight = 2 * dict(system.entries)[doubled]
+    with pytest.raises(NotInvertibleError) as info:
+        invert_to_network(_with_weight(system, doubled, doubled_weight))
+    assert str(info.value) == f"inconsistent split products at {named}"
+
+
+def test_invert_free_share_with_no_room_left():
+    # {5,6,7} is shown by the bridge c0-s0, by the free share of square
+    # node s0, and by the pair of 5-cycle edges at c0, whose share is
+    # 1*1/5; a total of 1/5 leaves the bridge and the square nothing.  The
+    # shares of s0 and s2 multiply to 1/16 and s2's total is 5/4, so just
+    # above 1/5 + 1/20 both fit
+    ring = [("c0", "c1"), ("c1", "c2"), ("c2", "c3"), ("c3", "c4"), ("c4", "c0"),
+            ("s0", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "s0"), ("c0", "s0")]
+    hung = [("c1", "x1"), ("c2", "x2"), ("c3", "x3"), ("c4", "x4"), ("s1", "x5"),
+            ("s2", "x6"), ("s3", "x7")]
+    net = validate({i: f"x{i}" for i in range(1, 8)}, [(u, v, F(1)) for u, v in ring + hung])
+    system = resistance_split_system_direct(net)
+    split = Split({5, 6, 7}, 7)
+    with pytest.raises(NotInvertibleError) as info:
+        invert_to_network(_with_weight(system, split, F(1, 5)))
+    assert str(info.value) == (
+        "no cycle shares leave a positive bridge weight for {1,2,3,4}|{5,6,7}"
+    )
+    _assert_exact_inverse(_with_weight(system, split, F(1, 4) + F(1, 10**6)))
+
+
 def test_invert_final_check_catches_a_weight_mismatch(monkeypatch):
     # a cycle weight off by one part in a million must fail the final check,
     # which names the first split whose display weights disagree

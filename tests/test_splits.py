@@ -66,6 +66,27 @@ def test_split_canonical_side_with_leaf_one_first():
     assert s.separates(1, 3) and not s.separates(3, 4)
 
 
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        (set(), "both sides of a split must be nonempty"),
+        ({1, 2, 3, 4}, "both sides of a split must be nonempty"),
+        ({1, 5}, r"split sides must partition 1\.\.n"),
+    ],
+    ids=["empty", "everything", "label-above-n"],
+)
+def test_split_needs_two_nonempty_sides_of_one_to_n(side, message):
+    with pytest.raises(SizeMismatchError, match=f"^{message}$"):
+        Split(side, 4)
+
+
+def test_weight_of_a_split_not_in_the_system_is_zero():
+    system = WeightedSplitSystem.of(4, [(Split({1, 2}, 4), F(3)), (Split({1, 3}, 4), None)])
+    assert system.weight(Split({1, 2}, 4)) == 3
+    assert system.weight(Split({1, 3}, 4)) == 0
+    assert system.weight(Split({1, 4}, 4)) == 0
+
+
 def test_trivial_split_detection():
     assert trivial_split(2, 5).is_trivial
     assert not Split({1, 2}, 5).is_trivial
@@ -220,6 +241,12 @@ def test_order_outside_one_to_n_is_size_mismatch(labels):
         CircularSplitSystem.of_order(4, full_trivial(4), order)
     with pytest.raises(SizeMismatchError, match=r"is not a permutation of 1\.\.4"):
         is_circular(system, order)
+
+
+def test_order_of_another_size_is_size_mismatch():
+    system = WeightedSplitSystem.of(4, full_trivial(4))
+    with pytest.raises(SizeMismatchError, match="^order size differs from system size$"):
+        is_circular(system, CircularOrder((1, 2, 3, 4, 5)))
 
 
 @pytest.mark.parametrize("labels", [(2, 3), (1, 1), (1, 2, 2)], ids=["no-1", "repeat", "repeat-2"])
@@ -396,6 +423,15 @@ def test_weighted_rebuild_tree_identity():
     assert classify(net).level == 0
 
 
+def test_weighted_rebuild_needs_every_weight():
+    system = CircularSplitSystem.of_order(
+        4, [(s, None) for s, _ in full_trivial(4)], CircularOrder((1, 2, 3, 4))
+    )
+    assert network_from_splits(system).n == 4
+    with pytest.raises(SizeMismatchError, match="^weighted rebuild needs weights on every split$"):
+        weighted_network_from_splits(system)
+
+
 def test_weighted_rebuild_square_distances():
     n = 4
     p, q = F(3), F(7)
@@ -548,6 +584,32 @@ def test_negative_split_weight_is_a_validation_error():
 def test_split_over_other_leaves_is_refused():
     with pytest.raises(SizeMismatchError, match=r"^split \{1,2\}\|\{3,4\} is not over 1..5$"):
         WeightedSplitSystem.of(5, {Split({1, 2}, 4): F(1)})
+
+
+@pytest.mark.parametrize(
+    "head",
+    ["n 4 ordr 1,2,3,4", "n 4 order", "n 4 foo", "n 4 order 1,2,3,4 junk", "n 4 order - -"],
+    ids=["misspelt", "no-labels", "no-order-word", "trailing-field", "two-orders"],
+)
+def test_split_header_is_n_count_with_an_optional_order(head):
+    # all but the last were read as a system with no order (the last kept
+    # its order and dropped the junk); exterior and invert then asked for
+    # an order header
+    with pytest.raises(ValidationError, match=f"^line 1: cannot parse '{head}'$"):
+        parse_split_system(head + "\n1 | 1 | 2,3,4\n")
+
+
+@pytest.mark.parametrize("head", ["n", "4 order 1,2,3,4", "count 4"])
+def test_split_header_without_n_and_a_count_is_size_mismatch(head):
+    with pytest.raises(SizeMismatchError, match="^expected header 'n <count> order <...>'$"):
+        parse_split_system(head + "\n1 | 1 | 2,3,4\n")
+
+
+@pytest.mark.parametrize("head", ["n 4", "n 4 order -", "  n 4   order  -  # no order"])
+def test_split_header_without_an_order(head):
+    system = parse_split_system(head + "\n1 | 1 | 2,3,4\n")
+    assert type(system) is WeightedSplitSystem
+    assert system.entries == ((trivial_split(1, 4), F(1)),)
 
 
 def test_split_system_empty_file():
