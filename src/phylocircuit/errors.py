@@ -43,13 +43,22 @@ class BadOrderError(ValidationError, ValueError):
     ValueError, so a parser reports it as a malformed field of its line."""
 
 
+#: what parsing a malformed field raises
+MALFORMED = (ValueError, ZeroDivisionError)
+
+
+def cannot_parse(lineno: int, raw: str) -> ValidationError:
+    """The error for a malformed field of one input line."""
+    return ValidationError(f"line {lineno}: cannot parse {raw!r}")
+
+
 @contextmanager
 def line_errors(lineno: int, raw: str):
     """Report a malformed field of one input line as a ValidationError."""
     try:
         yield
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"line {lineno}: cannot parse {raw!r}") from exc
+    except MALFORMED as exc:
+        raise cannot_parse(lineno, raw) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,13 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
+    MALFORMED,
     ReductionStuckError,
     SizeMismatchError,
     TooLargeForExactError,
     ValidationError,
     ZeroWeightEdgeError,
+    cannot_parse,
     line_errors,
 )
 from .netgraph import (
@@ -186,7 +188,9 @@ def _series_sweep(
     by edge (resistance) or searches it from each portal (min-path).  A
     leaf pair's distance is the sum of those along the tree path between
     the two leaves.  Values are Fractions when every weight is and floats
-    otherwise, from the same code.
+    otherwise, from the same code.  Each pair is written to both halves of
+    a square table, and the vector is read out as the part of each row
+    right of the diagonal.
     """
     decomp = block_decomposition(net)
     exact = net.is_exact
@@ -236,17 +240,22 @@ def _series_sweep(
         for p in link[r]:
             hang = below.pop(p)
             for q, other in met:
+                if not other:
+                    continue  # a portal with no leaf below it yet
                 d_pq = link[p][q]
                 for i, d_i in hang:
                     row = full[i]
+                    d_ipq = d_i + d_pq
                     for j, d_j in other:
-                        row[j] = full[j][i] = d_i + d_pq + d_j
+                        row[j] = full[j][i] = d_ipq + d_j
             met.append((p, hang))
         for p, hang in met[1:]:
             d_pr = link[p][r]
             below[r] += [(i, d + d_pr) for i, d in hang]
-    values = [full[i][j] for i, j in pair_iter(n)]
-    return DistanceVector(net.n, tuple(values))
+    values: list[Value] = []
+    for i in range(1, n):
+        values += full[i][i + 1 :]
+    return DistanceVector(n, tuple(values))
 
 
 def _ring_resistance(a: Value, z: Value) -> Value:
@@ -780,21 +789,27 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
         with line_errors(head_no, head_raw):
             n = int(head[1])
         values: dict[tuple[int, int], Value] = {}
-        for lineno, raw, fields in lines:
-            with line_errors(lineno, raw):
+        # one handler for the whole loop; lineno and raw name the line it
+        # stopped at, and the checks below raise no MALFORMED error
+        try:
+            for lineno, raw, fields in lines:
                 i_s, j_s, v_s = fields
-                i, j = sorted((int(i_s), int(j_s)))
+                i, j = int(i_s), int(j_s)
                 value = _parse_distance(v_s, exact)
-            if not 1 <= i <= j <= n:
-                problem = f"label outside 1..{n}"
-            elif i == j:
-                problem = "self pair"
-            elif (i, j) in values:
-                problem = "repeated pair"
-            else:
-                values[(i, j)] = value
-                continue
-            raise ValidationError(f"line {lineno}: {problem} in {raw!r}")
+                if i > j:
+                    i, j = j, i
+                if not 1 <= i <= j <= n:
+                    problem = f"label outside 1..{n}"
+                elif i == j:
+                    problem = "self pair"
+                elif (i, j) in values:
+                    problem = "repeated pair"
+                else:
+                    values[(i, j)] = value
+                    continue
+                raise ValidationError(f"line {lineno}: {problem} in {raw!r}")
+        except MALFORMED as exc:
+            raise cannot_parse(lineno, raw) from exc
         try:
             ordered = tuple(values[(i, j)] for i, j in pair_iter(n))
         except KeyError as exc:
@@ -836,11 +851,24 @@ def load_distance_vector(path: str, exact: bool = False) -> DistanceVector:
 
 
 def distance_vector_to_text(d: DistanceVector, precision: int = 6) -> str:
-    # format_value's rule, with the float spec built once per vector
-    spec = f".{precision}g"
-    lines = [f"n {d.n}"]
-    lines += [
-        f"{i} {j} {format(v, spec) if type(v) is float else format_value(v, precision)}"
-        for (i, j), v in zip(pair_iter(d.n), d.values)
-    ]
-    return "\n".join(lines) + "\n"
+    """The pair format that :func:`parse_distance_vector` reads.
+
+    An ``n <count>`` header, then one ``i j value`` line per pair with
+    i < j, in the vector's order (1,2), (1,3), ..., (n-1,n); every line
+    ends in a newline.  Values follow ``format_value``: a float is written
+    with ``precision`` significant digits (``%g``), a Fraction as p/q, or
+    as an integer when q = 1, and any other number as a float.
+    """
+    n, values = d.n, tuple(d.values)
+    if all(type(v) is float for v in values):
+        # '%.Ng' % v and format(v, '.Ng') share one float formatter
+        spec = f"%.{precision}g"
+    else:
+        values = tuple(format_value(v, precision) for v in values)
+        spec = "%s"
+    # one template for the whole vector, filled by one % in pair order;
+    # row i is its label joined to the " j spec" of every j > i
+    tail = [f" {j} {spec}" for j in range(n + 1)]
+    rows = [f"n {n}"]
+    rows += [f"{i}" + f"\n{i}".join(tail[i + 1 :]) for i in range(1, n)]
+    return "\n".join(rows) % values + "\n"

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    MALFORMED,
     BadLeafDegreeError,
     BadLeafLabelError,
     BadOrderError,
@@ -35,7 +36,7 @@ from .errors import (
     NotOneNestedError,
     SizeMismatchError,
     ValidationError,
-    line_errors,
+    cannot_parse,
 )
 from .rational import Value, format_value, parse_value
 
@@ -696,12 +697,13 @@ def parse_network_text(text: str) -> PhyloNetwork:
     leaves: dict[int, str] = {}
     leaf_lines: dict[int, int] = {}
     edges: list[tuple[str, str, Value]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        with line_errors(lineno, raw):
+    # one handler for the whole loop; lineno and raw name the line it stopped at
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
             if parts[0] == "leaf" and len(parts) == 3:
                 label = int(parts[1])
                 if label in leaves:
@@ -714,6 +716,8 @@ def parse_network_text(text: str) -> PhyloNetwork:
                 edges.append((parts[1], parts[2], parse_value(parts[3])))
             else:
                 raise ValueError("unknown line")
+    except MALFORMED as exc:
+        raise cannot_parse(lineno, raw) from exc
     return validate(leaves, edges)
 
 

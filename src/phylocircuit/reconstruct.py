@@ -317,22 +317,27 @@ def _free_shares(squares, catalog, known, edge_weight) -> dict:
 
     Ring node k shows its split with the share x_k = u_{k-1}*u_k, and
     opposite shares multiply to q = P02*P13, the diagonal splits' weights.
-    If neither node p nor p+2 (p = 0, 1) shows its split alone, one free s
-    gives x_p = s and x_{p+2} = q/s.  The rebuild gives each such split a
+    One free s per pair of opposite nodes p and p+2 (p = 0, 1) gives
+    x_p = s and x_{p+2} = q/s.  The rebuild gives each such split a
     bridge, which must keep positive weight, and at most one other free
     share, so free shares form chains linked by "sum of shares < w".  A
     forward sweep bounds each share, a backward pass picks a point of each.
+
+    Every share is free: no node of a square shows its split alone.  The
+    split of node k holds the leaves beyond that ring node.  If the system
+    holds it, it crosses no other split, so the rebuild also gives it a
+    bridge, a second display, and it enters no product; if not,
+    ``_mul_inverse_weights`` has already raised "missing weight".
     """
-    node_at, q, free = {}, {}, []
+    node_at, q = {}, {}
     for sq, (ring_edges, products) in enumerate(squares):
         for k in range(4):
             node_at[frozenset((ring_edges[k - 1], ring_edges[k]))] = (sq, k)
         for p in (0, 1):
             q[(sq, p)] = products[(0, 2)][0] * products[(1, 3)][0]
-            if not {_NODE_PAIRS[p], _NODE_PAIRS[p + 2]} & products.keys():
-                free.append((sq, p))
     # bound at end (var, 0), node p, and (var, 1), node p+2: (split, room
-    # left by the fixed shares, the other free share in it or None)
+    # left by its displays outside the squares, the other free share in it
+    # or None)
     bound = {}
     cycle_totals: dict = {}
     for split, displays in catalog.items():
@@ -345,18 +350,14 @@ def _free_shares(squares, catalog, known, edge_weight) -> dict:
                 room -= _pair_share(edge_weight, cycle_totals, block, e, f)
                 continue
             sq, k = node_at[frozenset((e, f))]
-            fixed = squares[sq][1].get(_NODE_PAIRS[k - 2])  # opposite node
-            if fixed is None:
-                ends.append(((sq, k % 2), k // 2))
-            else:
-                room -= q[(sq, k % 2)] / fixed[0]
+            ends.append(((sq, k % 2), k // 2))
         if ends and room <= 0:
             raise _no_room(split)
         for end in ends:
             bound[end] = (split, room, next((o for o in ends if o != end), None))
 
     chosen: dict = {}
-    for start in free:
+    for start in q:
         for left in (0, 1):
             if start in chosen or bound[(start, left)][2]:
                 continue

@@ -12,6 +12,7 @@ from phylocircuit.errors import NotOneNestedError
 from phylocircuit.metrics import (
     DistanceVector,
     _canonical_labels,
+    _ring_positions,
     min_path_vector,
     pair_iter,
     resistance_vector,
@@ -25,6 +26,7 @@ from phylocircuit.netgraph import (
     BlockDecomposition,
     CircularOrder,
     PhyloNetwork,
+    block_decomposition,
     canonical_order,
     classify,
     cycle_node_sequence,
@@ -32,6 +34,7 @@ from phylocircuit.netgraph import (
     validate,
 )
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.rational import format_value
 from phylocircuit.reconstruct import circular_decomposition
 from phylocircuit.splits import Split
 
@@ -304,6 +307,77 @@ def min_path_by_dijkstra(net: PhyloNetwork) -> DistanceVector:
                     heapq.heappush(heap, (nd, w))
         rows[lab] = dist
     return DistanceVector(net.n, tuple(rows[i][leaves[j]] for i, j in pair_iter(net.n)))
+
+
+def distance_text_by_pairs(d: DistanceVector, precision: int = 6) -> str:
+    """The pair format written one f-string per pair, each value tested for
+    float on its own: the oracle for ``metrics.distance_vector_to_text``,
+    which fills one template per vector."""
+    spec = f".{precision}g"
+    lines = [f"n {d.n}"]
+    lines += [
+        f"{i} {j} {format(v, spec) if type(v) is float else format_value(v, precision)}"
+        for (i, j), v in zip(pair_iter(d.n), d.values)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def series_sweep_by_pairs(net: PhyloNetwork, on_cycle, on_other) -> DistanceVector:
+    """The block-cut sweep of ``metrics._series_sweep`` with the sum
+    d_i + d_pq + d_j formed in full for every pair and the vector read out
+    of the square table pair by pair: the oracle for its read-out by row
+    slices.  ``on_cycle`` and ``on_other`` are the metric's block rules."""
+    decomp = block_decomposition(net)
+    exact = net.is_exact
+    leaf_nodes = net.leaf_of_node
+    portals = decomp.cut_vertices.union(leaf_nodes)
+    links = []
+    for block in decomp.blocks:
+        ends = block.nodes & portals
+        link: dict = {p: {} for p in ends}
+        if len(ends) < 2:
+            pass
+        elif block.kind == BRIDGE:
+            u, v = ends
+            w = net.weight(u, v)
+            link[u][v] = link[v][u] = w if exact else float(w)
+        elif block.kind == CYCLE:
+            ring, z = _ring_positions(net, block, ends, exact)
+            for a, (p, x) in enumerate(ring):
+                for q, y in ring[:a]:
+                    link[p][q] = link[q][p] = on_cycle(x - y, z)
+        else:
+            link = on_other(net, block, sorted(ends), exact)
+        links.append(link)
+    zero = Fraction(0) if exact else 0.0
+    n, leaves = net.n, net.leaves
+    below = {leaves[1]: [(1, zero)]}
+    order = []
+    stack = [(leaves[1], -1)]
+    while stack:
+        v, came = stack.pop()
+        for bi in decomp.blocks_at[v]:
+            if bi != came:
+                order.append((bi, v))
+                for p in links[bi][v]:
+                    below[p] = [(leaf_nodes[p], zero)] if p in leaf_nodes else []
+                    stack.append((p, bi))
+    full = [[zero] * (n + 1) for _ in range(n + 1)]
+    for bi, r in reversed(order):
+        link = links[bi]
+        met = [(r, below[r])]
+        for p in link[r]:
+            hang = below.pop(p)
+            for q, other in met:
+                d_pq = link[p][q]
+                for i, d_i in hang:
+                    for j, d_j in other:
+                        full[i][j] = full[j][i] = d_i + d_pq + d_j
+            met.append((p, hang))
+        for p, hang in met[1:]:
+            d_pr = link[p][r]
+            below[r] += [(i, d + d_pr) for i, d in hang]
+    return DistanceVector(n, tuple(full[i][j] for i, j in pair_iter(n)))
 
 
 def decomposed_resistance_splits(net: PhyloNetwork):

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,7 @@ from phylocircuit.splits import CircularSplitSystem, Split, split_metric
 
 from fixtures import (
     decomposed_resistance_splits,
+    distance_text_by_pairs,
     k33_with_leaves,
     k5_with_leaves,
     min_path_by_dijkstra,
@@ -57,6 +59,7 @@ from fixtures import (
     ring_with_pendants,
     scan_corpus,
     scan_networks,
+    series_sweep_by_pairs,
     shuffled_order,
     square_with_pendants,
     star,
@@ -448,6 +451,43 @@ def test_unlabeled_pendant_block_adds_nothing(metric):
     edges = [("x1", "h", F(1)), ("x2", "h", F(2)), ("h", "p", F(5))]
     net = PhyloNetwork.build({1: "x1", 2: "x2"}, edges, strict=False)
     assert metric(net).values == (F(3),)
+
+
+def _sweep_networks():
+    """Seeded level-1 networks at n = 2..128, binary and not, and their
+    chorded level-2 versions, exact and with weights scaled by 1.37 and
+    1e-3; and a non-strict network with a one-portal pendant bridge."""
+    for s, n in enumerate([*range(2, 34), 48, 64, 96, 128]):
+        rng = random.Random(2800 + s)
+        base = random_one_nested(n, rng, binary=s % 2 == 0)
+        for net in (base, with_chord(base, rng)):
+            if net is None:
+                continue
+            yield net
+            for scale in (1.37, 1e-3):
+                edges = [(u, v, float(w) * scale) for u, v, w in net.edge_items]
+                yield PhyloNetwork.build(net.leaves, edges, strict=True)
+    edges = [("x1", "h", F(1)), ("x2", "h", 2.5), ("h", "p", F(5)), ("x3", "h", F(1, 3))]
+    yield PhyloNetwork.build({1: "x1", 2: "x2", 3: "x3"}, edges, strict=False)
+
+
+@pytest.mark.parametrize(
+    "metric, on_cycle, on_other",
+    [
+        (resistance_vector, metrics._ring_resistance, metrics._portal_resistances),
+        (min_path_vector, metrics._ring_min_path, metrics._portal_min_paths),
+    ],
+    ids=["resistance", "min-path"],
+)
+def test_sweep_equals_pair_by_pair_read_out(metric, on_cycle, on_other):
+    kinds = set()
+    for net in _sweep_networks():
+        got = metric(net).values
+        want = series_sweep_by_pairs(net, on_cycle, on_other).values
+        # repr tells floats that compare equal apart, and a Fraction from an int
+        assert list(map(repr, got)) == list(map(repr, want))
+        kinds.add((classify(net).level, net.is_exact))
+    assert kinds >= {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_min_path_mixed_weights_are_all_floats():
@@ -932,6 +972,45 @@ def test_distance_text_golden():
     assert distance_vector_to_text(floats, 3) == "n 3\n1 2 1.5\n1 3 1.23e+06\n2 3 1e-07\n"
     assert distance_vector_to_text(mixed) == "n 3\n1 2 1/2\n1 3 0.1\n2 3 4\n"
     assert distance_vector_to_text(DistanceVector(1, ())) == "n 1\n"
+
+
+# zero, the least subnormal, a float past 2**53, one that %g writes with an
+# exponent, and two on a rounding boundary at some precision
+TEXT_FLOATS = (0.0, 5e-324, 1e16, 1e-5, 123456.5, 9.999995)
+
+
+def _text_vectors():
+    rng = random.Random(28)
+    exact = tuple(F(rng.randint(0, 99), rng.randint(1, 9)) for _ in range(28))
+    floats = tuple(float(v) * 1.37 for v in exact)
+    return {
+        "exact": DistanceVector(8, exact),
+        "float": DistanceVector(8, floats),
+        "mixed": DistanceVector(8, exact[:14] + floats[14:]),
+        "ints": DistanceVector(4, (1, 2, 30, 4, 500, 6)),
+        "numpy": DistanceVector(8, tuple(np.float64(v) for v in floats)),
+        "n1": DistanceVector(1, ()),
+        "n2-exact": DistanceVector(2, (F(7, 3),)),
+        "n2-float": DistanceVector(2, (0.1,)),
+        "special": DistanceVector(4, TEXT_FLOATS),
+    }
+
+
+@pytest.mark.parametrize("precision", [1, 3, 6, 12, 17])
+@pytest.mark.parametrize("name", list(_text_vectors()))
+def test_distance_text_equals_pair_by_pair_writer(name, precision):
+    d = _text_vectors()[name]
+    assert distance_vector_to_text(d, precision) == distance_text_by_pairs(d, precision)
+
+
+def test_percent_g_is_the_format_g_of_floats():
+    # the writer fills its template with %; format_value uses format()
+    rng = random.Random(28)
+    floats = [*TEXT_FLOATS, -0.0, float("inf"), float("nan"), 1e300, 2.5, 0.5]
+    floats += [rng.uniform(0, 10) * 10.0 ** rng.randint(-30, 30) for _ in range(300)]
+    for precision in range(1, 21):
+        for v in floats:
+            assert f"%.{precision}g" % v == format(v, f".{precision}g")
 
 
 def test_distance_square_matrix_format():
