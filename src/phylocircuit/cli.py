@@ -112,8 +112,7 @@ def cmd_dist(args) -> int:
     net = _load_net(args.network)
     if args.exact and not net.is_exact:
         edges = [
-            (u, v, Fraction(w).limit_denominator(10**12) if not isinstance(w, Fraction) else w)
-            for u, v, w in net.edge_items
+            (u, v, Fraction(w).limit_denominator(10**12)) for u, v, w in net.edge_items
         ]
         net = netgraph.PhyloNetwork.build(net.leaves, edges, strict=False)
     if args.metric == "resistance":

@@ -1,7 +1,5 @@
 """Exception hierarchy for phylocircuit."""
 
-from contextlib import contextmanager
-
 
 class PhyloCircuitError(Exception):
     """Base class for all library errors."""
@@ -50,15 +48,6 @@ MALFORMED = (ValueError, ZeroDivisionError)
 def cannot_parse(lineno: int, raw: str) -> ValidationError:
     """The error for a malformed field of one input line."""
     return ValidationError(f"line {lineno}: cannot parse {raw!r}")
-
-
-@contextmanager
-def line_errors(lineno: int, raw: str):
-    """Report a malformed field of one input line as a ValidationError."""
-    try:
-        yield
-    except MALFORMED as exc:
-        raise cannot_parse(lineno, raw) from exc
 
 
 # ---------------------------------------------------------------------------

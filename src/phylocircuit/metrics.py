@@ -10,7 +10,9 @@ is grown edge by edge in series and rank-one steps (resistance) or
 searched by a Dijkstra confined to it (minimum path).  No routine solves a
 linear system, and Fractions and floats take the same code.  An
 independent series/parallel/wye-delta reduction serves as a cross-check
-oracle for resistance.
+oracle for resistance.  No routine here chooses exact or float: a
+network's weights are all one kind (``PhyloNetwork.build``), and every
+kernel reads a distance vector through ``_scaled_values``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     ValidationError,
     ZeroWeightEdgeError,
     cannot_parse,
-    line_errors,
 )
 from .netgraph import (
     BRIDGE,
@@ -96,7 +97,7 @@ def _check_positive(net: PhyloNetwork) -> None:
 
 
 def _block_adjacency(
-    net: PhyloNetwork, block: Block, exact: bool
+    net: PhyloNetwork, block: Block
 ) -> dict[str, list[tuple[str, Value]]]:
     """Each node of a block with its neighbours in the block and the edge
     weights, in sorted order, so that a float sum never follows the hash
@@ -104,14 +105,13 @@ def _block_adjacency(
     adj: dict[str, list[tuple[str, Value]]] = {}
     for u, v in sorted(tuple(sorted(e)) for e in block.edges):
         w = net.weight(u, v)
-        w = w if exact else float(w)
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
     return adj
 
 
 def _portal_resistances(
-    net: PhyloNetwork, block: Block, portals: list[str], exact: bool
+    net: PhyloNetwork, block: Block, portals: list[str]
 ) -> dict[str, dict[str, Value]]:
     """Effective resistance between every two portals of one block.
 
@@ -124,12 +124,11 @@ def _portal_resistances(
     nodes and cyclomatic number c costs O((c + 1) N^2), the same on
     Fractions and floats.
     """
-    adj = _block_adjacency(net, block, exact)
-    zero = Fraction(0) if exact else 0.0
+    adj = _block_adjacency(net, block)
     slot = {portals[0]: 0}
     # rows[a][b]: resistance between the nodes placed a-th and b-th; the
     # nodes are placed in the order the BFS visits them
-    rows = [[zero]]
+    rows = [[0]]
     visit = [portals[0]]
     for a, u in enumerate(visit):
         for v, r in adj[u]:
@@ -139,7 +138,7 @@ def _portal_resistances(
                 row = [x + r for x in rows[a]]
                 for old, x in zip(rows, row):
                     old.append(x)
-                row.append(zero)
+                row.append(0)
                 rows.append(row)
                 visit.append(v)
             elif b > a:  # when b < a, v was visited first and took this edge
@@ -158,18 +157,17 @@ def _portal_resistances(
 
 
 def _ring_positions(
-    net: PhyloNetwork, block: Block, portals: frozenset, exact: bool
+    net: PhyloNetwork, block: Block, portals: frozenset
 ) -> tuple[list[tuple[str, Value]], Value]:
     """The portals of a cycle block in ring order, each with its arc length
     from the ring's first node, and the length z of the whole ring."""
     ring = cycle_node_sequence(block)
-    at = Fraction(0) if exact else 0.0
+    at = 0
     placed = []
     for u, v in zip(ring, ring[1:] + ring[:1]):
         if u in portals:
             placed.append((u, at))
-        w = net.weight(u, v)
-        at += w if exact else float(w)
+        at += net.weight(u, v)
     return placed, at
 
 
@@ -184,16 +182,16 @@ def _series_sweep(
     cached block-cut tree gives the distances between its own portals: a
     bridge its weight, a cycle ``on_cycle(a, z)`` for two portals an arc a
     apart on a ring of length z, any other block
-    ``on_other(net, block, portals, exact)``, which grows the block edge
-    by edge (resistance) or searches it from each portal (min-path).  A
-    leaf pair's distance is the sum of those along the tree path between
-    the two leaves.  Values are Fractions when every weight is and floats
-    otherwise, from the same code.  Each pair is written to both halves of
+    ``on_other(net, block, portals)``, which grows the block edge by edge
+    (resistance) or searches it from each portal (min-path).  A leaf
+    pair's distance is the sum of those along the tree path between the
+    two leaves.  Values take the type of the weights, which
+    ``PhyloNetwork.build`` makes all Fractions or all floats, from the
+    same code.  Each pair is written to both halves of
     a square table, and the vector is read out as the part of each row
     right of the diagonal.
     """
     decomp = block_decomposition(net)
-    exact = net.is_exact
     leaf_nodes = net.leaf_of_node
     portals = decomp.cut_vertices.union(leaf_nodes)
     # per block: portal -> other portal -> distance between them
@@ -205,22 +203,20 @@ def _series_sweep(
             pass  # no pair to join
         elif block.kind == BRIDGE:
             u, v = ends
-            w = net.weight(u, v)
-            link[u][v] = link[v][u] = w if exact else float(w)
+            link[u][v] = link[v][u] = net.weight(u, v)
         elif block.kind == CYCLE:
-            ring, z = _ring_positions(net, block, ends, exact)
+            ring, z = _ring_positions(net, block, ends)
             for a, (p, x) in enumerate(ring):
                 for q, y in ring[:a]:
                     link[p][q] = link[q][p] = on_cycle(x - y, z)
         else:
-            link = on_other(net, block, sorted(ends), exact)
+            link = on_other(net, block, sorted(ends))
         links.append(link)
-    zero = Fraction(0) if exact else 0.0
     n, leaves = net.n, net.leaves
     # root the tree at leaf 1 and list each block with its parent portal,
     # parents first; below[p] collects (label, distance to p) of the
     # leaves hanging below portal p
-    below = {leaves[1]: [(1, zero)]}
+    below = {leaves[1]: [(1, 0)]}
     order = []
     stack = [(leaves[1], -1)]
     while stack:
@@ -229,11 +225,11 @@ def _series_sweep(
             if bi != came:
                 order.append((bi, v))
                 for p in links[bi][v]:
-                    below[p] = [(leaf_nodes[p], zero)] if p in leaf_nodes else []
+                    below[p] = [(leaf_nodes[p], 0)] if p in leaf_nodes else []
                     stack.append((p, bi))
     # children first: a pair is written at the block where its leaves'
     # branches meet, then the block's leaves move up to its parent portal
-    full = [[zero] * (n + 1) for _ in range(n + 1)]
+    full = [[0] * (n + 1) for _ in range(n + 1)]
     for bi, r in reversed(order):
         link = links[bi]
         met = [(r, below[r])]
@@ -370,17 +366,16 @@ def _ring_min_path(a: Value, z: Value) -> Value:
 
 
 def _portal_min_paths(
-    net: PhyloNetwork, block: Block, portals: list[str], exact: bool
+    net: PhyloNetwork, block: Block, portals: list[str]
 ) -> dict[str, dict[str, Value]]:
     """Shortest path between every two portals of one block, by a Dijkstra
     from each portal that stays inside the block: a path that leaves it
     through a cut vertex has to come back through the same one."""
-    adj = _block_adjacency(net, block, exact)
-    zero = Fraction(0) if exact else 0.0
+    adj = _block_adjacency(net, block)
     out: dict[str, dict[str, Value]] = {p: {} for p in portals}
     for a, src in enumerate(portals[:-1]):
-        dist = {src: zero}
-        heap = [(zero, src)]
+        dist = {src: 0}
+        heap = [(0, src)]
         seen = set()
         while heap:
             d, v = heapq.heappop(heap)
@@ -445,20 +440,25 @@ class KalmansonReport:
         return max((v for _, v in self.violations), default=Fraction(0))
 
 
-def _label_table(d: DistanceVector) -> tuple[list[list[Value | int]], int]:
-    """Distances by label: ``full[i][j]`` is d(i, j), 0 on the diagonal.
+def _scaled_values(d: DistanceVector) -> tuple[list[int] | list[float], int]:
+    """The values of ``d`` as a kernel reads them, and their scale.
 
-    For exact ``d`` the entries are Python ints, each distance times
-    ``scale``, the lcm of the denominators, so sums and comparisons need no
-    Fraction arithmetic; otherwise they are the values unchanged and
-    ``scale`` is 1.
+    For exact ``d`` they are Python ints, each distance times ``scale``,
+    the lcm of the denominators, so sums and comparisons need no Fraction
+    arithmetic; otherwise they are all floats, and ``scale`` is 1.
     """
-    n = d.n
     values = d.values
-    scale = 1
     if d.is_exact:
         scale = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+    return [float(v) for v in values], 1
+
+
+def _label_table(d: DistanceVector) -> tuple[list[list[int | float]], int]:
+    """Distances by label: ``full[i][j]`` is d(i, j), 0 on the diagonal,
+    read by ``_scaled_values``, whose scale it returns."""
+    n = d.n
+    values, scale = _scaled_values(d)
     full = [[0] * (n + 1) for _ in range(n + 1)]
     for (i, j), v in zip(pair_iter(n), values):
         full[i][j] = full[j][i] = v
@@ -784,14 +784,13 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
     first = next(lines, None)
     if first is None:
         raise SizeMismatchError("empty distance file")
-    head_no, head_raw, head = first
+    lineno, raw, head = first
     if head[0] == "n" and len(head) == 2:
-        with line_errors(head_no, head_raw):
-            n = int(head[1])
         values: dict[tuple[int, int], Value] = {}
-        # one handler for the whole loop; lineno and raw name the line it
-        # stopped at, and the checks below raise no MALFORMED error
+        # one handler for the header and the whole loop; lineno and raw name
+        # the line it stopped at, and the checks below raise no MALFORMED error
         try:
+            n = int(head[1])
             for lineno, raw, fields in lines:
                 i_s, j_s, v_s = fields
                 i, j = int(i_s), int(j_s)
@@ -816,31 +815,31 @@ def parse_distance_vector(text: str, exact: bool = False) -> DistanceVector:
             raise SizeMismatchError(f"missing pair {exc}") from exc
         return DistanceVector(n, ordered)
     if len(head) == 1:
-        with line_errors(head_no, head_raw):
+        # one handler for the whole matrix, diagonal first, then pair by
+        # pair; lineno and raw name the line it stopped at, as above
+        try:
             n = int(head[0])
-        rows = list(itertools.islice(lines, max(n, 0)))
-        if len(rows) != n or any(len(fields) != n for _, _, fields in rows):
-            raise SizeMismatchError("square matrix shape mismatch")
-        extra = next(lines, None)
-        if extra is not None:
-            lineno, raw, _ = extra
-            raise ValidationError(f"line {lineno}: extra line after the matrix in {raw!r}")
-
-        def entry(r: int, c: int) -> Value:
-            lineno, raw, fields = rows[r - 1]
-            with line_errors(lineno, raw):
-                return _parse_distance(fields[c - 1], exact)
-
-        for i in range(1, n + 1):
-            if entry(i, i) != 0:
-                lineno, raw, _ = rows[i - 1]
-                raise ValidationError(f"line {lineno}: nonzero diagonal in {raw!r}")
-        vals = []
-        for i, j in pair_iter(n):
-            a, b = entry(i, j), entry(j, i)
-            if not values_close(a, b):
-                raise SizeMismatchError(f"asymmetric entries for ({i},{j})")
-            vals.append(a)
+            rows = list(itertools.islice(lines, max(n, 0)))
+            if len(rows) != n or any(len(fields) != n for _, _, fields in rows):
+                raise SizeMismatchError("square matrix shape mismatch")
+            extra = next(lines, None)
+            if extra is not None:
+                lineno, raw, _ = extra
+                raise ValidationError(f"line {lineno}: extra line after the matrix in {raw!r}")
+            for i, (lineno, raw, fields) in enumerate(rows):
+                if _parse_distance(fields[i], exact) != 0:
+                    raise ValidationError(f"line {lineno}: nonzero diagonal in {raw!r}")
+            vals = []
+            for i, j in pair_iter(n):
+                lineno, raw, fields = rows[i - 1]
+                a = _parse_distance(fields[j - 1], exact)
+                lineno, raw, fields = rows[j - 1]
+                b = _parse_distance(fields[i - 1], exact)
+                if not values_close(a, b):
+                    raise SizeMismatchError(f"asymmetric entries for ({i},{j})")
+                vals.append(a)
+        except MALFORMED as exc:
+            raise cannot_parse(lineno, raw) from exc
         return DistanceVector(n, tuple(vals))
     raise SizeMismatchError("unrecognized distance format")
 

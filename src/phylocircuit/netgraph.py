@@ -106,10 +106,12 @@ class PhyloNetwork:
         Strict mode enforces the full phylogenetic invariants; non-strict
         mode (internal constructions such as subcircuits and wye-delta
         images) only requires a simple connected graph with correctly
-        labeled degree-1 leaves.
+        labeled degree-1 leaves.  Integer weights become Fractions, and one
+        weight of any other type makes every weight a float.
         """
         norm = []
         seen = set()
+        floats = 0
         for u, v, w in edges:
             u, v = str(u), str(v)
             if u == v:
@@ -123,12 +125,16 @@ class PhyloNetwork:
             if type(w) is Fraction:
                 negative = w.numerator < 0  # Fraction's own < is far slower
             else:
-                if isinstance(w, float) and not math.isfinite(w):
+                w = float(w)
+                if not math.isfinite(w):
                     raise ValidationError(f"edge {u}-{v} has non-finite weight {w}")
                 negative = w < 0
+                floats += 1
             if negative:
                 raise NegativeWeightError(f"edge {u}-{v} has weight {w}")
             norm.append((*pair, w))
+        if 0 < floats < len(norm):
+            norm = [(u, v, float(w)) for u, v, w in norm]
         norm.sort()  # the pairs are distinct, so weights are never compared
         leaf_items = tuple(sorted((int(k), str(v)) for k, v in leaves.items()))
         net = cls(leaf_items=leaf_items, edge_items=tuple(norm))

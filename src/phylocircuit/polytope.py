@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
 from .metrics import (
     DistanceVector,
     _canonical_labels,
+    _scaled_values,
     min_path_vector,
     pair_index,
     resistance_vector,
@@ -266,24 +267,24 @@ def minimize_over_vertices(d: DistanceVector, n: int, k: int) -> MinimizationRes
 
     Ties are reported in full (a face, not an error).  Comparisons are
     exact for rational d; a float value ties with the minimum when
-    ``values_close`` says so.  A rational d is scaled once to integers
-    over the lcm of its denominators, so every dot product is an int.
+    ``values_close`` says so.  The dot products read d as the metric
+    kernels do (``metrics._scaled_values``): a rational d as integers over
+    the lcm of its denominators, so every dot product is an int, and any
+    other d as floats.
     """
     if d.n != n:
         raise SizeMismatchError(f"distance vector has n={d.n}, expected {n}")
     catalog = vertex_catalog(n, k)
+    values, scale = _scaled_values(d)
+    dots = [sum(map(mul, x.entries, values)) for _, x in catalog]
+    low = min(dots)
     if d.is_exact:
-        scale = lcm(*(v.denominator for v in d.values))
-        ints = [v.numerator * (scale // v.denominator) for v in d.values]
-        dots = [sum(map(mul, x.entries, ints)) for _, x in catalog]
-        low = min(dots)
         best = Fraction(low, scale)
         hits = [i for i, v in enumerate(dots) if v == low]
     else:
         tolerance(d.values)  # a NaN or infinite distance has no minimum
-        values = [x.dot(d) for _, x in catalog]
-        best = min(values)
-        hits = [i for i, v in enumerate(values) if values_close(v, best)]
+        best = low
+        hits = [i for i, v in enumerate(dots) if values_close(v, best)]
     return MinimizationResult(
         value=best,
         argmin=tuple(hits),

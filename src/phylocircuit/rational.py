@@ -3,7 +3,9 @@
 Weights and distances are ``Fraction`` when every input was exact (integers
 or p/q literals) and ``float`` otherwise.  Decimal literals are treated as
 rounded measurements and parsed as floats unless ``exact=True`` forces a
-Fraction reading.
+Fraction reading.  The rule holds per object, applied where values enter:
+``PhyloNetwork.build``, ``WeightedSplitSystem.of`` and, for the kernels that
+read a distance vector, ``metrics._scaled_values``.
 
 Rationals compare exactly.  Floats compare within one relative tolerance,
 REL_TOL times the largest magnitude in play, so that no verdict depends on

@@ -158,9 +158,6 @@ def _display_totals(net: PhyloNetwork, catalog: dict) -> dict[Split, Value]:
     with ``net``'s nodes and edges, read with ``net``'s weights."""
     _check_positive(net)
     weights = net.edges
-    if not net.is_exact:
-        # one decimal weight puts the whole network in float mode
-        weights = {e: float(w) for e, w in weights.items()}
     totals: dict[Split, Value] = {}
     cycle_totals: dict = {}
     for split, displays in catalog.items():
@@ -206,9 +203,6 @@ def _mul_inverse_weights(system: CircularSplitSystem) -> tuple[PhyloNetwork, dic
     known = dict(system.entries)
     if any(w is None or w <= 0 for w in known.values()):
         raise NotInvertibleError("weights must be positive")
-    if not system.is_exact:
-        # one decimal weight puts the whole system in float mode
-        known = {s: float(w) for s, w in known.items()}
 
     edge_weight: dict[frozenset, Value] = {}
     # 4-cycles whose products leave shares free: (ring edges, products)

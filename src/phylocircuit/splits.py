@@ -23,13 +23,14 @@ from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    MALFORMED,
     MissingTrivialSplitsError,
     NegativeWeightError,
     NotCircularError,
     PhyloCircuitError,
     SizeMismatchError,
     ValidationError,
-    line_errors,
+    cannot_parse,
 )
 from .metrics import DistanceVector, min_path_vector, pair_index
 from .netgraph import (
@@ -108,6 +109,8 @@ class WeightedSplitSystem:
         n: int,
         weights: Mapping[Split, Value | None] | Iterable[tuple[Split, Value | None]],
     ) -> "WeightedSplitSystem":
+        """Integer weights become Fractions, and one weight of any other
+        type makes every weight a float, as in ``PhyloNetwork.build``."""
         items = weights.items() if isinstance(weights, Mapping) else weights
         by_split: dict[Split, Value | None] = {}
         for s, w in items:
@@ -117,7 +120,9 @@ class WeightedSplitSystem:
                 raise NegativeWeightError(f"negative weight for {s}")
             if s in by_split:
                 raise ValidationError(f"split {s} is given twice")
-            by_split[s] = w
+            by_split[s] = Fraction(w) if isinstance(w, int) else w
+        if any(not isinstance(w, (Fraction, type(None))) for w in by_split.values()):
+            by_split = {s: w if w is None else float(w) for s, w in by_split.items()}
         ordered = tuple(sorted(by_split.items(), key=lambda kv: _sort_key(kv[0])))
         return cls(n=n, entries=ordered)
 
@@ -138,10 +143,6 @@ class WeightedSplitSystem:
             if s == split:
                 return Fraction(0) if w is None else w
         return Fraction(0)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(w, (Fraction, type(None))) for _, w in self.entries)
 
     def same_weighted_splits(self, other: "WeightedSplitSystem") -> bool:
         return self.n == other.n and self.entries == other.entries
@@ -443,41 +444,44 @@ def parse_split_system(text: str, exact: bool = False) -> WeightedSplitSystem:
     lines = [line for line in numbered if line[2]]
     if not lines:
         raise SizeMismatchError("empty split file")
-    head_no, head_raw, head_txt = lines[0]
+    lineno, raw, head_txt = lines[0]
     head = head_txt.split()
     if len(head) < 2 or head[0] != "n":
         raise SizeMismatchError("expected header 'n <count> order <...>'")
     order = None
-    with line_errors(head_no, head_raw):
+    entries = []
+    first_line: dict[Split, int] = {}
+    # one handler for the header and the whole loop; lineno and raw name the
+    # line it stopped at, and the checks raise no MALFORMED error
+    try:
         n = int(head[1])
         tail = head[2:]
         if tail and (len(tail) != 2 or tail[0] != "order"):
             raise ValueError("header is 'n <count>' or 'n <count> order <labels|->'")
         if tail and tail[1] != "-":
             order = CircularOrder(tuple(int(x) for x in tail[1].split(",")))
-    entries = []
-    first_line: dict[Split, int] = {}
-    for lineno, raw, ln in lines[1:]:
-        with line_errors(lineno, raw):
+        for lineno, raw, ln in lines[1:]:
             w_txt, a_txt, b_txt = (part.strip() for part in ln.split("|"))
             weight = None if w_txt == "-" else parse_value(w_txt, exact)
             side = [int(x) for x in a_txt.split(",")]
             other = [int(x) for x in b_txt.split(",")]
-        if sorted(side + other) != list(range(1, n + 1)):
-            raise ValidationError(
-                f"line {lineno}: sides do not partition 1..{n} in {raw!r}"
-            )
-        if isinstance(weight, float) and not math.isfinite(weight):
-            raise ValidationError(f"line {lineno}: non-finite weight in {raw!r}")
-        if weight is not None and weight < 0:
-            raise ValidationError(f"line {lineno}: negative weight in {raw!r}")
-        split = Split(side, n)
-        if split in first_line:
-            raise ValidationError(
-                f"line {lineno}: split {split} repeats line {first_line[split]}"
-            )
-        first_line[split] = lineno
-        entries.append((split, weight))
+            if sorted(side + other) != list(range(1, n + 1)):
+                raise ValidationError(
+                    f"line {lineno}: sides do not partition 1..{n} in {raw!r}"
+                )
+            if isinstance(weight, float) and not math.isfinite(weight):
+                raise ValidationError(f"line {lineno}: non-finite weight in {raw!r}")
+            if weight is not None and weight < 0:
+                raise ValidationError(f"line {lineno}: negative weight in {raw!r}")
+            split = Split(side, n)
+            if split in first_line:
+                raise ValidationError(
+                    f"line {lineno}: split {split} repeats line {first_line[split]}"
+                )
+            first_line[split] = lineno
+            entries.append((split, weight))
+    except MALFORMED as exc:
+        raise cannot_parse(lineno, raw) from exc
     if order is not None:
         return CircularSplitSystem.of_order(n, entries, order)
     return WeightedSplitSystem.of(n, entries)

@@ -342,12 +342,12 @@ def series_sweep_by_pairs(net: PhyloNetwork, on_cycle, on_other) -> DistanceVect
             w = net.weight(u, v)
             link[u][v] = link[v][u] = w if exact else float(w)
         elif block.kind == CYCLE:
-            ring, z = _ring_positions(net, block, ends, exact)
+            ring, z = _ring_positions(net, block, ends)
             for a, (p, x) in enumerate(ring):
                 for q, y in ring[:a]:
                     link[p][q] = link[q][p] = on_cycle(x - y, z)
         else:
-            link = on_other(net, block, sorted(ends), exact)
+            link = on_other(net, block, sorted(ends))
         links.append(link)
     zero = Fraction(0) if exact else 0.0
     n, leaves = net.n, net.leaves

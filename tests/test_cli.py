@@ -557,6 +557,45 @@ def test_kalmanson_report_on_given_order(k33_dist_file, capsys):
     }
 
 
+def test_one_decimal_distance_puts_every_amount_in_float_mode(tmp_path, capsys):
+    # the violated quadruple on 1..5 reads only p/q entries: 2 - 4/3
+    path = tmp_path / "mixed.dist"
+    path.write_text(
+        "n 5\n1 2 1\n1 3 1\n1 4 1\n1 5 0.5\n2 3 1\n"
+        "2 4 1/3\n2 5 1\n3 4 1/3\n3 5 1\n4 5 1/3\n"
+    )
+    code, out, _ = run(capsys, "kalmanson", str(path), "--order", "1,2,3,4,5")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "max_violation: 0.666667",
+        "first_violation: (1, 2, 3, 4) by 0.666667",
+    ]
+    code, out, _ = run(capsys, "kalmanson", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "best_violation: 0.666667"
+    code, _, err = run(capsys, "decompose", str(path), "--order", "1,2,3,4,5")
+    assert code == 1
+    assert err.endswith("by 0.6666666666666667\n")
+
+
+@pytest.mark.parametrize("command", ["exterior", "invert"])
+def test_one_decimal_split_weight_puts_every_edge_in_float_mode(tmp_path, capsys, command):
+    path = tmp_path / "mixed.splits"
+    path.write_text(
+        "n 4 order 1,2,3,4\n1/3 | 1,3,4 | 2\n0.5 | 1,2,4 | 3\n"
+        "1 | 1,2,3 | 4\n2 | 1 | 2,3,4\n1/7 | 1,2 | 3,4\n"
+    )
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    assert out.splitlines()[-5:] == [
+        "edge v1 v2 0.142857",
+        "edge v1 x1 2",
+        "edge v1 x2 0.333333",
+        "edge v2 x3 0.5",
+        "edge v2 x4 1",
+    ]
+
+
 def test_kalmanson_report_passes_on_square(square_file, tmp_path, capsys):
     dist = str(tmp_path / "sq.dist")
     assert run(capsys, "dist", square_file, "-o", dist)[0] == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from phylocircuit import enum2, metrics
 from phylocircuit.errors import (
+    PhyloCircuitError,
     SizeMismatchError,
     TooLargeForExactError,
     ValidationError,
@@ -44,6 +45,8 @@ from phylocircuit.randomnet import random_one_nested
 from phylocircuit.rational import tolerance
 from phylocircuit.reconstruct import (
     circular_decomposition,
+    invert_to_network,
+    min_path_split_system,
     resistance_split_system_direct,
 )
 from phylocircuit.splits import CircularSplitSystem, Split, split_metric
@@ -494,10 +497,65 @@ def test_min_path_mixed_weights_are_all_floats():
     # a rational weight next to a decimal one makes every distance a float,
     # as resistance does; the whole-network Dijkstra gave 3/2 beside 1.25
     net = star(3, [F(1), F(1, 2), 0.25])
+    assert [type(w) for _, _, w in net.edge_items] == [float] * 3
+    assert not net.is_exact
     d = min_path_vector(net)
     assert all(type(v) is float for v in d.values)
     assert d.values == (1.5, 1.25, 0.75)
     assert all(type(v) is float for v in resistance_vector(net).values)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or its error's type and message."""
+    try:
+        return repr(f(*args))
+    except PhyloCircuitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_mixed_weights_give_the_all_float_twins_outputs():
+    # half the weights Fractions and half floats: the network, its metrics
+    # and split systems, and the inversion of a mixed split system are
+    # those of the twin with every weight a float
+    rng = random.Random(71)
+    levels = set()
+    for _ in range(12):
+        base = random_one_nested(rng.randint(4, 40), rng, binary=rng.random() < 0.5)
+        for net in (base, with_chord(base, rng)):
+            if net is None:
+                continue
+            floats = set(rng.sample(range(len(net.edge_items)), len(net.edge_items) // 2))
+            mixed = PhyloNetwork.build(net.leaves, [
+                (u, v, float(w) if k in floats else w)
+                for k, (u, v, w) in enumerate(net.edge_items)
+            ])
+            twin = PhyloNetwork.build(
+                net.leaves, [(u, v, float(w)) for u, v, w in net.edge_items]
+            )
+            assert all(type(w) is float for _, _, w in mixed.edge_items)
+            for f in (resistance_vector, min_path_vector, min_path_split_system):
+                assert _outcome(f, mixed) == _outcome(f, twin)
+            level = classify(net).level
+            levels.add(level)
+            if level > 1:
+                continue
+            assert _outcome(resistance_split_system_direct, mixed) == _outcome(
+                resistance_split_system_direct, twin
+            )
+            exact = resistance_split_system_direct(net)
+            systems = [
+                CircularSplitSystem.of_order(net.n, [
+                    (s, float(w) if k % 2 or every else w)
+                    for k, (s, w) in enumerate(exact.entries)
+                ], exact.order)
+                for every in (False, True)
+            ]
+            assert all(type(w) is float for _, w in systems[0].entries)
+            assert repr(systems[0]) == repr(systems[1])
+            assert _outcome(invert_to_network, systems[0]) == _outcome(
+                invert_to_network, systems[1]
+            )
+    assert levels >= {1, 2}
 
 
 def test_fig_minpath_vector_shape_and_kalmanson():
@@ -768,6 +826,22 @@ def test_scan_violation_amounts_keep_exact_type():
     report = is_kalmanson(d, shuffled_order(6, random.Random(1)))
     assert report.violations
     assert all(type(amount) is Fraction for _, amount in report.violations)
+
+
+def test_float_vector_violation_amounts_are_floats():
+    # one decimal puts the vector in float mode, so the amount of its one
+    # violated quadruple on (1,2,3,4,5) is a float, though the quadruple
+    # reads only Fraction entries: 1 + 1 - (1/3 + 1)
+    d = DistanceVector(
+        5, (F(1), F(1), F(1), 0.5, F(1), F(1, 3), F(1), F(1, 3), F(1), F(1, 3))
+    )
+    report = is_kalmanson(d, CircularOrder((1, 2, 3, 4, 5)))
+    assert report.violations == (((1, 2, 3, 4), 1.0 + 1.0 - (1 / 3 + 1.0)),)
+    assert type(report.max_violation) is float
+    assert type(report.violations[0][1]) is float
+    result = find_kalmanson_order(d, "exact")
+    assert not result.found
+    assert type(result.best_violation) is float
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from phylocircuit.polytope import (
     vertex_vector_by_orders,
 )
 from phylocircuit.randomnet import random_one_nested
+from phylocircuit.rational import values_close
 from phylocircuit.splits import displayed_splits
 
 from fixtures import (
@@ -244,6 +245,28 @@ def test_exact_minimum_equals_fraction_dot_minimum(k):
         assert result.argmin == hits
         assert result.networks == tuple(catalog[i][0] for i in hits)
         assert result.vectors == tuple(catalog[i][1] for i in hits)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_float_minimum_equals_dot_minimum(k):
+    # float vectors, and a Fraction among floats, sum as XVector.dot does
+    # and tie within values_close of the least dot product
+    n = 6
+    for d in _seeded_exact_vectors(n, k, 6):
+        for scale in (1.0, 1.37, 1e-3):
+            values = [float(v) * scale for v in d.values]
+            for vector in (
+                DistanceVector(n, tuple(values)),
+                DistanceVector(n, (d.values[0] * F(scale), *values[1:])),
+            ):
+                catalog = vertex_catalog(n, k)
+                dots = [x.dot(DistanceVector(n, tuple(map(float, vector.values))))
+                        for _, x in catalog]
+                best = min(dots)
+                hits = tuple(i for i, v in enumerate(dots) if values_close(v, best))
+                result = minimize_over_vertices(vector, n, k)
+                assert repr(result.value) == repr(best)
+                assert result.argmin == hits
 
 
 def test_binary_network_minimizes_itself():
