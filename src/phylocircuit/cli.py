@@ -36,8 +36,8 @@ def _emit(args, text_lines, json_obj) -> None:
             print(line)
 
 
-def _load_net(path: str) -> netgraph.PhyloNetwork:
-    return netgraph.load_network(path)
+def _load_net(path: str, exact: bool = False) -> netgraph.PhyloNetwork:
+    return netgraph.load_network(path, exact)
 
 
 def _precision(text: str) -> int:
@@ -109,12 +109,7 @@ def cmd_classify(args) -> int:
 def cmd_dist(args) -> int:
     from . import metrics
 
-    net = _load_net(args.network)
-    if args.exact and not net.is_exact:
-        edges = [
-            (u, v, Fraction(w).limit_denominator(10**12)) for u, v, w in net.edge_items
-        ]
-        net = netgraph.PhyloNetwork.build(net.leaves, edges, strict=False)
+    net = _load_net(args.network, args.exact)
     if args.metric == "resistance":
         d = metrics.resistance_vector(net)
     else:
@@ -552,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="leaf distance vector")
     p.add_argument("network")
     p.add_argument("--metric", choices=("resistance", "minpath"), default="resistance")
-    p.add_argument("--exact", action="store_true", help="force rational arithmetic")
+    p.add_argument("--exact", action="store_true",
+                   help="read decimal weights as exact rationals, not floats")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_dist)
 

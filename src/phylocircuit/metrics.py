@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -499,8 +500,9 @@ def _scan(rows: list[list], eps: Value) -> tuple[list[tuple], int]:
     return violations, equalities
 
 
-def _tolerance(d: DistanceVector, tol: float | None) -> Value:
-    """The absolute tolerance of a check: 0 for exact ``d``, else ``tol``
+def _tolerance(d: DistanceVector, tol: float | None, exact: bool) -> Value:
+    """The absolute tolerance of a check: 0 for exact ``d`` (``exact`` is
+    ``d.is_exact``, which every caller reads anyway), else ``tol``
     (in the units of the distances) or ``rational.tolerance(d.values)``,
     REL_TOL times the largest |distance|.  A NaN tolerance would pass every
     comparison and a negative one would turn ties into violations, so
@@ -508,7 +510,7 @@ def _tolerance(d: DistanceVector, tol: float | None) -> Value:
     even when ``tol`` is given."""
     if tol is not None and not 0 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
-    if d.is_exact:
+    if exact:
         return 0
     default = tolerance(d.values)
     return default if tol is None else tol
@@ -532,9 +534,9 @@ def is_kalmanson(
     float input is compared within REL_TOL times its largest |distance|,
     or within an explicit absolute ``tol``.
     """
-    eps = _tolerance(d, tol)
-    _check_order(d, order)
     exact = d.is_exact
+    eps = _tolerance(d, tol, exact)
+    _check_order(d, order)
     full, scale = _label_table(d)
     labels = order.labels
     found, equalities = _scan([[full[i][j] for j in labels] for i in labels], eps)
@@ -594,7 +596,16 @@ def _canonical_labels(n: int) -> Iterator[tuple[int, ...]]:
             yield (1,) + perm
 
 
-def _neighbor_net_order(d: DistanceVector) -> CircularOrder:
+#: reductions between two growths of the exact NeighborNet tables; 3^16 <
+#: 2^26, so a growth adds at most one 30-bit digit to CPython's ints
+_GROWTH = 16
+
+
+def _neighbor_net_order(
+    d: DistanceVector,
+    full: list[list[int | float]] | None = None,
+    exact: bool | None = None,
+) -> CircularOrder:
     """The circular order of NeighborNet's agglomeration (Bryant & Moulton
     2004), with ties going to the first minimum.
 
@@ -605,91 +616,154 @@ def _neighbor_net_order(d: DistanceVector) -> CircularOrder:
     with two neighbours x-y-z is reduced to u = 2/3 x + 1/3 y and
     v = 1/3 y + 2/3 z, with d(u, v) = (d_xy + d_yz + d_xz) / 3.  Once three
     nodes are left the reductions are undone in reverse, each u, v giving
-    back x, y, z in their place.
+    back x, y, z in their place.  Clusters are ordered by their first node,
+    nodes by label with each new pair at the end.  Ties go to the first
+    pair of clusters i < j in row-major order, then to the first node pair.
 
-    Exact input runs on the ints of _label_table; a reduction triples every
-    active entry first, so the thirds stay integral.  Cluster means are
-    taken times 4 and node sums times 2, again to stay in ints.
+    The tables live across rounds: ``dist`` between nodes, the cluster
+    order as the lists ``firsts`` and ``lasts`` of each cluster's ends, and
+    ``bar``, four times the mean distance between two clusters.  A new node
+    takes over the row and column of ``dist`` of a node it replaces, u
+    those of x and v those of y, so a reduction writes two rows and two
+    columns, O(m).  Pairing two singletons rewrites the first one's row and
+    column of ``bar`` and deletes the second's; a reduction deletes the two
+    clusters and appends the new pair's row and column; both O(m).  Each
+    entry of ``bar`` is summed once, when its cluster appears, in the same
+    association for exact and float input, so no float order depends on
+    when an entry was made.  The O(m^2) steps left per round run in C: the
+    row sums R (``sum``) and the pass over Q, row by row (``map``).
+
+    Exact input runs on the ints of _label_table, and a reduction takes
+    thirds.  So the first reduction, and every _GROWTH-th after it, first
+    multiplies both tables by 3^_GROWTH (3^k when at most k reductions
+    remain; there are at most n - 2, as a round whose path has four nodes
+    runs two), and each third until the next growth is an exact ``//``.
+    The ints grow with the reductions as if each tripled the table, but the
+    tables are walked once per _GROWTH reductions.  Scaling every entry by
+    one positive constant changes no comparison.
+
+    ``full`` and ``exact`` are ``_label_table(d)[0]`` and ``d.is_exact``,
+    for a caller that reads them anyway.
     """
     n = d.n
-    full, _ = _label_table(d)
-    if d.is_exact:
-        grow, heavy, light, mean = 3, 2, 1, 1
-    else:
-        grow, heavy, light, mean = 1, 2 / 3, 1 / 3, 1 / 3
-    nodes = list(range(1, n + 1))  # ids of the active rows; a leaf's is its label
-    dist = [row[1:] for row in full[1:]]
+    if full is None:
+        full, _ = _label_table(d)
+        exact = d.is_exact
+    # node ids index the rows of dist; a leaf's is its label
+    dist = [row[:] for row in full]
+    nodes = list(range(1, n + 1))
+    # cluster c has the ends firsts[c] and lasts[c] in node order, a
+    # singleton its one node twice, so that summing over the ends doubles
+    # the mean
+    firsts, lasts = nodes[:], nodes[:]
+    bar = [[4 * v for v in row[1:]] for row in dist[1:]]
     partner: dict[int, int] = {}
     reductions = []
+    spare = 0  # exact thirds left before the tables must grow
+
+    def half(row: list) -> list:
+        """``row[first] + row[last]`` for each cluster: twice the mean
+        distance to it from the node whose row of ``dist`` is ``row``."""
+        get = row.__getitem__
+        return list(map(add, map(get, firsts), map(get, lasts)))
 
     def reduce_three(x: int, y: int, z: int) -> tuple[int, int]:
-        nonlocal nodes, dist
-        u = n + 2 * len(reductions) + 1
-        v = u + 1
-        slot = {w: k for k, w in enumerate(nodes)}
-        row_x, row_y, row_z = dist[slot[x]], dist[slot[y]], dist[slot[z]]
-        keep = [k for k, w in enumerate(nodes) if w not in (x, y, z)]
-        to_u = [heavy * row_x[k] + light * row_y[k] for k in keep]
-        to_v = [light * row_y[k] + heavy * row_z[k] for k in keep]
-        d_uv = mean * (row_x[slot[y]] + row_y[slot[z]] + row_x[slot[z]])
-        dist = [
-            [grow * dist[k][l] for l in keep] + [to_u[a], to_v[a]]
-            for a, k in enumerate(keep)
-        ] + [to_u + [0, d_uv], to_v + [d_uv, 0]]
-        nodes = [nodes[k] for k in keep] + [u, v]
+        nonlocal spare
+        row_x, row_y, row_z = dist[x], dist[y], dist[z]
+        if exact:
+            if not spare:
+                spare = min(_GROWTH, n - 2 - len(reductions))
+                grow = itertools.repeat(3**spare)
+                for row in itertools.chain(dist, bar):
+                    row[:] = map(mul, row, grow)
+            spare -= 1
+            to_u = [(2 * a + b) // 3 for a, b in zip(row_x, row_y)]
+            to_v = [(b + 2 * c) // 3 for b, c in zip(row_y, row_z)]
+            d_uv = (row_x[y] + row_y[z] + row_x[z]) // 3
+        else:
+            to_u = [2 / 3 * a + 1 / 3 * b for a, b in zip(row_x, row_y)]
+            to_v = [1 / 3 * b + 2 / 3 * c for b, c in zip(row_y, row_z)]
+            d_uv = 1 / 3 * (row_x[y] + row_y[z] + row_x[z])
         for w in (x, y, z):
+            nodes.remove(w)
             partner.pop(w, None)
-        reductions.append((x, y, z, u, v))
-        return u, v
+        for w in nodes:
+            row = dist[w]
+            row[x], row[y] = to_u[w], to_v[w]
+        to_u[x], to_u[y], to_v[x], to_v[y] = 0, d_uv, d_uv, 0
+        dist[x], dist[y] = to_u, to_v
+        nodes.extend((x, y))
+        reductions.append((x, y, z))
+        return x, y
 
     while len(nodes) > 3:
-        slot = {w: k for k, w in enumerate(nodes)}
-        # each cluster as the slots of its two ends, one slot twice for a
-        # singleton, so that summing over the ends doubles the mean
-        ends = []
-        for k, w in enumerate(nodes):
-            mate = slot[partner[w]] if w in partner else k
-            if mate >= k:
-                ends.append((k, mate))
-        m = len(ends)
-        half = [[row[k] + row[l] for k, l in ends] for row in dist]
-        bar = [[a + b for a, b in zip(half[k], half[l])] for k, l in ends]
+        m = len(bar)
         r = [sum(row) - row[i] for i, row in enumerate(bar)]
+        times = itertools.repeat(m - 2)
         best = None
         for i in range(m - 1):
-            row = bar[i]
-            q = [(m - 2) * row[j] - r[j] for j in range(i + 1, m)]
-            low = min(q)
+            low = min(map(sub, map(mul, times, bar[i][i + 1 :]), r[i + 1 :]))
             if best is None or low - r[i] < best[0]:
-                best = (low - r[i], i, i + 1 + q.index(low))
-        _, i, j = best
-        members = [sorted(set(ends[c])) for c in (i, j)]
+                best = (low - r[i], i, low)
+        _, i, low = best
+        q = list(map(sub, map(mul, times, bar[i][i + 1 :]), r[i + 1 :]))
+        j = i + 1 + q.index(low)
+        members = [list(dict.fromkeys((firsts[c], lasts[c]))) for c in (i, j)]
         joined = members[0] + members[1]
-        r_hat = {
-            x: sum(half[x]) - half[x][i] - half[x][j]
-            + 2 * sum(dist[x][z] for z in joined)
-            for x in joined
-        }
+        if len(joined) == 2:
+            # two singletons pair up where the first of them stood
+            x, y = joined
+            del bar[j], firsts[j], lasts[j]
+            lasts[i] = y
+            for row, value in zip(bar, half(list(map(add, dist[x], dist[y])))):
+                del row[j]
+                row[i] = value
+            bar[i] = list(map(add, half(dist[x]), half(dist[y])))
+            partner[x], partner[y] = y, x
+            continue
+        r_hat = {}
+        for x in joined:
+            row = dist[x]
+            to_all = half(row)
+            inside = sum(map(row.__getitem__, joined))
+            r_hat[x] = sum(to_all) - to_all[i] - to_all[j] + 2 * inside
         factor = 2 * (m + len(joined) - 4)
         x, y = min(
             ((x, y) for x in members[0] for y in members[1]),
             key=lambda p: factor * dist[p[0]][p[1]] - r_hat[p[0]] - r_hat[p[1]],
         )
-        x, y = nodes[x], nodes[y]
         path = [w for w in (partner.get(x), x, y, partner.get(y)) if w is not None]
         while len(path) > 2:
             path = [*reduce_three(*path[:3]), *path[3:]]
-        a, b = path
-        partner[a], partner[b] = b, a
+        x, y = path
+        del bar[j], bar[i], firsts[j], firsts[i], lasts[j], lasts[i]
+        firsts.append(x)
+        lasts.append(y)
+        # bar[c][new] sums the entries between the ends of c and those of
+        # new, as the new row does from the other side
+        for row, value in zip(bar, half(list(map(add, dist[x], dist[y])))):
+            del row[j], row[i]
+            row.append(value)
+        bar.append(list(map(add, half(dist[x]), half(dist[y]))))
+        partner[x], partner[y] = y, x
     order = nodes
-    for x, y, z, u, v in reversed(reductions):
-        k = order.index(u)
+    for x, y, z in reversed(reductions):
+        # u took the id of x and v that of y
+        k = order.index(x)
         order = order[k:] + order[:k]
-        if order[1] == v:
+        if order[1] == y:
             order = [x, y, z] + order[2:]
         else:  # v sits just before u
             order = [x] + order[1:-1] + [z, y]
     return CircularOrder(order)
+
+
+def _worst_excess(full: list[list], labels: Sequence[int], eps: Value) -> Value | None:
+    """The largest excess of the quadruples of ``labels`` that violate the
+    circular inequality beyond ``eps``, in the units of ``full``, or None
+    when none does."""
+    violations, _ = _scan([[full[i][j] for j in labels] for i in labels], eps)
+    return max(hit[4] for hit in violations) if violations else None
 
 
 def find_kalmanson_order(
@@ -716,47 +790,50 @@ def find_kalmanson_order(
     first order with the least maximum violation.  On exact input a
     passing NeighborNet order first tells whether an order exists; if one
     does, each order is checked by the O(n^2) sign test of its arcs.
+
+    The vector is read once: one table from _label_table serves
+    NeighborNet, the sign test and the scans.
     """
     if mode not in ("exact", "heuristic"):
         raise ValidationError(
             f"unknown search mode {mode!r}; expected 'exact' or 'heuristic'"
         )
-    eps = _tolerance(d, tol)
+    exact = d.is_exact
+    eps = _tolerance(d, tol, exact)
     n = d.n
     if n <= 3:
         order = CircularOrder(tuple(range(1, n + 1)))
         return OrderSearchResult(order, order, Fraction(0), 1)
-    if mode == "heuristic":
-        order = _neighbor_net_order(d)
-        report = None
-        if not (d.is_exact and _arcs_nonnegative(_label_table(d)[0], order.labels)):
-            report = is_kalmanson(d, order, tol)
-        if report is None or report.passed:
-            return OrderSearchResult(order, order, Fraction(0), 1)
-        if n <= 9:
-            return find_kalmanson_order(d, "exact", tol)
-        return OrderSearchResult(None, order, report.max_violation, 1)
-    if n > 9:
+    if mode == "exact" and n > 9:
         raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
     full, scale = _label_table(d)
-    if d.is_exact and _arcs_nonnegative(full, _neighbor_net_order(d).labels):
+    # on exact input the NeighborNet order passes exactly when some order does
+    order = _neighbor_net_order(d, full, exact) if mode == "heuristic" or exact else None
+    if exact and _arcs_nonnegative(full, order.labels):
+        if mode == "heuristic":
+            return OrderSearchResult(order, order, Fraction(0), 1)
         for checked, labels in enumerate(_canonical_labels(n), start=1):
             if _arcs_nonnegative(full, labels):
                 order = CircularOrder(labels)
                 return OrderSearchResult(order, order, Fraction(0), checked)
+    if mode == "heuristic" and (n > 9 or not exact):
+        worst = _worst_excess(full, order.labels, eps)
+        if worst is None:
+            return OrderSearchResult(order, order, Fraction(0), 1)
+        if n > 9:
+            return OrderSearchResult(
+                None, order, Fraction(worst, scale) if exact else worst, 1
+            )
     # no order passes on exact input; float input is checked order by order
     best_labels, best_excess = None, None
-    checked = 0
-    for labels in _canonical_labels(n):
-        checked += 1
-        violations, _ = _scan([[full[i][j] for j in labels] for i in labels], eps)
-        if not violations:
+    for checked, labels in enumerate(_canonical_labels(n), start=1):
+        worst = _worst_excess(full, labels, eps)
+        if worst is None:
             order = CircularOrder(labels)
             return OrderSearchResult(order, order, Fraction(0), checked)
-        worst = max(hit[4] for hit in violations)
         if best_excess is None or worst < best_excess:
             best_labels, best_excess = labels, worst
-    if d.is_exact:
+    if exact:
         best_excess = Fraction(best_excess, scale)
     return OrderSearchResult(None, CircularOrder(best_labels), best_excess, checked)
 

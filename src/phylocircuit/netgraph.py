@@ -698,8 +698,9 @@ def _star_to_triangle(net: PhyloNetwork, center: str) -> PhyloNetwork:
 _TEXT_HEADER = "# phylocircuit network"
 
 
-def parse_network_text(text: str) -> PhyloNetwork:
-    """Line format: ``leaf <label> <node>`` and ``edge <u> <v> <weight>``."""
+def parse_network_text(text: str, exact: bool = False) -> PhyloNetwork:
+    """Line format: ``leaf <label> <node>`` and ``edge <u> <v> <weight>``.
+    Decimal weights are floats unless ``exact`` reads them as rationals."""
     leaves: dict[int, str] = {}
     leaf_lines: dict[int, int] = {}
     edges: list[tuple[str, str, Value]] = []
@@ -719,7 +720,7 @@ def parse_network_text(text: str) -> PhyloNetwork:
                 leaves[label] = parts[2]
                 leaf_lines[label] = lineno
             elif parts[0] == "edge" and len(parts) == 4:
-                edges.append((parts[1], parts[2], parse_value(parts[3])))
+                edges.append((parts[1], parts[2], parse_value(parts[3], exact)))
             else:
                 raise ValueError("unknown line")
     except MALFORMED as exc:
@@ -738,10 +739,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def parse_network_json(text: str) -> PhyloNetwork:
-    """JSON object form: ``{"leaves": {"1": "a"}, "edges": [["a","b","1/2"]]}``."""
+def parse_network_json(text: str, exact: bool = False) -> PhyloNetwork:
+    """JSON object form: ``{"leaves": {"1": "a"}, "edges": [["a","b","1/2"]]}``.
+    Decimal weights, quoted or not, are floats unless ``exact`` reads them
+    as rationals."""
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        obj = json.loads(
+            text, object_pairs_hook=_unique_keys, parse_float=str if exact else float
+        )
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"line {exc.lineno}: malformed JSON, {exc.msg}"
@@ -763,22 +768,22 @@ def parse_network_json(text: str) -> PhyloNetwork:
             leaves[label] = str(v)
         edges = []
         for u, v, w in obj["edges"]:
-            value = parse_value(str(w)) if not isinstance(w, float) else float(w)
+            value = parse_value(str(w), exact) if not isinstance(w, float) else float(w)
             edges.append((str(u), str(v), value))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed network JSON: {exc}") from exc
     return validate(leaves, edges)
 
 
-def parse_network(text: str) -> PhyloNetwork:
+def parse_network(text: str, exact: bool = False) -> PhyloNetwork:
     if text.lstrip().startswith("{"):
-        return parse_network_json(text)
-    return parse_network_text(text)
+        return parse_network_json(text, exact)
+    return parse_network_text(text, exact)
 
 
-def load_network(path: str) -> PhyloNetwork:
+def load_network(path: str, exact: bool = False) -> PhyloNetwork:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+        return parse_network(fh.read(), exact)
 
 
 def network_to_text(net: PhyloNetwork, precision: int = 6) -> str:

@@ -28,9 +28,18 @@ REL_TOL = 1e-9
 
 
 def parse_value(text: str, exact: bool = False) -> Value:
-    """Parse an integer, p/q, or decimal literal."""
+    """Parse an integer, p/q, or decimal literal.
+
+    A p/q of ASCII digits, with an optional sign on p, is built from the
+    two ints; any other p/q goes to ``Fraction(text)``, which accepts and
+    refuses the same texts and raises the same errors, only slower.
+    """
     text = text.strip()
     if "/" in text:
+        p, _, q = text.partition("/")
+        digits = p[1:] if p[:1] in ("+", "-") else p
+        if text.isascii() and digits.isdigit() and q.isdigit():
+            return Fraction(int(p), int(q))
         return Fraction(text)
     try:
         return Fraction(int(text))

@@ -83,9 +83,9 @@ def circular_decomposition(
     ``rational.tolerance(d.values)`` as rounding noise, a floor that an
     explicit ``tol`` does not move.
     """
-    eps = _tolerance(d, tol)
-    _check_order(d, order)
     exact = d.is_exact
+    eps = _tolerance(d, tol, exact)
+    _check_order(d, order)
     if not exact:
         violations = is_kalmanson(d, order, tol).violations
         if violations:

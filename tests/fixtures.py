@@ -12,6 +12,7 @@ from phylocircuit.errors import NotOneNestedError
 from phylocircuit.metrics import (
     DistanceVector,
     _canonical_labels,
+    _label_table,
     _ring_positions,
     min_path_vector,
     pair_iter,
@@ -684,6 +685,105 @@ def canonical_orders(n: int):
     """Every canonical circular order on n labels, lexicographically: the
     orders the exhaustive search walks."""
     return map(CircularOrder, _canonical_labels(n))
+
+
+def neighbor_net_by_rebuilding(d: DistanceVector) -> CircularOrder:
+    """The circular order of NeighborNet's agglomeration (Bryant & Moulton
+    2004), with ties going to the first minimum, rebuilding every table
+    each round: the oracle for ``metrics._neighbor_net_order``.
+
+    Active nodes form clusters of one or two.  Each round picks the pair
+    of clusters minimising Q = (m-2) d(Ci, Cj) - R_i - R_j over cluster
+    means, then the node pair x in Ci, y in Cj minimising the same form
+    with Ci and Cj split into singletons (m^ = m + |Ci| + |Cj| - 2).  A node
+    with two neighbours x-y-z is reduced to u = 2/3 x + 1/3 y and
+    v = 1/3 y + 2/3 z, with d(u, v) = (d_xy + d_yz + d_xz) / 3.  Once three
+    nodes are left the reductions are undone in reverse, each u, v giving
+    back x, y, z in their place.
+
+    Exact input runs on the ints of _label_table; a reduction triples every
+    active entry first, so the thirds stay integral.  Cluster means are
+    taken times 4 and node sums times 2, again to stay in ints.
+    """
+    n = d.n
+    full, _ = _label_table(d)
+    if d.is_exact:
+        grow, heavy, light, mean = 3, 2, 1, 1
+    else:
+        grow, heavy, light, mean = 1, 2 / 3, 1 / 3, 1 / 3
+    nodes = list(range(1, n + 1))  # ids of the active rows; a leaf's is its label
+    dist = [row[1:] for row in full[1:]]
+    partner: dict[int, int] = {}
+    reductions = []
+
+    def reduce_three(x: int, y: int, z: int) -> tuple[int, int]:
+        nonlocal nodes, dist
+        u = n + 2 * len(reductions) + 1
+        v = u + 1
+        slot = {w: k for k, w in enumerate(nodes)}
+        row_x, row_y, row_z = dist[slot[x]], dist[slot[y]], dist[slot[z]]
+        keep = [k for k, w in enumerate(nodes) if w not in (x, y, z)]
+        to_u = [heavy * row_x[k] + light * row_y[k] for k in keep]
+        to_v = [light * row_y[k] + heavy * row_z[k] for k in keep]
+        d_uv = mean * (row_x[slot[y]] + row_y[slot[z]] + row_x[slot[z]])
+        dist = [
+            [grow * dist[k][l] for l in keep] + [to_u[a], to_v[a]]
+            for a, k in enumerate(keep)
+        ] + [to_u + [0, d_uv], to_v + [d_uv, 0]]
+        nodes = [nodes[k] for k in keep] + [u, v]
+        for w in (x, y, z):
+            partner.pop(w, None)
+        reductions.append((x, y, z, u, v))
+        return u, v
+
+    while len(nodes) > 3:
+        slot = {w: k for k, w in enumerate(nodes)}
+        # each cluster as the slots of its two ends, one slot twice for a
+        # singleton, so that summing over the ends doubles the mean
+        ends = []
+        for k, w in enumerate(nodes):
+            mate = slot[partner[w]] if w in partner else k
+            if mate >= k:
+                ends.append((k, mate))
+        m = len(ends)
+        half = [[row[k] + row[l] for k, l in ends] for row in dist]
+        bar = [[a + b for a, b in zip(half[k], half[l])] for k, l in ends]
+        r = [sum(row) - row[i] for i, row in enumerate(bar)]
+        best = None
+        for i in range(m - 1):
+            row = bar[i]
+            q = [(m - 2) * row[j] - r[j] for j in range(i + 1, m)]
+            low = min(q)
+            if best is None or low - r[i] < best[0]:
+                best = (low - r[i], i, i + 1 + q.index(low))
+        _, i, j = best
+        members = [sorted(set(ends[c])) for c in (i, j)]
+        joined = members[0] + members[1]
+        r_hat = {
+            x: sum(half[x]) - half[x][i] - half[x][j]
+            + 2 * sum(dist[x][z] for z in joined)
+            for x in joined
+        }
+        factor = 2 * (m + len(joined) - 4)
+        x, y = min(
+            ((x, y) for x in members[0] for y in members[1]),
+            key=lambda p: factor * dist[p[0]][p[1]] - r_hat[p[0]] - r_hat[p[1]],
+        )
+        x, y = nodes[x], nodes[y]
+        path = [w for w in (partner.get(x), x, y, partner.get(y)) if w is not None]
+        while len(path) > 2:
+            path = [*reduce_three(*path[:3]), *path[3:]]
+        a, b = path
+        partner[a], partner[b] = b, a
+    order = nodes
+    for x, y, z, u, v in reversed(reductions):
+        k = order.index(u)
+        order = order[k:] + order[:k]
+        if order[1] == v:
+            order = [x, y, z] + order[2:]
+        else:  # v sits just before u
+            order = [x] + order[1:-1] + [z, y]
+    return CircularOrder(order)
 
 
 def smooth_degree_two(net: PhyloNetwork) -> PhyloNetwork:

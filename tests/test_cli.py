@@ -510,6 +510,28 @@ def test_kalmanson_heuristic_finds_shuffled_twelve_leaf_order(tmp_path, capsys):
     assert (code, err) == (0, "")
 
 
+def test_kalmanson_heuristic_at_128_leaves_checks_one_order(tmp_path, capsys):
+    rng = random.Random(128)
+    d = resistance_vector(random_one_nested(128, rng))
+    perm = list(range(1, 129))
+    rng.shuffle(perm)
+    moved = {
+        tuple(sorted((perm[i - 1], perm[j - 1]))): v
+        for (i, j), v in zip(metrics.pair_iter(128), d.values)
+    }
+    path = tmp_path / "shuffled.dist"
+    path.write_text(distance_vector_to_text(
+        metrics.DistanceVector(128, tuple(moved[p] for p in metrics.pair_iter(128)))
+    ))
+    code, out, _ = run(capsys, "kalmanson", str(path), "--exact", "--search", "heuristic")
+    assert code == 0
+    first, checked = out.splitlines()
+    assert first.startswith("found order: (") and checked == "orders_checked: 1"
+    order = first.removeprefix("found order: (").rstrip(")")
+    code, _, err = run(capsys, "decompose", str(path), "--exact", "--order", order)
+    assert (code, err) == (0, "")
+
+
 def test_sw_on_level_two_heavy_chord_above_exhaustive_cap(tmp_path, capsys):
     # a chord heavier than the whole network leaves the minimum path vector
     # of the 11-leaf level-1 network unchanged, so it has a Kalmanson order
@@ -672,6 +694,28 @@ def test_dist_exact_reads_decimal_weights_as_rationals(tmp_path, capsys):
     assert run(capsys, "dist", str(path)) == (0, "n 3\n1 2 1.75\n1 3 2.5\n2 3 3.25\n", "")
     assert run(capsys, "dist", str(path), "--exact") == (
         0, "n 3\n1 2 7/4\n1 3 5/2\n2 3 13/4\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "leaf 1 x1\nleaf 2 x2\nleaf 3 x3\nedge x1 h 3e-13\nedge x2 h 1\nedge x3 h 2\n",
+        '{"leaves": {"1": "x1", "2": "x2", "3": "x3"},'
+        ' "edges": [["x1", "h", 3e-13], ["x2", "h", "1"], ["x3", "h", 2]]}',
+    ],
+    ids=["text", "json"],
+)
+def test_dist_exact_keeps_a_tiny_decimal_weight(tmp_path, capsys, text):
+    # the decimals are read as rationals, not rounded to a denominator of
+    # at most 10^12, which made 3e-13 a zero weight
+    path = tmp_path / "tiny.net"
+    path.write_text(text)
+    assert run(capsys, "dist", str(path), "--exact") == (
+        0,
+        "n 3\n1 2 10000000000003/10000000000000\n"
+        "1 3 20000000000003/10000000000000\n2 3 3\n",
+        "",
     )
 
 

@@ -57,6 +57,7 @@ from fixtures import (
     k33_with_leaves,
     k5_with_leaves,
     min_path_by_dijkstra,
+    neighbor_net_by_rebuilding,
     quartet_tree,
     resistance_by_dense_solve,
     ring_with_pendants,
@@ -959,6 +960,40 @@ def test_neighbor_net_order_ignores_added_leaf_terms():
         a = [None] + [F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
         order = metrics._neighbor_net_order(d)
         assert metrics._neighbor_net_order(_shifted(d, a)) == order
+
+
+def _neighbor_net_corpus(rng):
+    """Seeded exact vectors with shuffled labels: resistance and min-path
+    vectors of level-1 networks and of their chorded level-2 versions, and
+    random small-int and rational vectors, full of ties; n = 4..24 and
+    then one vector at each of n = 32..256."""
+    sizes = [rng.randint(4, 24) for _ in range(300)] + [32, 48, 64, 96, 128, 256]
+    for k, n in enumerate(sizes):
+        kind = k % 4
+        if kind == 3 and k % 8 == 3:
+            yield DistanceVector(n, tuple(F(rng.randint(0, 5)) for _ in range(n * (n - 1) // 2)))
+            continue
+        if kind == 3:
+            yield _random_rational_vector(n, rng)
+            continue
+        net = random_one_nested(n, rng, binary=rng.random() < 0.5)
+        if kind == 2:
+            net = with_chord(net, rng) or net
+        yield _relabelled((resistance_vector, min_path_vector)[k % 2](net), rng)
+
+
+def test_neighbor_net_order_equals_rebuilding_oracle():
+    # the tables that live across rounds give the orders of the same
+    # algorithm rebuilding them each round: exact, and bit for bit on
+    # floats at two scales
+    counts = {True: 0, False: 0}
+    for d in _neighbor_net_corpus(random.Random(71)):
+        scales = (1.37, 1e-3) if d.n <= 64 else (1.37,)
+        floats = [DistanceVector(d.n, tuple(float(v) * s for v in d.values)) for s in scales]
+        for vector in (d, *floats):
+            assert metrics._neighbor_net_order(vector) == neighbor_net_by_rebuilding(vector)
+            counts[vector.is_exact] += 1
+    assert min(counts.values()) >= 300
 
 
 @st.composite

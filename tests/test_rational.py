@@ -26,6 +26,30 @@ def test_parse_value(text, exact, value):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "1/2", "-3/6", "+4/8", "007/010", " 5/7 ", "0/5", "-0/5",
+        # not ASCII digits with at most a sign on p: Fraction(text) decides
+        "1_0/3", "\u0663/\u0664", "1/-2", "1 / 2", "--1/2", "+-1/2", "/3", "3/",
+        "1/2/3", "\u00b2/3", "1e3/2", "1.5/2",
+        "1/0", "-7/00",
+    ],
+)
+def test_parse_value_reads_p_over_q_as_fraction_does(text):
+    def outcome(read):
+        try:
+            value = read(text)
+        except Exception as exc:  # the type is what must agree
+            return type(exc)
+        return type(value), value
+
+    for exact in (False, True):
+        assert outcome(lambda t: parse_value(t, exact)) == outcome(
+            lambda t: Fraction(t.strip())
+        )
+
+
+@pytest.mark.parametrize(
     "value, precision, text",
     [
         (F(3), 6, "3"),
