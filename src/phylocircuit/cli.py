@@ -40,7 +40,7 @@ def _load_net(path: str, exact: bool = False) -> netgraph.PhyloNetwork:
     return netgraph.load_network(path, exact)
 
 
-def _precision(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     parser.add_argument(
-        "--precision", type=_precision, default=6, help="significant digits for floats"
+        "--precision", type=_positive_int, default=6, help="significant digits for floats"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -629,13 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jc", help="expected mutations from matching sites")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--c", type=float)
-    p.add_argument("--curve", type=int, help="emit a CSV curve with this many steps")
+    p.add_argument(
+        "--curve", type=_positive_int, help="emit a CSV curve with this many steps"
+    )
     p.set_defaults(func=cmd_jc)
 
     p = sub.add_parser("jc-parallel", help="matching sites after recombination")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--c1", type=float)
-    p.add_argument("--curve", type=int)
+    p.add_argument("--curve", type=_positive_int)
     p.set_defaults(func=cmd_jc_parallel)
 
     p = sub.add_parser("scan", help="seeded conjecture scans")
@@ -644,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("outer-planar", "faithful", "two-nested"),
         required=True,
     )
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scan)
 

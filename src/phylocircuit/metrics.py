@@ -54,6 +54,14 @@ def pair_index(i: int, j: int, n: int) -> int:
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
+def _entry_index(i: int, j: int, n: int) -> int | None:
+    """pair_index of two labels checked to lie in 1..n; None when i == j."""
+    for label in (i, j):
+        if not 1 <= label <= n:
+            raise SizeMismatchError(f"no leaf {label} in a vector on 1..{n}")
+    return None if i == j else pair_index(i, j, n)
+
+
 def pair_iter(n: int) -> Iterator[tuple[int, int]]:
     return itertools.combinations(range(1, n + 1), 2)
 
@@ -75,9 +83,8 @@ class DistanceVector:
             )
 
     def value(self, i: int, j: int) -> Value:
-        if i == j:
-            return Fraction(0)
-        return self.values[pair_index(i, j, self.n)]
+        k = _entry_index(i, j, self.n)
+        return Fraction(0) if k is None else self.values[k]
 
     @property
     def is_exact(self) -> bool:
@@ -186,11 +193,13 @@ def _series_sweep(
     ``on_other(net, block, portals)``, which grows the block edge by edge
     (resistance) or searches it from each portal (min-path).  A leaf
     pair's distance is the sum of those along the tree path between the
-    two leaves.  Values take the type of the weights, which
-    ``PhyloNetwork.build`` makes all Fractions or all floats, from the
-    same code.  Each pair is written to both halves of
-    a square table, and the vector is read out as the part of each row
-    right of the diagonal.
+    two leaves: the blocks are taken children first, in the order the
+    block search closed them, and each passes its leaves' distances up to
+    its entry, its node nearest leaf 1.  Values take the type of the
+    weights, which ``PhyloNetwork.build`` makes all Fractions or all
+    floats, from the same code.  Each pair is written to both halves of a
+    square table, and the vector is read out as the part of each row right
+    of the diagonal.
     """
     decomp = block_decomposition(net)
     leaf_nodes = net.leaf_of_node
@@ -213,25 +222,14 @@ def _series_sweep(
         else:
             link = on_other(net, block, sorted(ends))
         links.append(link)
-    n, leaves = net.n, net.leaves
-    # root the tree at leaf 1 and list each block with its parent portal,
-    # parents first; below[p] collects (label, distance to p) of the
-    # leaves hanging below portal p
-    below = {leaves[1]: [(1, 0)]}
-    order = []
-    stack = [(leaves[1], -1)]
-    while stack:
-        v, came = stack.pop()
-        for bi in decomp.blocks_at[v]:
-            if bi != came:
-                order.append((bi, v))
-                for p in links[bi][v]:
-                    below[p] = [(leaf_nodes[p], 0)] if p in leaf_nodes else []
-                    stack.append((p, bi))
-    # children first: a pair is written at the block where its leaves'
-    # branches meet, then the block's leaves move up to its parent portal
+    n = net.n
+    # below[p] collects (label, distance to p) of the leaves hanging below
+    # portal p; children first, a pair is written at the block where its
+    # leaves' branches meet, then the block's leaves move up to its entry r
+    below = {p: [(leaf_nodes[p], 0)] if p in leaf_nodes else [] for p in portals}
     full = [[0] * (n + 1) for _ in range(n + 1)]
-    for bi, r in reversed(order):
+    for bi in decomp.children_first:
+        r = decomp.entries[bi]
         link = links[bi]
         met = [(r, below[r])]
         for p in link[r]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -260,10 +259,17 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """Blocks and cut vertices, with the block-cut tree rooted at leaf 1's
+    node as the search that found them left it."""
+
     blocks: tuple[Block, ...]
     cut_vertices: frozenset
     # node -> indices of the blocks holding it, in block order
     blocks_at: Mapping[str, list[int]] = field(compare=False, repr=False)
+    # per block, its entry: its node nearest leaf 1's node
+    entries: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    # block indices, every block after the blocks beyond it
+    children_first: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def of_kind(self, kind: str) -> list[Block]:
         return [b for b in self.blocks if b.kind == kind]
@@ -280,69 +286,46 @@ class Classification:
         return "higher" if self.level is None else str(self.level)
 
 
-def _biconnected(net: PhyloNetwork) -> tuple[list[tuple[tuple, frozenset]], frozenset]:
-    """Iterative Hopcroft-Tarjan: returns (least edge and edge set of each
-    block, cut vertices).
+def _biconnected(net: PhyloNetwork) -> list[tuple[tuple, frozenset, str]]:
+    """Iterative Hopcroft-Tarjan from leaf 1's node (any node when there is
+    no label 1): the least edge, edge set and entry of each block.
 
-    The DFS follows adjacency order; the blocks and cut vertices of a graph
-    do not depend on the order of the search.
+    The network is connected, so one search reaches every node.  A block
+    closes at its tree edge (u, v), and u, its node nearest the root, is its
+    entry; the blocks come in the order they close, each after every block
+    beyond it.  The DFS follows adjacency order; the blocks of a graph do
+    not depend on the order of the search.
     """
     adj = net.adjacency
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
-    cuts: set[str] = set()
-    components: list[tuple[tuple, frozenset]] = []
-    counter = itertools.count()
-    edge_stack: list[tuple[str, str]] = []
-
-    for root in adj:
-        if root in disc:
-            continue
-        parent[root] = None
-        stack = [(root, iter(adj[root]))]
-        disc[root] = low[root] = next(counter)
-        root_children = 0
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = next(counter)
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
+    root = net.leaves.get(1, next(iter(adj), None))
+    if root is None:
+        return []  # a non-strict network with no node
+    disc: dict[str, int] = {root: 0}
+    low: dict[str, int] = {root: 0}
+    components: list[tuple[tuple, frozenset, str]] = []
+    edge_stack: list[tuple[str, str]] = []  # sorted node pairs
+    # node, its parent, its neighbours left, the edge stack's height at its tree edge
+    stack = [(root, None, iter(adj[root]), 0)]
+    while stack:
+        v, u, it, mark = stack[-1]
+        for w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                edge_stack.append((v, w) if v < w else (w, v))
+                break
+            if w != u and disc[w] < disc[v]:
+                edge_stack.append((v, w) if v < w else (w, v))
+                low[v] = min(low[v], disc[w])
+        else:
             stack.pop()
-            if stack:
-                u = stack[-1][0]
+            if u is not None:
                 low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # pop the block rooted at tree edge (u, v)
-                    comp = []
-                    least = (u, v) if u < v else (v, u)
-                    while True:
-                        e = edge_stack.pop()
-                        comp.append(frozenset(e))
-                        if e == (u, v):
-                            break
-                        a, b = e
-                        pair = (a, b) if a < b else (b, a)
-                        if pair < least:
-                            least = pair
-                    components.append((least, frozenset(comp)))
-                    if parent[u] is not None or root_children > 1:
-                        cuts.add(u)
-        # isolated nodes produce no blocks
-    return components, frozenset(cuts)
+                if low[v] >= disc[u]:  # the block of tree edge (u, v) closes
+                    comp = edge_stack[mark:]
+                    del edge_stack[mark:]
+                    components.append((min(comp), frozenset(map(frozenset, comp)), u))
+    return components
 
 
 def _classify_block(edges: frozenset) -> Block:
@@ -368,18 +351,24 @@ def block_decomposition(net: PhyloNetwork) -> BlockDecomposition:
     """Blocks and cut vertices, computed once per network and cached.
 
     Blocks are ordered by their least edge (as a sorted node pair); blocks
-    share no edge, so this is the order of their sorted edge lists.
+    share no edge, so this is the order of their sorted edge lists.  Each
+    block keeps its entry, and ``children_first`` lists the blocks in the
+    order the search from leaf 1 closed them.
     """
     cached = net.__dict__.get("_blocks")
     if cached is None:
-        comps, cuts = _biconnected(net)
-        comps.sort(key=lambda c: c[0])
-        blocks = tuple(_classify_block(edges) for _, edges in comps)
+        comps = _biconnected(net)
+        by_edge = sorted(range(len(comps)), key=[c[0] for c in comps].__getitem__)
+        blocks = tuple(_classify_block(comps[c][1]) for c in by_edge)
         blocks_at: dict[str, list[int]] = {}
         for bi, b in enumerate(blocks):
             for v in b.nodes:
                 blocks_at.setdefault(v, []).append(bi)
-        cached = BlockDecomposition(blocks, cuts, blocks_at)
+        entries = tuple(comps[c][2] for c in by_edge)
+        # a cut vertex is an entry that lies in a second block
+        cuts = frozenset(v for v in entries if len(blocks_at[v]) > 1)
+        children_first = tuple(sorted(range(len(comps)), key=by_edge.__getitem__))
+        cached = BlockDecomposition(blocks, cuts, blocks_at, entries, children_first)
         net.__dict__["_blocks"] = cached
     return cached
 
@@ -387,29 +376,35 @@ def block_decomposition(net: PhyloNetwork) -> BlockDecomposition:
 def block_path(net: PhyloNetwork, i: int, j: int) -> list[Block]:
     """Blocks along the block-cut-tree path from leaf i's pendant to leaf j's.
 
-    Their edges are the union of all simple paths between the two leaves.
+    Each leaf climbs from its pendant block to the block's entry, then to
+    the block holding that node as a non-entry node, and so on up to leaf
+    1's node; the path runs up i's chain to the first block or cut vertex
+    on j's chain, then down j's chain.  Their edges are the union of all
+    simple paths between the two leaves.
     """
     leaves = net.leaves
     for label in (i, j):
         if label not in leaves:
             raise SizeMismatchError(f"no leaf {label} in a network on 1..{net.n}")
     decomp = block_decomposition(net)
-    blocks, blocks_at = decomp.blocks, decomp.blocks_at
-    start, goal = blocks_at[leaves[i]][0], blocks_at[leaves[j]][0]
-    # search from j's end, so the links followed back from i run i to j
-    toward_j: dict[int, int | None] = {goal: None}
-    queue = deque([goal])
-    while start not in toward_j:
-        cur = queue.popleft()
-        for v in blocks[cur].nodes:
-            for nb in blocks_at[v]:
-                if nb not in toward_j:
-                    toward_j[nb] = cur
-                    queue.append(nb)
-    path = [start]
-    while toward_j[path[-1]] is not None:
-        path.append(toward_j[path[-1]])
-    return [blocks[bi] for bi in path]
+    blocks, blocks_at, entries = decomp.blocks, decomp.blocks_at, decomp.entries
+
+    def climb(bi: int) -> list:
+        # block indices (ints) alternate with their entries (node ids)
+        chain = [bi]
+        while True:
+            v = entries[chain[-1]]
+            chain.append(v)
+            up = next((b for b in blocks_at[v] if entries[b] != v), None)
+            if up is None:
+                return chain
+            chain.append(up)
+
+    up_i, up_j = climb(blocks_at[leaves[i]][0]), climb(blocks_at[leaves[j]][0])
+    at_j = {x: k for k, x in enumerate(up_j)}
+    meet = next(k for k, x in enumerate(up_i) if x in at_j)
+    path = up_i[: meet + 1] + up_j[: at_j[up_i[meet]]][::-1]
+    return [blocks[x] for x in path if isinstance(x, int)]
 
 
 def _has_triangle(net: PhyloNetwork) -> bool:
@@ -558,10 +553,10 @@ def outward_reading(net: PhyloNetwork) -> dict[str, tuple[int, ...]]:
 
     Computed once per network and cached.  Each reading is the least
     exterior reading of the part hanging beyond its node: subtrees carry
-    disjoint labels, so a junction joins its items' least readings sorted
-    by first label, and a cycle gives the smaller of its two walks.  Dict
-    order is outward: a node comes before every node beyond it.  Requires
-    level <= 1.
+    disjoint labels, so a junction joins its blocks' least readings sorted
+    by first label.  The blocks are read children first, each from its
+    entry: a bridge gives the reading of its far node, and a cycle the
+    smaller of its two walks.  Requires level <= 1.
     """
     cached = net.__dict__.get("_reading")
     if cached is not None:
@@ -569,37 +564,23 @@ def outward_reading(net: PhyloNetwork) -> dict[str, tuple[int, ...]]:
     cls = classify(net)
     if cls.level is None or cls.level > 1:
         raise NotOneNestedError(f"level {cls.level_name} network")
-    blocks, leaf_of_node = cls.blocks, net.leaf_of_node
-    anchor = net.leaves[1]
-    v0 = _leaf_one_neighbor(net)
-    # Outward from leaf 1, every node lists the blocks hanging below it as
-    # runs of nodes (ring order for a cycle); dict order is visit order.
-    walks: dict[str, list[list[str]]] = {}
-    seen, stack = {anchor, v0}, [v0]
-    while stack:
-        v = stack.pop()
-        walks[v] = []
-        for b in (blocks.blocks[bi] for bi in blocks.blocks_at[v]):
-            if b.kind == CYCLE:
-                walk = cycle_node_sequence(b, start=v)[1:]
+    _leaf_one_neighbor(net)  # leaf 1 hangs from one node
+    decomp, leaf_of_node = cls.blocks, net.leaf_of_node
+    # node -> least readings of the blocks whose entry it is
+    hanging: dict[str, list[tuple[int, ...]]] = {}
+    reading: dict[str, tuple[int, ...]] = {}
+    for bi in decomp.children_first:
+        b, r = decomp.blocks[bi], decomp.entries[bi]
+        walk = [*b.nodes - {r}] if b.kind == BRIDGE else cycle_node_sequence(b, r)[1:]
+        for u in walk:  # every block beyond u is read by now
+            if u in leaf_of_node:
+                reading[u] = (leaf_of_node[u],)
             else:
-                walk = list(b.nodes - {v})
-            if walk[0] not in seen:
-                walks[v].append(walk)
-                seen.update(walk)
-                stack.extend(walk)
-
-    reading: dict[str, tuple[int, ...]] = dict.fromkeys(walks, ())
-
-    def read(walk: list[str]) -> tuple[int, ...]:
-        return tuple(x for u in walk for x in reading[u])
-
-    for v in reversed(walks):  # every node after the nodes below it
-        if v in leaf_of_node:
-            reading[v] = (leaf_of_node[v],)
-        else:
-            parts = sorted(min(read(w), read(w[::-1])) for w in walks[v])
-            reading[v] = tuple(x for part in parts for x in part)
+                parts = sorted(hanging.get(u, ()))
+                reading[u] = tuple(x for part in parts for x in part)
+        there = tuple(x for u in walk for x in reading[u])
+        back = tuple(x for u in reversed(walk) for x in reading[u])
+        hanging.setdefault(r, []).append(min(there, back))
     net.__dict__["_reading"] = reading
     return reading
 

@@ -34,6 +34,7 @@ from .errors import (
 from .metrics import (
     DistanceVector,
     _canonical_labels,
+    _entry_index,
     _scaled_values,
     min_path_vector,
     pair_index,
@@ -61,7 +62,8 @@ class XVector:
     entries: tuple[int, ...]
 
     def value(self, i: int, j: int) -> int:
-        return self.entries[pair_index(i, j, self.n)]
+        k = _entry_index(i, j, self.n)
+        return 0 if k is None else self.entries[k]
 
     def dot(self, d: DistanceVector) -> Value:
         if d.n != self.n:

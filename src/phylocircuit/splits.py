@@ -219,25 +219,25 @@ def display_catalog(net: PhyloNetwork) -> dict[Split, list[tuple]]:
     """Every display of every split: ('bridge', edge) or ('pair', block, e, f).
 
     Each side away from leaf 1 is read off :func:`outward_reading`: a
-    bridge shows the reading of its far endpoint, and a pair of cycle edges
-    the readings of the ring nodes between them on the side away from the
-    cycle's root, its node nearest leaf 1.
+    bridge shows the reading of its far node, the one that is not its
+    entry, and a pair of cycle edges the readings of the ring nodes between
+    them on the side away from the cycle's entry, its node nearest leaf 1.
     """
     reading = outward_reading(net)
-    # outward rank: leaf 1's node, then every node in reading order
-    rank = {v: r for r, v in enumerate((net.leaves[1], *reading))}
+    decomp = block_decomposition(net)
     catalog: dict[Split, list[tuple]] = {}
 
     def add(side: Iterable[int], display: tuple) -> None:
         if side:  # a side without leaves displays no split
             catalog.setdefault(Split(side, net.n), []).append(display)
 
-    for block in block_decomposition(net).blocks:
+    for block, entry in zip(decomp.blocks, decomp.entries):
         if block.kind == BRIDGE:
             (e,) = block.edges
-            add(reading[max(e, key=rank.get)], ("bridge", e))
+            (far,) = e - {entry}
+            add(reading[far], ("bridge", e))
         elif block.kind == CYCLE:
-            ring = cycle_node_sequence(block, start=min(block.nodes, key=rank.get))
+            ring = cycle_node_sequence(block, start=entry)
             m = len(ring)
             at = {edge_key(ring[t], ring[(t + 1) % m]): t for t in range(m)}
             for e, f in itertools.combinations(sorted(block.edges, key=sorted), 2):

@@ -651,6 +651,26 @@ def test_precision_below_one_is_usage_error(tmp_path, capsys, precision):
     assert "argument --precision: must be at least 1" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["scan", "--conjecture", "faithful", "--trials", "-2"], "--trials", "-2"),
+        (["scan", "--conjecture", "two-nested", "--trials", "0"], "--trials", "0"),
+        (["jc", "--m", "100", "--curve", "-1"], "--curve", "-1"),
+        (["jc", "--m", "100", "--curve", "0"], "--curve", "0"),
+        (["jc-parallel", "--m", "100", "--curve", "0"], "--curve", "0"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv, name, value):
+    # a count below 1 printed only a header, or said --curve was missing
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {name}: must be at least 1, got {value}" in out.err
+
+
 def test_decompose_json(square_file, tmp_path, capsys):
     out_file = str(tmp_path / "sq.dist")
     run(capsys, "dist", square_file, "-o", out_file)

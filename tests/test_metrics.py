@@ -651,6 +651,18 @@ def test_size_mismatch():
                 circular_decomposition(d, CircularOrder(labels))
 
 
+@pytest.mark.parametrize("one", [F(1), 1.0], ids=["exact", "float"])
+@pytest.mark.parametrize("i, j, label", [(0, 2, 0), (1, 5, 5), (-1, 3, -1), (5, 5, 5)])
+def test_distance_value_names_a_label_outside_the_leaves(one, i, j, label):
+    # pair_index alone read d(2,3) for (0, 2) and (1, 5), and d(1,2) for (-1, 3)
+    d = DistanceVector(4, tuple(one * k for k in range(1, 7)))
+    with pytest.raises(SizeMismatchError) as info:
+        d.value(i, j)
+    assert str(info.value) == f"no leaf {label} in a vector on 1..4"
+    assert [d.value(i, i) for i in (1, 4)] == [0, 0]
+    assert d.value(4, 3) == d.value(3, 4) == 6 * one
+
+
 def test_distance_vector_needs_a_leaf():
     for n in (0, -1):
         with pytest.raises(SizeMismatchError, match="needs a leaf"):

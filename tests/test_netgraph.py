@@ -34,6 +34,7 @@ from phylocircuit.netgraph import (
     classify,
     consistent_orders,
     cycle_node_sequence,
+    edge_key,
     is_binary,
     parse_network,
     validate,
@@ -51,6 +52,7 @@ from fixtures import (
     resistance_between_nodes,
     ring_walk_sorting_each_step,
     ring_with_pendants,
+    scan_networks,
     smooth_degree_two,
     square_with_pendants,
     star,
@@ -423,6 +425,90 @@ def test_blocks_match_sorted_search_oracle(oracle_networks):
         assert got.cut_vertices == cuts
         kinds |= {b.kind for b in got.blocks}
     assert kinds == {BRIDGE, CYCLE, THETA, OTHER}
+
+
+def _hops_from_leaf_one(net):
+    """Edge count from leaf 1's node to every node, by BFS over the graph."""
+    hops = {net.leaves[1]: 0}
+    frontier = [net.leaves[1]]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in net.adjacency[v]:
+                if w not in hops:
+                    hops[w] = hops[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return hops
+
+
+def _check_rooted_search(net):
+    decomp = block_decomposition(net)
+    hops = _hops_from_leaf_one(net)
+    entries = []
+    for block in decomp.blocks:
+        near = min(hops[v] for v in block.nodes)
+        (entry,) = [v for v in block.nodes if hops[v] == near]
+        entries.append(entry)
+    assert decomp.entries == tuple(entries)
+    assert sorted(decomp.children_first) == list(range(len(decomp.blocks)))
+    at = {bi: k for k, bi in enumerate(decomp.children_first)}
+    for bi, entry in enumerate(entries):
+        # the block holding this block's entry as a non-entry node
+        above = [b for b in decomp.blocks_at[entry] if entries[b] != entry]
+        assert len(above) == (entry != net.leaves[1])
+        assert all(at[bi] < at[b] for b in above)
+
+
+def test_block_entries_and_order_match_hop_oracle(oracle_networks):
+    for net in oracle_networks:
+        _check_rooted_search(net)
+
+
+def test_block_entries_and_order_on_seeded_networks():
+    checked = {0: 0, 1: 0, 2: 0}  # by level
+    for net in scan_networks(3201, 140, n_range=(3, 40)):
+        _check_rooted_search(net)
+        checked[classify(net).level] += 1
+    assert checked[0] + checked[1] >= 140 and checked[2] >= 100
+
+
+def test_block_search_without_leaf_one():
+    # non-strict networks: no node at all, and a path whose labels skip 1,
+    # searched from one of its nodes; the two bridges meet at cut vertex a
+    assert block_decomposition(PhyloNetwork.build({}, [], strict=False)).blocks == ()
+    net = PhyloNetwork.build(
+        {2: "x2", 3: "x3"}, [("x2", "a", F(1)), ("a", "x3", F(1))], strict=False
+    )
+    assert block_decomposition(net) == blocks_by_edge_lists(net)
+    assert [b.edges for b in block_path(net, 3, 2)] == [
+        {edge_key("a", "x3")}, {edge_key("a", "x2")}
+    ]
+
+
+def test_one_block_search_per_network(monkeypatch):
+    # the sweep, the readings, the catalog and the block path all read the
+    # blocks of one search of the network's own graph
+    from phylocircuit import metrics, reconstruct
+
+    searched = []
+    search = netgraph._biconnected
+
+    def counting(graph):
+        searched.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(netgraph, "_biconnected", counting)
+    net = random_one_nested(24, random.Random(3202))
+    metrics.resistance_vector(net)
+    metrics.min_path_vector(net)
+    rw = reconstruct.resistance_split_system_direct(net)
+    sigma = splits.displayed_splits(net)
+    splits.CircularSplitSystem.of_order(net.n, sigma, canonical_order(net))
+    reconstruct.invert_to_network(rw)
+    for i in range(1, net.n + 1):
+        block_path(net, i, net.n + 1 - i)
+    assert sum(graph is net for graph in searched) == 1
 
 
 def test_ring_walks_match_oracle_from_every_start(oracle_networks):

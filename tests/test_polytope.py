@@ -19,6 +19,7 @@ from phylocircuit.netgraph import (
     network_to_text,
 )
 from phylocircuit.polytope import (
+    XVector,
     bme_vertices,
     closed_form_count,
     enumerate_binary_one_nested,
@@ -103,6 +104,17 @@ def test_vertex_vector_two_squares_on_one_node():
     assert x.value(1, 3) == 2 * 2 * 2  # a3, b2, the b cycle
     assert x.value(1, 6) == 2 * 2  # a3, b2; both cycles crossed
     assert x.value(2, 4) == 0  # a1 and a3 are not neighbours on their ring
+
+
+def test_xvector_value_checks_labels_and_is_zero_on_the_diagonal():
+    # pair_index alone read x(2,4) for (3, 3) and x(2,3) for (1, 5)
+    x = XVector(4, (1, 2, 3, 4, 5, 6))
+    assert [x.value(i, i) for i in range(1, 5)] == [0, 0, 0, 0]
+    assert (x.value(2, 4), x.value(4, 2), x.value(3, 4)) == (5, 5, 6)
+    for i, j, label in [(1, 5, 5), (0, 2, 0), (-1, 3, -1), (6, 6, 6)]:
+        with pytest.raises(SizeMismatchError) as info:
+            x.value(i, j)
+        assert str(info.value) == f"no leaf {label} in a vector on 1..4"
 
 
 def test_vertex_vector_rejects_level_two():
