@@ -41,7 +41,10 @@ def _load_net(path: str, exact: bool = False) -> netgraph.PhyloNetwork:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse's wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -559,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--search",
         choices=("exact", "heuristic"),
         default="exact",
-        help="exact: try every order (n <= 9), report the first that passes "
-        "or the least maximum violation; heuristic: check NeighborNet's "
-        "order, a Kalmanson order whenever one exists (any n), and fall "
-        "back to exact for n <= 9 when it fails",
+        help="exact: the least order that passes (any n on exact input), else "
+        "try every order (n <= 9) for the least maximum violation; heuristic: "
+        "check NeighborNet's order, a Kalmanson order whenever one exists (any "
+        "n), and fall back to exact for n <= 9 when it fails",
     )
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--exact", action="store_true")

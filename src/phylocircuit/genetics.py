@@ -28,13 +28,14 @@ def jukes_cantor_distance(c: float, m: float) -> float:
     _require_numbers(c=c, m=m)
     if m <= 0:
         raise DomainError("sequence length must be positive")
-    if c > m:
+    r = c / m  # the units cancel, so no product overflows or goes subnormal
+    if r > 1:
         raise DomainError(f"matching sites c={c} exceed length m={m}")
-    if c <= m / 4:
+    if not r > 0.25:  # also when r is NaN, from c = m = inf
         raise DomainError(
             f"c={c} at or below m/4={m / 4}: distance diverges"
         )
-    return 0.75 * math.log(3 * m / (4 * c - m))
+    return 0.75 * math.log(3 / (4 * r - 1))
 
 
 def kimura_distance(p: float, q: float) -> float:
@@ -54,13 +55,13 @@ def jukes_cantor_parallel_sites(c1: float, m: float) -> float:
     """Matching sites after recombining two branches with c1 matches each.
 
     Solves D(c) = D(c1)/2 in closed form:
-    c = m/4 + sqrt(3 (m c1 / 4 - (m/4)^2)).  Fixed points at both domain
-    ends: c1 = m gives m, c1 = m/4 gives m/4.
+    c = m/4 + sqrt(3 (m c1 / 4 - (m/4)^2)) = m (1/4 + sqrt(3 (r/4 - 1/16))),
+    r = c1/m.  Fixed points: c1 = m gives m, c1 = m/4 gives m/4.
     """
     _require_numbers(c1=c1, m=m)
     if m <= 0:
         raise DomainError("sequence length must be positive")
-    if c1 < m / 4 or c1 > m:
+    r = c1 / m  # as in jukes_cantor_distance
+    if not 0.25 <= r <= 1:
         raise DomainError(f"c1={c1} outside [m/4, m]")
-    quarter = m / 4.0
-    return quarter + math.sqrt(3 * (quarter * c1 - quarter * quarter))
+    return m * (0.25 + math.sqrt(3 * (r / 4 - 1 / 16)))

@@ -42,6 +42,7 @@ from .netgraph import (
     PhyloNetwork,
     block_decomposition,
     block_path,
+    canonical_order,
     cycle_node_sequence,
     edge_key,
 )
@@ -55,10 +56,10 @@ def pair_index(i: int, j: int, n: int) -> int:
 
 
 def _entry_index(i: int, j: int, n: int) -> int | None:
-    """pair_index of two labels checked to lie in 1..n; None when i == j."""
+    """pair_index of two int labels in 1..n (no bool); None when i == j."""
     for label in (i, j):
-        if not 1 <= label <= n:
-            raise SizeMismatchError(f"no leaf {label} in a vector on 1..{n}")
+        if isinstance(label, bool) or not isinstance(label, int) or not 1 <= label <= n:
+            raise SizeMismatchError(f"no leaf {label!r} in a vector on 1..{n}")
     return None if i == j else pair_index(i, j, n)
 
 
@@ -548,25 +549,19 @@ def is_kalmanson(
     return KalmansonReport(order=order, violations=violations, equalities=equalities)
 
 
-def _arcs_nonnegative(full: list[list[int]], labels: Sequence[int]) -> bool:
-    """Whether every nontrivial arc of ``labels`` has a nonnegative
-    isolation index, read from the int table ``full`` of _label_table.
-
-    The index of the arc at positions p..q is d(p-1, q) + d(p, q+1) -
-    d(p-1, q+1) - d(p, q), one side of the circular inequality on the
-    quadruple (p-1, p, q, q+1), and each side of the inequality on any
-    quadruple is a sum of such indices.  So on exact input this decides
-    the check in O(n^2) (Christopher, Farach & Trick 1996).  Each split
-    is read once, from the side that misses the last position.
-    """
+def _arc_indices(full: list[list], labels: Sequence[int]) -> Iterator[tuple]:
+    """``(p, q, index)`` for each arc p..q of positions of ``labels`` that
+    misses the last one; it is trivial when q == p or q - p == n - 2.  The
+    index, in the units of ``full`` (_label_table), is d(p-1, q) +
+    d(p, q+1) - d(p-1, q+1) - d(p, q); each side of the circular inequality
+    is a sum of nontrivial ones, so on exact input their signs decide the check
+    (Christopher, Farach & Trick 1996), lazily, to stop at a negative one."""
     n = len(labels)
     for p in range(n - 1):
         before, first = full[labels[p - 1]], full[labels[p]]
-        for q in range(p + 1, n - 1 if p else n - 2):
+        for q in range(p, n - 1):
             x, y = labels[q], labels[q + 1]
-            if before[x] + first[y] < before[y] + first[x]:
-                return False
-    return True
+            yield p, q, before[x] + first[y] - before[y] - first[x]
 
 
 @dataclass(frozen=True)
@@ -592,6 +587,23 @@ def _canonical_labels(n: int) -> Iterator[tuple[int, ...]]:
     for perm in itertools.permutations(range(2, n + 1)):
         if n < 3 or perm[0] < perm[-1]:
             yield (1,) + perm
+
+
+def _canonical_rank(labels: Sequence[int]) -> int:
+    """Place of canonical ``labels`` in _canonical_labels, from 1, in O(n^2):
+    each c < l_k left at position k skips (left - 2)! middles for each last
+    label left above l_1 but c (above c at k = 1)."""
+    rest, rank, low = sorted(labels[1:]), 1, 0
+    for k in range(1, len(labels) - 1):
+        s, i = len(rest), rest.index(labels[k])  # i: the labels left below l_k
+        if k == 1:  # the last label is any one above c
+            passed, low = i * (s - 1) - i * (i - 1) // 2, i
+        else:  # any one above l_1 (low of those left lie below it) but c
+            passed = i * (s - low) - max(0, i - low)
+            low -= labels[k] < labels[1]
+        rank += passed * math.factorial(s - 2)
+        del rest[i]
+    return rank
 
 
 #: reductions between two growths of the exact NeighborNet tables; 3^16 <
@@ -783,11 +795,18 @@ def find_kalmanson_order(
     falls back to the exhaustive search; above that the order is reported
     with its maximum violation.
 
-    Exact mode enumerates the (n-1)!/2 canonical orders lexicographically
-    (n <= 9) and returns the first that passes, or, when none does, the
-    first order with the least maximum violation.  On exact input a
-    passing NeighborNet order first tells whether an order exists; if one
-    does, each order is checked by the O(n^2) sign test of its arcs.
+    Exact mode returns the least passing canonical order and, as
+    ``orders_checked``, its place in their lexicographic enumeration, or,
+    when none passes, the first with the least maximum violation.  On exact
+    input with a passing NeighborNet order it is built at any n: there the
+    nontrivial arcs of positive index are the d-splits (Bandelt & Dress
+    1992), the same on every passing order, and an order passes exactly
+    when each is one of its arcs; the orders that keep a circular system's
+    splits contiguous are the consistent orders of its rebuild, its PC-tree
+    (Hsu & McConnell 2003: junctions are P-nodes, cycles C-nodes), and
+    canonical_order is the least.  The rebuild takes every trivial arc,
+    whatever its sign.  Else the orders are scanned in turn (n <= 9, else
+    TooLargeForExactError).
 
     The vector is read once: one table from _label_table serves
     NeighborNet, the sign test and the scans.
@@ -802,18 +821,23 @@ def find_kalmanson_order(
     if n <= 3:
         order = CircularOrder(tuple(range(1, n + 1)))
         return OrderSearchResult(order, order, Fraction(0), 1)
-    if mode == "exact" and n > 9:
-        raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
     full, scale = _label_table(d)
     # on exact input the NeighborNet order passes exactly when some order does
     order = _neighbor_net_order(d, full, exact) if mode == "heuristic" or exact else None
-    if exact and _arcs_nonnegative(full, order.labels):
+    arcs = _arc_indices(full, order.labels) if exact else ()
+    if exact and all(index >= 0 for p, q, index in arcs if p < q < p + n - 2):
         if mode == "heuristic":
             return OrderSearchResult(order, order, Fraction(0), 1)
-        for checked, labels in enumerate(_canonical_labels(n), start=1):
-            if _arcs_nonnegative(full, labels):
-                order = CircularOrder(labels)
-                return OrderSearchResult(order, order, Fraction(0), checked)
+        from .splits import CircularSplitSystem, Split, network_from_splits
+        kept = {
+            Split(order.labels[p : q + 1], n): None
+            for p, q, index in _arc_indices(full, order.labels)
+            if index > 0 or not p < q < p + n - 2
+        }
+        system = CircularSplitSystem.of_order(n, kept, order)
+        order = canonical_order(network_from_splits(system))
+        rank = _canonical_rank(order.labels)
+        return OrderSearchResult(order, order, Fraction(0), rank)
     if mode == "heuristic" and (n > 9 or not exact):
         worst = _worst_excess(full, order.labels, eps)
         if worst is None:
@@ -822,6 +846,8 @@ def find_kalmanson_order(
             return OrderSearchResult(
                 None, order, Fraction(worst, scale) if exact else worst, 1
             )
+    if n > 9:
+        raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
     # no order passes on exact input; float input is checked order by order
     best_labels, best_excess = None, None
     for checked, labels in enumerate(_canonical_labels(n), start=1):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .metrics import (
     DistanceVector,
+    _arc_indices,
     _check_order,
     _check_positive,
     _label_table,
@@ -69,17 +70,16 @@ def circular_decomposition(
 ) -> DecompositionResult:
     """Unique weighted circular split system reproducing ``d``.
 
-    The split isolating the consecutive arc x_i..x_j gets weight
-    (d(x_{i-1},x_j) + d(x_i,x_{j+1}) - d(x_{i-1},x_{j+1}) - d(x_i,x_j)) / 2,
-    its isolation index.  Zero-weight splits are dropped.  On exact input
-    the arcs are the check: a negative nontrivial index is a violated
-    circular inequality, and only then is the quadruple scan run, to name
-    the first violation; float input is scanned first, within the
+    The split of a consecutive arc weighs its isolation index, half the
+    index of metrics._arc_indices; zero-weight splits are dropped.  On
+    exact input the arcs are the check: a negative nontrivial index is a
+    violated circular inequality, and only then is the quadruple scan run,
+    to name the first violation; float input is scanned first, within the
     tolerance.  Raises NotKalmanson (with that first violating quadruple)
     when the inequality fails, else NegativeSplitWeight when a trivial
-    split weighs less than zero (less than minus the tolerance for
-    float).  The splits of one order form a basis, so the exact residual
-    is 0.  Float input has one: it drops arc weights at or below
+    split weighs less than zero (less than minus the tolerance for float).
+    The splits of one order form a basis, so the exact residual is 0.
+    Float input has one: it drops arc weights at or below
     ``rational.tolerance(d.values)`` as rounding noise, a floor that an
     explicit ``tol`` does not move.
     """
@@ -96,20 +96,15 @@ def circular_decomposition(
     floor = 0 if exact else tolerance(d.values)
     kept: dict[Split, Value] = {}
     negative = None
-    # each split once, from the side p..q that misses the last position
-    for p in range(n - 1):
-        before, first = full[labels[p - 1]], full[labels[p]]
-        for q in range(p, n - 1):
-            x, y = labels[q], labels[q + 1]
-            index = before[x] + first[y] - before[y] - first[x]
-            w = Fraction(index, 2 * scale) if exact else 0.5 * index
-            if w < -eps:
-                if q == p or q - p == n - 2:
-                    negative = negative or (Split(labels[p : q + 1], n), w)
-                elif exact:
-                    raise NotKalmansonError(*is_kalmanson(d, order).violations[0])
-            elif w > floor:
-                kept[Split(labels[p : q + 1], n)] = w
+    for p, q, index in _arc_indices(full, labels):
+        w = Fraction(index, 2 * scale) if exact else 0.5 * index
+        if w < -eps:
+            if not p < q < p + n - 2:
+                negative = negative or (Split(labels[p : q + 1], n), w)
+            elif exact:
+                raise NotKalmansonError(*is_kalmanson(d, order).violations[0])
+        elif w > floor:
+            kept[Split(labels[p : q + 1], n)] = w
     if negative:
         raise NegativeSplitWeightError(*negative)
     system = CircularSplitSystem.of_order(n, kept, order)

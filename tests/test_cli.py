@@ -671,6 +671,26 @@ def test_counts_below_one_are_usage_errors(capsys, argv, name, value):
     assert f"argument {name}: must be at least 1, got {value}" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--precision", "x", "jc", "--m", "100", "--c", "26"], "--precision"),
+        (["scan", "--conjecture", "faithful", "--trials", "x"], "--trials"),
+        (["jc", "--m", "10", "--curve", "x"], "--curve"),
+        (["jc-parallel", "--m", "10", "--curve", "2.5"], "--curve"),
+    ],
+)
+def test_counts_that_are_not_integers_are_usage_errors(capsys, argv, name):
+    # argparse named the type function: "invalid _positive_int value"
+    value = argv[argv.index(name) + 1]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {name}: invalid int value: {value!r}\n" in out.err
+
+
 def test_decompose_json(square_file, tmp_path, capsys):
     out_file = str(tmp_path / "sq.dist")
     run(capsys, "dist", square_file, "-o", out_file)

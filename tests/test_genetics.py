@@ -91,6 +91,8 @@ def test_infinite_arguments_are_domain_errors(inf):
         (kimura_distance, (0.1, inf)),
         (jukes_cantor_parallel_sites, (inf, 100.0)),
         (jukes_cantor_parallel_sites, (62.5, inf)),
+        (jukes_cantor_distance, (inf, inf)),
+        (jukes_cantor_parallel_sites, (inf, inf)),
     ):
         with pytest.raises(DomainError):
             formula(*args)
@@ -134,3 +136,45 @@ def test_parallel_sites_monotone(c1):
     a = jukes_cantor_parallel_sites(c1, m)
     b = jukes_cantor_parallel_sites(c1 + 0.1, m)
     assert b > a
+
+
+def test_answers_do_not_depend_on_units():
+    # 3m, 4c and (m/4) c1 overflowed near the float maximum (D: nan at
+    # m = 1e308) and lost every digit at subnormal sizes; the ratio c/m
+    # of two scaled values is the unscaled one, bit for bit
+    distance = jukes_cantor_distance(26.0, 100.0)
+    parallel = jukes_cantor_parallel_sites(62.5, 100.0)
+    for k in range(-1070, 1017):
+        m = math.ldexp(100.0, k)
+        assert jukes_cantor_distance(math.ldexp(26.0, k), m) == distance, k
+        assert jukes_cantor_parallel_sites(math.ldexp(62.5, k), m) == math.ldexp(
+            parallel, k
+        ), k
+
+
+_BIG = 1.7976931348623157e308
+
+
+@given(
+    st.floats(min_value=5e-324, max_value=_BIG),
+    st.floats(min_value=0.25, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_no_finite_input_in_the_domain_gives_nan(m, share):
+    c = m * share
+    for formula in (jukes_cantor_distance, jukes_cantor_parallel_sites):
+        try:
+            value = formula(c, m)
+        except DomainError:
+            continue
+        assert math.isfinite(value), (formula, c, m)
+
+
+def test_extreme_units_keep_the_answer():
+    assert jukes_cantor_distance(9e307, 1e308) == jukes_cantor_distance(9, 10)
+    assert jukes_cantor_distance(_BIG, _BIG) == 0
+    assert jukes_cantor_parallel_sites(_BIG, _BIG) == _BIG
+    assert jukes_cantor_parallel_sites(3e307, 4e307) == pytest.approx(3.449489743e307)
+    # the least answer is m/4 = 1e-320; the old form gave 9.9999e-321
+    low = jukes_cantor_parallel_sites(3e-320, 4e-320)
+    assert low == pytest.approx(3.449e-320, rel=1e-3)

@@ -663,6 +663,20 @@ def test_distance_value_names_a_label_outside_the_leaves(one, i, j, label):
     assert d.value(4, 3) == d.value(3, 4) == 6 * one
 
 
+@pytest.mark.parametrize("one", [F(1), 1.0], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "i, j, label",
+    [(1.5, 2, 1.5), (1, 2.0, 2.0), ("1", 2, "1"), (True, 2, True), (2, 2.0, 2.0)],
+)
+def test_distance_value_names_a_label_that_is_not_an_int(one, i, j, label):
+    # a float or str label raised a bare TypeError, True read leaf 1 and
+    # (2, 2.0) read the diagonal
+    d = DistanceVector(4, tuple(one * k for k in range(1, 7)))
+    with pytest.raises(SizeMismatchError) as info:
+        d.value(i, j)
+    assert str(info.value) == f"no leaf {label!r} in a vector on 1..4"
+
+
 def test_distance_vector_needs_a_leaf():
     for n in (0, -1):
         with pytest.raises(SizeMismatchError, match="needs a leaf"):
@@ -698,10 +712,25 @@ def test_zero_tolerance_is_allowed():
     assert circular_decomposition(d, order, 0).residual <= tolerance(d.values)
 
 
+def _k33_ten_leaves():
+    """K3,3 with a leaf on every node and a second leaf on four of them: 10
+    leaves and no Kalmanson order."""
+    core = ["r1", "r2", "r3", "b1", "b2", "b3"]
+    edges = [(r, b, F(1)) for r in core[:3] for b in core[3:]]
+    edges += [(f"x{i}", v, F(1)) for i, v in enumerate(core + core[:4], start=1)]
+    return PhyloNetwork.build({i: f"x{i}" for i in range(1, 11)}, edges)
+
+
 def test_exact_search_cap():
-    d = DistanceVector(10, tuple(F(1) for _ in range(45)))
-    with pytest.raises(TooLargeForExactError):
-        find_kalmanson_order(d, mode="exact")
+    # the cap guards only the exhaustive scan: exact input with no order,
+    # and float input; exact Kalmanson input gets its least order built
+    ones = DistanceVector(10, tuple(F(1) for _ in range(45)))
+    for d in (resistance_vector(_k33_ten_leaves()), ones.as_floats()):
+        with pytest.raises(TooLargeForExactError):
+            find_kalmanson_order(d, mode="exact")
+    order = CircularOrder(tuple(range(1, 11)))
+    result = find_kalmanson_order(ones, "exact")
+    assert result == OrderSearchResult(order, order, F(0), 1)
 
 
 def test_heuristic_search_on_resistance_metric():
@@ -715,13 +744,8 @@ def test_heuristic_search_on_resistance_metric():
 
 
 def test_heuristic_search_miss_above_exhaustive_cap():
-    # K3,3 with a leaf on every node and a second leaf on four of them: 10
-    # leaves, no Kalmanson order, so the failed chain is the one order checked
-    core = ["r1", "r2", "r3", "b1", "b2", "b3"]
-    edges = [(r, b, F(1)) for r in core[:3] for b in core[3:]]
-    edges += [(f"x{i}", v, F(1)) for i, v in enumerate(core + core[:4], start=1)]
-    net = PhyloNetwork.build({i: f"x{i}" for i in range(1, 11)}, edges)
-    d = resistance_vector(net)
+    # no Kalmanson order, so the failed chain is the one order checked
+    d = resistance_vector(_k33_ten_leaves())
     result = find_kalmanson_order(d, mode="heuristic")
     assert not result.found
     assert result.orders_checked == 1
@@ -955,10 +979,71 @@ def test_sign_test_matches_scan():
         if not d.is_exact:
             continue
         full, _ = metrics._label_table(d)
-        passed = metrics._arcs_nonnegative(full, order.labels)
+        passed = all(
+            index >= 0
+            for p, q, index in metrics._arc_indices(full, order.labels)
+            if p < q < p + d.n - 2
+        )
         assert passed == is_kalmanson(d, order).passed
         seen[passed] += 1
     assert min(seen.values()) >= 100
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_canonical_rank_is_the_enumeration_position(n):
+    for position, labels in enumerate(metrics._canonical_labels(n), start=1):
+        assert metrics._canonical_rank(labels) == position
+
+
+def _relabelled_network(net, rng):
+    perm = list(range(1, net.n + 1))
+    rng.shuffle(perm)
+    leaves = {perm[label - 1]: node for label, node in net.leaves.items()}
+    return PhyloNetwork.build(leaves, list(net.edge_items))
+
+
+@pytest.mark.parametrize("n", [10, 13, 24, 48, 128])
+def test_exact_search_builds_the_network_order_above_nine(n):
+    # the resistance splits of a level-1 network are its displayed splits,
+    # so the least Kalmanson order is the network's own canonical order
+    for binary in (True, False):
+        rng = random.Random(100 * n + binary)
+        net = _relabelled_network(random_one_nested(n, rng, binary=binary), rng)
+        order = canonical_order(net)
+        result = find_kalmanson_order(resistance_vector(net), "exact")
+        assert result == OrderSearchResult(
+            order, order, F(0), metrics._canonical_rank(order.labels)
+        )
+
+
+def _zero_pendant(net, rng):
+    """``net`` with the pendant edge of one leaf set to weight 0."""
+    node = net.leaves[rng.randint(1, net.n)]
+    edges = [(u, v, F(0) if node in (u, v) else w) for u, v, w in net.edge_items]
+    return PhyloNetwork.build(net.leaves, edges)
+
+
+def test_exact_search_matches_oracle_on_non_metrics_and_zero_pendants():
+    # negative trivial indices (d + a_x + a_y with a < 0) and zero trivial
+    # splits still go into the rebuild that gives the least order
+    rng = random.Random(73)
+    kinds = {"shifted": 0, "zero pendant": 0}
+    for k in range(16):
+        net = random_one_nested(rng.randint(4, 7 if k % 4 else 8), rng)
+        if k % 2:
+            d = _relabelled(min_path_vector(_zero_pendant(net, rng)), rng)
+            kind = "zero pendant"
+        else:
+            base = _relabelled(resistance_vector(net), rng)
+            a = [None] + [F(-rng.randint(1, 40), 3) for _ in range(net.n)]
+            d = _shifted(base, a)
+            assert min(d.values) < 0
+            kind = "shifted"
+        result = find_kalmanson_order(d, "exact")
+        assert result.found
+        assert result == _search_oracle(d)
+        kinds[kind] += 1
+    assert min(kinds.values()) == 8
 
 
 def test_neighbor_net_order_ignores_added_leaf_terms():

@@ -115,6 +115,12 @@ def test_xvector_value_checks_labels_and_is_zero_on_the_diagonal():
         with pytest.raises(SizeMismatchError) as info:
             x.value(i, j)
         assert str(info.value) == f"no leaf {label} in a vector on 1..4"
+    # nor a label that is not an int: these raised a bare TypeError, read
+    # leaf 1 for True, or read the diagonal
+    for i, j, label in [(1.5, 2, 1.5), ("1", 2, "1"), (True, 2, True), (2, 2.0, 2.0)]:
+        with pytest.raises(SizeMismatchError) as info:
+            x.value(i, j)
+        assert str(info.value) == f"no leaf {label!r} in a vector on 1..4"
 
 
 def test_vertex_vector_rejects_level_two():
