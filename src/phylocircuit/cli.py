@@ -36,10 +36,6 @@ def _emit(args, text_lines, json_obj) -> None:
             print(line)
 
 
-def _load_net(path: str, exact: bool = False) -> netgraph.PhyloNetwork:
-    return netgraph.load_network(path, exact)
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -62,7 +58,7 @@ def _order_from_arg(text: str) -> netgraph.CircularOrder:
 
 
 def cmd_validate(args) -> int:
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     _emit(
         args,
         [
@@ -80,7 +76,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     cls = netgraph.classify(net)
     b = netgraph.bridges(net)
     kinds = {}
@@ -112,7 +108,7 @@ def cmd_classify(args) -> int:
 def cmd_dist(args) -> int:
     from . import metrics
 
-    net = _load_net(args.network, args.exact)
+    net = netgraph.load_network(args.network, args.exact)
     if args.metric == "resistance":
         d = metrics.resistance_vector(net)
     else:
@@ -234,7 +230,7 @@ def cmd_decompose(args) -> int:
 def cmd_rw(args) -> int:
     from . import reconstruct
 
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     system = reconstruct.resistance_split_system_direct(net)
     return _emit_system(args, system)
 
@@ -242,7 +238,7 @@ def cmd_rw(args) -> int:
 def cmd_sw(args) -> int:
     from . import reconstruct
 
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     system = reconstruct.min_path_split_system(net)
     return _emit_system(args, system)
 
@@ -250,7 +246,7 @@ def cmd_sw(args) -> int:
 def cmd_sigma(args) -> int:
     from . import splits
 
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     system = splits.displayed_splits(net)
     order = netgraph.canonical_order(net)
     return _emit_system(args, splits.CircularSplitSystem.of_order(net.n, system, order))
@@ -286,7 +282,7 @@ def cmd_invert(args) -> int:
 def cmd_xvector(args) -> int:
     from . import metrics, polytope
 
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     x = polytope.vertex_vector(net)
     pairs = [
         [i, j, x.value(i, j)] for i, j in metrics.pair_iter(net.n)
@@ -324,7 +320,7 @@ def cmd_bme_min(args) -> int:
 def cmd_verify_face(args) -> int:
     from . import polytope
 
-    net = _load_net(args.network)
+    net = netgraph.load_network(args.network)
     report = polytope.face_minimization_report(net, args.metric)
     ok = report.argmin_matches_refinements and report.identity_holds
     lines = [

@@ -46,7 +46,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import Value, format_value, parse_value, tolerance, values_close
+from .rational import REL_TOL, Value, format_value, parse_value, tolerance, values_close
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -499,20 +499,20 @@ def _scan(rows: list[list], eps: Value) -> tuple[list[tuple], int]:
     return violations, equalities
 
 
-def _tolerance(d: DistanceVector, tol: float | None, exact: bool) -> Value:
-    """The absolute tolerance of a check: 0 for exact ``d`` (``exact`` is
-    ``d.is_exact``, which every caller reads anyway), else ``tol``
-    (in the units of the distances) or ``rational.tolerance(d.values)``,
-    REL_TOL times the largest |distance|.  A NaN tolerance would pass every
-    comparison and a negative one would turn ties into violations, so
-    ``tol`` must be finite and nonnegative; a float ``d`` must be finite
-    even when ``tol`` is given."""
+def _tolerance(d: DistanceVector, tol: float | None, exact: bool) -> tuple[Value, Value]:
+    """The absolute tolerance of a check and the floor, REL_TOL times the
+    largest |distance| (``rational.tolerance(d.values)``).  Both are 0 for
+    exact ``d`` (``exact`` is ``d.is_exact``, which every caller reads);
+    on float ``d`` the tolerance is ``tol``, in the units of the distances,
+    or else the floor.  A NaN tolerance would pass every comparison and a
+    negative one would turn ties into violations, so ``tol`` must be finite
+    and nonnegative; a float ``d`` must be finite even when ``tol`` is given."""
     if tol is not None and not 0 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
     if exact:
-        return 0
-    default = tolerance(d.values)
-    return default if tol is None else tol
+        return 0, 0
+    floor = tolerance(d.values)
+    return (floor if tol is None else tol), floor
 
 
 def _check_order(d: DistanceVector, order: CircularOrder) -> None:
@@ -534,7 +534,7 @@ def is_kalmanson(
     or within an explicit absolute ``tol``.
     """
     exact = d.is_exact
-    eps = _tolerance(d, tol, exact)
+    eps, _ = _tolerance(d, tol, exact)
     _check_order(d, order)
     full, scale = _label_table(d)
     labels = order.labels
@@ -554,14 +554,28 @@ def _arc_indices(full: list[list], labels: Sequence[int]) -> Iterator[tuple]:
     misses the last one; it is trivial when q == p or q - p == n - 2.  The
     index, in the units of ``full`` (_label_table), is d(p-1, q) +
     d(p, q+1) - d(p-1, q+1) - d(p, q); each side of the circular inequality
-    is a sum of nontrivial ones, so on exact input their signs decide the check
-    (Christopher, Farach & Trick 1996), lazily, to stop at a negative one."""
+    is a sum of nontrivial ones (Christopher, Farach & Trick 1996), so the
+    least of them settles most checks (_settled_by_arcs)."""
     n = len(labels)
     for p in range(n - 1):
         before, first = full[labels[p - 1]], full[labels[p]]
         for q in range(p, n - 1):
             x, y = labels[q], labels[q + 1]
             yield p, q, before[x] + first[y] - before[y] - first[x]
+
+
+def _settled_by_arcs(least: Value, n: int, eps: Value, floor: Value) -> bool:
+    """Whether an order with least nontrivial index ``least`` (_arc_indices) passes
+    within ``eps`` as the scan would.  The arcs are a basis, d = sum (index/2) delta.
+    At positions a < b < c < e, with S = d_ac + d_be, L = d_ab + d_ce, R = d_bc + d_ae,
+    S - R sums the indexes of the arcs holding b, c but not a, e and S - L those of a, b
+    against c, e: at most r = floor((n-1)/2) ceil((n-1)/2) nontrivial ones, so indexes
+    of at least -eps/r leave no excess max(L, R) - S above eps.  With u = 2^-53 and m =
+    max |d| = ``floor`` / REL_TOL, a float index is off by at most 12um (three roundings
+    of four entries) and the scan's excess by 8um: the slack is (eps - 8um)/r - 12um, 0
+    on exact input (the sign test), below 0 for a tiny eps."""
+    u, m = 2.0**-53, floor / REL_TOL
+    return least >= 12 * u * m - (eps - 8 * u * m) / ((n - 1) ** 2 // 4 or 1)
 
 
 @dataclass(frozen=True)
@@ -782,18 +796,18 @@ def find_kalmanson_order(
     """Search for a circular order under which ``d`` passes the check.
 
     Heuristic mode takes the order of NeighborNet's agglomeration
-    (_neighbor_net_order) and checks only that one: by the O(n^2) sign
-    test on exact input, by the quadruple scan within the tolerance on
-    float input.  For a Kalmanson metric that order is a Kalmanson order
-    (Bryant, Moulton & Spillner 2007, "Consistency of the Neighbor-Net
-    algorithm").  The same holds for every Kalmanson vector, metric or
-    not: d(x, y) += a_x + a_y changes neither NeighborNet's choices (Q and
-    its node form move by one constant per round, and the reductions carry
-    the terms along) nor the circular inequality, and a large enough a
-    makes any vector a metric.  So on exact input a miss means that no
-    order exists, decided in O(n^3) at any n.  When the order fails, n <= 9
-    falls back to the exhaustive search; above that the order is reported
-    with its maximum violation.
+    (_neighbor_net_order) and checks only that one: its arc indexes settle
+    the check in O(n^2) (_settled_by_arcs), and an order they leave open is
+    scanned within the tolerance.  For a Kalmanson metric that order is a
+    Kalmanson order (Bryant, Moulton & Spillner 2007, "Consistency of the
+    Neighbor-Net algorithm").  The same holds for every Kalmanson vector,
+    metric or not: d(x, y) += a_x + a_y changes neither NeighborNet's
+    choices (Q and its node form move by one constant per round, and the
+    reductions carry the terms along) nor the circular inequality, and a
+    large enough a makes any vector a metric.  So on exact input a miss
+    means that no order exists, decided in O(n^3) at any n.  When the order
+    fails, n <= 9 falls back to the exhaustive search; above that the order
+    is reported with its maximum violation.
 
     Exact mode returns the least passing canonical order and, as
     ``orders_checked``, its place in their lexicographic enumeration, or,
@@ -809,14 +823,14 @@ def find_kalmanson_order(
     TooLargeForExactError).
 
     The vector is read once: one table from _label_table serves
-    NeighborNet, the sign test and the scans.
+    NeighborNet, the arc indexes and the scans.
     """
     if mode not in ("exact", "heuristic"):
         raise ValidationError(
             f"unknown search mode {mode!r}; expected 'exact' or 'heuristic'"
         )
     exact = d.is_exact
-    eps = _tolerance(d, tol, exact)
+    eps, floor = _tolerance(d, tol, exact)
     n = d.n
     if n <= 3:
         order = CircularOrder(tuple(range(1, n + 1)))
@@ -824,8 +838,9 @@ def find_kalmanson_order(
     full, scale = _label_table(d)
     # on exact input the NeighborNet order passes exactly when some order does
     order = _neighbor_net_order(d, full, exact) if mode == "heuristic" or exact else None
-    arcs = _arc_indices(full, order.labels) if exact else ()
-    if exact and all(index >= 0 for p, q, index in arcs if p < q < p + n - 2):
+    arcs = _arc_indices(full, order.labels) if order is not None else ()
+    least = min((i for p, q, i in arcs if p < q < p + n - 2), default=-math.inf)
+    if _settled_by_arcs(least, n, eps, floor):
         if mode == "heuristic":
             return OrderSearchResult(order, order, Fraction(0), 1)
         from .splits import CircularSplitSystem, Split, network_from_splits

@@ -33,6 +33,7 @@ from .metrics import (
     _check_order,
     _check_positive,
     _label_table,
+    _settled_by_arcs,
     _tolerance,
     find_kalmanson_order,
     is_kalmanson,
@@ -47,7 +48,7 @@ from .netgraph import (
     cycle_node_sequence,
     edge_key,
 )
-from .rational import Value, tolerance, values_close
+from .rational import Value, values_close
 from .splits import (
     CircularSplitSystem,
     Split,
@@ -71,40 +72,36 @@ def circular_decomposition(
     """Unique weighted circular split system reproducing ``d``.
 
     The split of a consecutive arc weighs its isolation index, half the
-    index of metrics._arc_indices; zero-weight splits are dropped.  On
-    exact input the arcs are the check: a negative nontrivial index is a
-    violated circular inequality, and only then is the quadruple scan run,
-    to name the first violation; float input is scanned first, within the
-    tolerance.  Raises NotKalmanson (with that first violating quadruple)
-    when the inequality fails, else NegativeSplitWeight when a trivial
-    split weighs less than zero (less than minus the tolerance for float).
-    The splits of one order form a basis, so the exact residual is 0.
-    Float input has one: it drops arc weights at or below
-    ``rational.tolerance(d.values)`` as rounding noise, a floor that an
-    explicit ``tol`` does not move.
+    index of metrics._arc_indices; zero-weight splits are dropped.  The
+    least nontrivial index settles the check (metrics._settled_by_arcs),
+    and only an order it leaves open is scanned, within the tolerance.
+    Raises NotKalmanson (with the first violating quadruple) when the
+    inequality fails, else NegativeSplitWeight when a trivial split weighs
+    less than zero (less than minus the tolerance for float).  The splits
+    of one order form a basis, so the exact residual is 0.  Float input has
+    one: it drops arc weights at or below ``rational.tolerance(d.values)``
+    as rounding noise, a floor that an explicit ``tol`` does not move.
     """
     exact = d.is_exact
-    eps = _tolerance(d, tol, exact)
+    eps, floor = _tolerance(d, tol, exact)
     _check_order(d, order)
-    if not exact:
-        violations = is_kalmanson(d, order, tol).violations
-        if violations:
-            raise NotKalmansonError(*violations[0])
     full, scale = _label_table(d)
     labels = order.labels
     n = d.n
-    floor = 0 if exact else tolerance(d.values)
     kept: dict[Split, Value] = {}
-    negative = None
+    negative, least = None, math.inf
     for p, q, index in _arc_indices(full, labels):
         w = Fraction(index, 2 * scale) if exact else 0.5 * index
-        if w < -eps:
-            if not p < q < p + n - 2:
-                negative = negative or (Split(labels[p : q + 1], n), w)
-            elif exact:
-                raise NotKalmansonError(*is_kalmanson(d, order).violations[0])
-        elif w > floor:
+        if p < q < p + n - 2:
+            least = min(least, index)
+        elif w < -eps:
+            negative = negative or (Split(labels[p : q + 1], n), w)
+        if w > floor:
             kept[Split(labels[p : q + 1], n)] = w
+    if not _settled_by_arcs(least, n, eps, floor):
+        violations = is_kalmanson(d, order, tol).violations
+        if violations:
+            raise NotKalmansonError(*violations[0])
     if negative:
         raise NegativeSplitWeightError(*negative)
     system = CircularSplitSystem.of_order(n, kept, order)

@@ -285,7 +285,10 @@ def crosses(s1: Split, s2: Split) -> bool:
 
 def _crossing_classes(spans: Sequence[tuple[int, int]]) -> list[list[int]]:
     """Indices of the spans grouped into classes of transitively crossing
-    arcs (overlapping, neither holding the other), each in index order."""
+    arcs (overlapping, neither holding the other), each in index order.  A
+    sweep over the ends (opens, outer first, before closes, inner first)
+    stacks the groups with open spans.  As span i closes, the groups above its
+    own hold open spans opened after i, which cross i, so they join its group."""
     parent = list(range(len(spans)))
 
     def find(x):
@@ -294,12 +297,21 @@ def _crossing_classes(spans: Sequence[tuple[int, int]]) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for i, j in itertools.combinations(range(len(spans)), 2):
-        (lo1, hi1), (lo2, hi2) = spans[i], spans[j]
-        overlap = not (hi1 < lo2 or hi2 < lo1)
-        nested = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
-        if overlap and not nested:
-            parent[find(i)] = find(j)
+    ends = [(lo, 0, -hi, i) for i, (lo, hi) in enumerate(spans)]
+    ends += [(hi, 1, -lo, -i) for i, (lo, hi) in enumerate(spans)]
+    stack: list[tuple[int, int]] = []
+    depth = [0] * len(spans)  # a root's place in the stack
+    for _, closes, _, i in sorted(ends):
+        if not closes:
+            depth[i] = len(stack)
+            stack.append((i, 1))
+            continue
+        k = depth[find(-i)]
+        root = stack[k][0]
+        for other, _ in stack[k + 1 :]:
+            parent[other] = root
+        count = sum(c for _, c in stack[k:]) - 1
+        stack[k:] = [(root, count)] if count else []
     groups: dict[int, list[int]] = {}
     for i in range(len(spans)):
         groups.setdefault(find(i), []).append(i)

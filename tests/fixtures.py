@@ -8,12 +8,20 @@ from math import lcm
 
 import numpy as np
 
-from phylocircuit.errors import NotOneNestedError
+from phylocircuit import metrics
+from phylocircuit.errors import (
+    NegativeSplitWeightError,
+    NotKalmansonError,
+    NotOneNestedError,
+    TooLargeForExactError,
+)
 from phylocircuit.metrics import (
     DistanceVector,
+    OrderSearchResult,
     _canonical_labels,
     _label_table,
     _ring_positions,
+    is_kalmanson,
     min_path_vector,
     pair_iter,
     resistance_vector,
@@ -35,9 +43,14 @@ from phylocircuit.netgraph import (
     validate,
 )
 from phylocircuit.randomnet import random_one_nested
-from phylocircuit.rational import format_value
-from phylocircuit.reconstruct import circular_decomposition
-from phylocircuit.splits import Split
+from phylocircuit.rational import format_value, tolerance
+from phylocircuit.reconstruct import DecompositionResult, circular_decomposition
+from phylocircuit.splits import (
+    CircularSplitSystem,
+    Split,
+    network_from_splits,
+    split_metric,
+)
 
 F = Fraction
 
@@ -827,3 +840,116 @@ def without_edge(net: PhyloNetwork, u: str, v: str, smooth: bool = True) -> Phyl
     edges = [(a, b, w) for a, b, w in net.edge_items if edge_key(a, b) != key]
     net = PhyloNetwork.build(net.leaves, edges, strict=False)
     return smooth_degree_two(net) if smooth else net
+
+
+def crossing_classes_by_pairs(spans) -> list[list[int]]:
+    """The oracle for ``splits._crossing_classes``: every pair of spans is
+    tested, and crossing ones (overlapping, neither holding the other) are
+    united, in O(S^2)."""
+    parent = list(range(len(spans)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(len(spans)), 2):
+        (lo1, hi1), (lo2, hi2) = spans[i], spans[j]
+        overlap = not (hi1 < lo2 or hi2 < lo1)
+        nested = (lo1 <= lo2 and hi2 <= hi1) or (lo2 <= lo1 and hi1 <= hi2)
+        if overlap and not nested:
+            parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(spans)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def kalmanson_order_by_routes(d: DistanceVector, mode: str = "exact", tol=None):
+    """``find_kalmanson_order`` with the verdict routed by number kind, the
+    oracle for its arc bound: the NeighborNet order is checked by the signs
+    of its arc indexes on exact input and by the quadruple scan on float
+    input, and exact mode runs NeighborNet on exact input only."""
+    exact = d.is_exact
+    eps, _ = metrics._tolerance(d, tol, exact)
+    n = d.n
+    if n <= 3:
+        order = CircularOrder(tuple(range(1, n + 1)))
+        return OrderSearchResult(order, order, Fraction(0), 1)
+    full, scale = _label_table(d)
+    order = None
+    if mode == "heuristic" or exact:
+        order = metrics._neighbor_net_order(d, full, exact)
+    arcs = metrics._arc_indices(full, order.labels) if exact else ()
+    if exact and all(index >= 0 for p, q, index in arcs if p < q < p + n - 2):
+        if mode == "heuristic":
+            return OrderSearchResult(order, order, Fraction(0), 1)
+        kept = {
+            Split(order.labels[p : q + 1], n): None
+            for p, q, index in metrics._arc_indices(full, order.labels)
+            if index > 0 or not p < q < p + n - 2
+        }
+        system = CircularSplitSystem.of_order(n, kept, order)
+        order = canonical_order(network_from_splits(system))
+        rank = metrics._canonical_rank(order.labels)
+        return OrderSearchResult(order, order, Fraction(0), rank)
+    if mode == "heuristic" and (n > 9 or not exact):
+        worst = metrics._worst_excess(full, order.labels, eps)
+        if worst is None:
+            return OrderSearchResult(order, order, Fraction(0), 1)
+        if n > 9:
+            worst = Fraction(worst, scale) if exact else worst
+            return OrderSearchResult(None, order, worst, 1)
+    if n > 9:
+        raise TooLargeForExactError(f"n={n} exceeds the exhaustive cap of 9")
+    best_labels, best_excess = None, None
+    for checked, labels in enumerate(_canonical_labels(n), start=1):
+        worst = metrics._worst_excess(full, labels, eps)
+        if worst is None:
+            order = CircularOrder(labels)
+            return OrderSearchResult(order, order, Fraction(0), checked)
+        if best_excess is None or worst < best_excess:
+            best_labels, best_excess = labels, worst
+    if exact:
+        best_excess = Fraction(best_excess, scale)
+    return OrderSearchResult(None, CircularOrder(best_labels), best_excess, checked)
+
+
+def decomposition_by_routes(d: DistanceVector, order: CircularOrder, tol=None):
+    """``circular_decomposition`` with the verdict routed by number kind,
+    the oracle for its arc bound: float input is scanned before the arcs
+    are read, and on exact input a negative nontrivial index stops the arc
+    loop to name the scan's first violation."""
+    exact = d.is_exact
+    eps, _ = metrics._tolerance(d, tol, exact)
+    metrics._check_order(d, order)
+    if not exact:
+        violations = is_kalmanson(d, order, tol).violations
+        if violations:
+            raise NotKalmansonError(*violations[0])
+    full, scale = _label_table(d)
+    labels = order.labels
+    n = d.n
+    floor = 0 if exact else tolerance(d.values)
+    kept = {}
+    negative = None
+    for p, q, index in metrics._arc_indices(full, labels):
+        w = Fraction(index, 2 * scale) if exact else 0.5 * index
+        if w < -eps:
+            if not p < q < p + n - 2:
+                negative = negative or (Split(labels[p : q + 1], n), w)
+            elif exact:
+                raise NotKalmansonError(*is_kalmanson(d, order).violations[0])
+        elif w > floor:
+            kept[Split(labels[p : q + 1], n)] = w
+    if negative:
+        raise NegativeSplitWeightError(*negative)
+    system = CircularSplitSystem.of_order(n, kept, order)
+    residual = Fraction(0)
+    if not exact:
+        residual = max(
+            (abs(a - b) for a, b in zip(split_metric(system).values, d.values)),
+            default=residual,
+        )
+    return DecompositionResult(system=system, residual=residual)

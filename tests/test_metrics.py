@@ -25,6 +25,7 @@ from phylocircuit.metrics import (
     is_kalmanson,
     min_path_vector,
     pair_index,
+    pair_iter,
     pairwise_circuit,
     parse_distance_vector,
     resistance_by_reduction,
@@ -53,9 +54,11 @@ from phylocircuit.splits import CircularSplitSystem, Split, split_metric
 
 from fixtures import (
     decomposed_resistance_splits,
+    decomposition_by_routes,
     distance_text_by_pairs,
     k33_with_leaves,
     k5_with_leaves,
+    kalmanson_order_by_routes,
     min_path_by_dijkstra,
     neighbor_net_by_rebuilding,
     quartet_tree,
@@ -985,8 +988,153 @@ def test_sign_test_matches_scan():
             if p < q < p + d.n - 2
         )
         assert passed == is_kalmanson(d, order).passed
+        # on exact input the arc bound is the sign test: slack 0
+        assert metrics._settled_by_arcs(_least_index(d, order), d.n, 0, 0) == passed
         seen[passed] += 1
     assert min(seen.values()) >= 100
+
+
+# ---------------------------------------------------------------------------
+# one verdict: the arc bound settles an order, the scan decides the rest
+
+
+_SCALES = (2.0**-30, 1e-3, 1.37, 1e4, 1e9)
+
+
+def _least_index(d, order):
+    full, _ = metrics._label_table(d)
+    n = d.n
+    return min(
+        index
+        for p, q, index in metrics._arc_indices(full, order.labels)
+        if p < q < p + n - 2
+    )
+
+
+def _bound_corpus(rng):
+    """Vectors whose least nontrivial index lies near the bound: every
+    arc of the order is a split, the trivial ones weighing 1 and the
+    nontrivial ones -x, with x from far below eps/r to far above eps."""
+    for n in (5, 6, 9, 16, 33):
+        order = CircularOrder(range(1, n + 1))
+        r = (n - 1) ** 2 // 4
+        arcs = [(p, q) for p in range(n - 1) for q in range(p + 1, p + n - 2)]
+        # the nontrivial arcs that separate positions i < j
+        apart = [
+            sum((p < i <= q + 1) != (p < j <= q + 1) for p, q in arcs)
+            for i, j in pair_iter(n)
+        ]
+        for ratio in (0.01, 0.5, 0.9, 0.99, 1.01, 1.2, 2, 10, r, 2 * r):
+            x = ratio * 2e-9 / r
+            scale = rng.choice(_SCALES)
+            values = tuple((2 - x * k) * scale for k in apart)
+            yield DistanceVector(n, values), order
+
+
+def _noisy_corpus(rng):
+    """Resistance and min-path vectors of seeded level-1 and ring networks,
+    n = 4..64, exact and as floats at 2^-30 to 1e9, half of the floats
+    moved by noise within 2 REL_TOL times their largest |value|; on the
+    canonical order and on a shuffled one."""
+    sizes = [*range(4, 21), 24, 32, 48, 64]
+    for k, n in enumerate(sizes):
+        nets = [random_one_nested(n, rng, binary=k % 2 == 0)]
+        if n <= 24:
+            weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+            nets.append(ring_with_pendants(n, weights, weights[::-1]))
+        for net in nets:
+            orders = [canonical_order(net), shuffled_order(n, rng)]
+            for d in (resistance_vector(net), min_path_vector(net)):
+                top = float(max(d.values))
+                yield d, orders
+                for j, scale in enumerate(_SCALES if n <= 24 else _SCALES[::2]):
+                    values = [float(v) * scale for v in d.values]
+                    if j % 2:
+                        noise = 2e-9 * top * scale
+                        values = [v + rng.uniform(-noise, noise) for v in values]
+                    yield DistanceVector(n, tuple(values)), orders
+
+
+def test_arc_bound_settles_only_orders_the_scan_passes():
+    rng = random.Random(3535)
+    pairs = [(d, [order]) for d, order in _bound_corpus(rng)]
+    pairs += list(_noisy_corpus(rng))
+    settled = {tol: 0 for tol in (None, 0, 1e-300)}
+    left_open = 0
+    for d, orders in pairs:
+        for order in orders:
+            least = _least_index(d, order)
+            passed = []
+            for tol in settled:
+                eps, floor = metrics._tolerance(d, tol, d.is_exact)
+                if metrics._settled_by_arcs(least, d.n, eps, floor):
+                    settled[tol] += 1
+                    passed.append(eps)
+                else:
+                    left_open += 1
+            if passed:
+                full, _ = metrics._label_table(d)
+                rows = [[full[i][j] for j in order.labels] for i in order.labels]
+                assert metrics._scan(rows, min(passed))[0] == []
+    assert min(settled.values()) >= 40 and left_open >= 300
+
+
+def _route_vectors(rng, count):
+    """``count`` vectors: resistance and min-path vectors of seeded level-1
+    networks and of their chorded versions, labels shuffled, exact and as
+    floats at two of _SCALES, one of them moved by noise within 2 REL_TOL
+    times the largest |value|.  n skips 7 to 9, where a heuristic miss
+    falls back to a long exhaustive search."""
+    made = 0
+    while made < count:
+        n = rng.choice((4, 5, 6, 10, 11, 13))
+        net = random_one_nested(n, rng, binary=rng.random() < 0.5)
+        chorded = with_chord(net, rng)
+        for g in [net] + ([chorded] if chorded else []):
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            leaves = {perm[x - 1]: node for x, node in g.leaves.items()}
+            g = PhyloNetwork.build(leaves, list(g.edge_items))
+            for d in (resistance_vector(g), min_path_vector(g)):
+                top = float(max(d.values))
+                a, b = rng.sample(_SCALES, 2)
+                noise = 2e-9 * top * b
+                yield d
+                yield DistanceVector(d.n, tuple(float(v) * a for v in d.values))
+                yield DistanceVector(
+                    d.n, tuple(float(v) * b + rng.uniform(-noise, noise) for v in d.values)
+                )
+                made += 3
+
+
+def _outcome(call, *args):
+    """The result of ``call(*args)``, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except PhyloCircuitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_one_verdict_matches_the_routes_by_number_kind():
+    rng = random.Random(3536)
+    vectors = list(_route_vectors(rng, 2000))
+    assert len(vectors) >= 2000
+    compared = raised = 0
+    for d in vectors:
+        cap = 6 if d.is_exact else 5
+        for tol in (None,) if d.is_exact else (None, 0):
+            for mode in ("heuristic", "exact") if d.n <= cap else ("heuristic",):
+                got = _outcome(find_kalmanson_order, d, mode, tol)
+                assert repr(got) == repr(_outcome(kalmanson_order_by_routes, d, mode, tol))
+                compared += 1
+                if mode == "heuristic":
+                    orders = (got.best_order, CircularOrder(range(1, d.n + 1)))
+            for order in orders:
+                got = repr(_outcome(circular_decomposition, d, order, tol))
+                assert got == repr(_outcome(decomposition_by_routes, d, order, tol))
+                raised += "NotKalmanson" in got
+                compared += 1
+    assert compared >= 10000 and raised >= 2000
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -15,6 +15,7 @@ from phylocircuit.errors import (
 )
 from phylocircuit.metrics import (
     DistanceVector,
+    find_kalmanson_order,
     is_kalmanson,
     min_path_vector,
     resistance_vector,
@@ -28,7 +29,7 @@ from phylocircuit.netgraph import (
     wye_delta,
 )
 from phylocircuit.randomnet import random_one_nested
-from phylocircuit.rational import tolerance
+from phylocircuit.rational import REL_TOL, tolerance
 from phylocircuit.reconstruct import (
     DecompositionResult,
     circular_decomposition,
@@ -825,6 +826,49 @@ def test_exact_random_suite_up_to_64_leaves():
         assert resistance_split_system_direct(invert_to_network(direct)) == direct
 
 
+def test_float_random_suite_up_to_64_leaves():
+    # the float twin of the exact suite: heuristic search finds an order,
+    # and the decomposition on it is the circuit's split system
+    rng = random.Random(6464)
+    for k in range(40):
+        n = 4 + 60 * k // 39
+        net = random_one_nested(n, rng, binary=k % 2 == 0)
+        net = PhyloNetwork.build(
+            net.leaves, [(u, v, float(w) * 1.37) for u, v, w in net.edge_items]
+        )
+        d = resistance_vector(net)
+        assert not d.is_exact
+        result = find_kalmanson_order(d, "heuristic")
+        assert result.found
+        system = circular_decomposition(d, result.order).system
+        direct = dict(resistance_split_system_direct(net).entries)
+        assert dict(system.entries).keys() == direct.keys()
+        top = max(direct.values())
+        for split, w in system.entries:
+            assert abs(w - direct[split]) <= REL_TOL * top
+        back = resistance_split_system_direct(invert_to_network(system))
+        assert back.splits == system.splits
+
+
+def test_float_zero_tolerance_reaches_the_scan_after_the_arcs(monkeypatch):
+    # under tol=0 the slack is below 0, so the quartet's zero index of the
+    # arc that is no split leaves the order open; the scan then passes it
+    calls = []
+    original = reconstruct.is_kalmanson
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reconstruct, "is_kalmanson", counted)
+    d = resistance_vector(quartet_tree()).as_floats()
+    order = CircularOrder((1, 2, 3, 4))
+    settled = circular_decomposition(d, order)
+    assert calls == []
+    assert circular_decomposition(d, order, 0) == settled
+    assert len(calls) == 1
+
+
 def _seconds(fn, *args):
     start = time.perf_counter()
     fn(*args)
@@ -839,6 +883,17 @@ def test_rebuild_and_invert_times_at_size():
     assert _seconds(invert_to_network, system) < 6.0
     system = resistance_split_system_direct(random_one_nested(512, random.Random(512)))
     assert min(_seconds(weighted_network_from_splits, system) for _ in range(3)) < 0.3
+
+
+def test_float_search_and_decomposition_time_at_size():
+    # the arc indexes settle both checks; the quadruple scan alone would
+    # take tens of seconds at n=256
+    d = resistance_vector(random_one_nested(256, random.Random(256)))
+    d = DistanceVector(256, tuple(float(v) * 1.37 for v in d.values))
+    start = time.perf_counter()
+    order = find_kalmanson_order(d, "heuristic").order
+    circular_decomposition(d, order)
+    assert time.perf_counter() - start < 3.0
 
 
 def _assert_float_inverse(system):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from phylocircuit import splits
 from phylocircuit.errors import (
     MissingTrivialSplitsError,
     NotCircularError,
@@ -10,10 +11,16 @@ from phylocircuit.errors import (
     SizeMismatchError,
     ValidationError,
 )
-from phylocircuit.metrics import DistanceVector, min_path_vector, pair_iter
+from phylocircuit.metrics import (
+    DistanceVector,
+    find_kalmanson_order,
+    min_path_vector,
+    pair_iter,
+    resistance_vector,
+)
 from phylocircuit.netgraph import CircularOrder, classify, consistent_orders, validate
 from phylocircuit.randomnet import random_one_nested
-from phylocircuit.reconstruct import resistance_split_system_direct
+from phylocircuit.reconstruct import invert_to_network, resistance_split_system_direct
 from phylocircuit.splits import (
     CircularSplitSystem,
     Split,
@@ -34,6 +41,7 @@ from phylocircuit.splits import (
 )
 
 from fixtures import (
+    crossing_classes_by_pairs,
     cut_catalog,
     k33_with_leaves,
     quartet_tree,
@@ -639,6 +647,45 @@ def test_rebuild_superset_fuzz():
         system = CircularSplitSystem.of_order(n, entries, order)
         rebuilt = network_from_splits(system)
         assert displayed_splits(rebuilt).splits >= system.splits
+
+
+def test_crossing_class_sweep_matches_the_pair_loop():
+    rng = random.Random(2828)
+    for _ in range(5000):
+        n = rng.randint(2, 14)
+        spans = [
+            tuple(sorted((rng.randint(1, n), rng.randint(1, n))))
+            for _ in range(rng.randint(0, 20))
+        ]
+        assert splits._crossing_classes(spans) == crossing_classes_by_pairs(spans)
+    # every nontrivial arc of a 40-ring: one class of 740 spans
+    ring = [(lo, hi) for lo in range(2, 41) for hi in range(lo + 1, 41) if hi - lo < 38]
+    assert splits._crossing_classes(ring) == [list(range(len(ring)))]
+    assert crossing_classes_by_pairs(ring) == [list(range(len(ring)))]
+
+
+def test_every_rebuild_of_the_seeded_corpora_sweeps_as_the_pair_loop(monkeypatch):
+    sweep, sizes = splits._crossing_classes, []
+
+    def checked(spans):
+        classes = sweep(spans)
+        assert classes == crossing_classes_by_pairs(spans)
+        sizes.append(len(spans))
+        return classes
+
+    monkeypatch.setattr(splits, "_crossing_classes", checked)
+    rings = [ring_with_pendants(m) for m in (6, 12, 24)]
+    for net in [*scan_networks(seed=35, count=40, n_range=(4, 24)), *rings]:
+        level = classify(net).level
+        if level is not None and level <= 1:
+            system = resistance_split_system_direct(net)
+            network_from_splits(system)
+            invert_to_network(system)
+        for d in (resistance_vector(net), min_path_vector(net)):
+            # exact search rebuilds the order's splits when an order exists
+            if find_kalmanson_order(d, "heuristic").found:
+                find_kalmanson_order(d, "exact")
+    assert len(sizes) >= 150 and max(sizes) >= 200
 
 
 def test_separating_splits_come_from_pairwise_circuit_displays():

@@ -12,10 +12,11 @@ start, such as the CLI runs of ``test_cli.py``, are traced too: this
 directory goes first on their ``PYTHONPATH``, so each child loads
 ``tests/sitecustomize.py``, which writes the package lines the child ran
 to a file in a temporary directory on exit; those files are merged in.
-``test_rebuild_and_invert_times_at_size`` is deselected: it times the
-library against a wall-clock budget, which tracing overruns.  A run takes
-several minutes.  The lines left unrun on purpose, each with its reason,
-are listed in ``CHANGES.md``.
+``test_rebuild_and_invert_times_at_size`` and
+``test_float_search_and_decomposition_time_at_size`` are deselected: they
+time the library against a wall-clock budget, which tracing overruns.  A
+run takes several minutes.  The lines left unrun on purpose, each with its
+reason, are listed in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from sitecustomize import OUT_DIR_VARIABLE
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 PACKAGE = ROOT / "src" / "phylocircuit"
-WALL_CLOCK_TEST = "tests/test_reconstruct.py::test_rebuild_and_invert_times_at_size"
+WALL_CLOCK_TESTS = (
+    "tests/test_reconstruct.py::test_rebuild_and_invert_times_at_size",
+    "tests/test_reconstruct.py::test_float_search_and_decomposition_time_at_size",
+)
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -98,7 +102,8 @@ def main(argv: list[str]) -> int:
         sys.settrace(trace)
         try:
             status = pytest.main(
-                ["-q", "-p", "no:cacheprovider", "--deselect", WALL_CLOCK_TEST,
+                ["-q", "-p", "no:cacheprovider",
+                 *(f"--deselect={test}" for test in WALL_CLOCK_TESTS),
                  str(TESTS), *argv]
             )
         finally:
